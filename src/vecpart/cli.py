@@ -23,7 +23,14 @@ from .graph import Graph, GroundTruth, load_edge_list
 from .harness import ScanRecord, best_of_restarts, time_scan
 from .metrics import nmi, sankey_links, sankey_to_json, uncertainty_coefficient, variation_of_information
 from .objective import Partition
-from .spectral import build_embedding, decompose_modularity_matrix, decompose_transition, save_basis
+from .spectral import (
+    build_embedding,
+    decompose_modularity_matrix,
+    decompose_transition,
+    pairs_for_dim,
+    save_basis,
+    spectral_health,
+)
 from .vp import VPConfig
 
 
@@ -176,16 +183,16 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _basis_for_mode(g: Graph, mode: str):
+def _basis_for_mode(g: Graph, mode: str, pairs: int | None):
     if mode == "modularity":
-        return decompose_modularity_matrix(g)
-    return decompose_transition(g)
+        return decompose_modularity_matrix(g, pairs=pairs)
+    return decompose_transition(g, pairs=pairs)
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g = _load_graph(args.graph)
-    basis = _basis_for_mode(g, args.mode)
+    basis = _basis_for_mode(g, args.mode, pairs_for_dim(args.dim))
     t = None if args.mode == "modularity" else args.time
     emb = build_embedding(basis, args.mode, t=t, dim=args.dim)
     cfg = VPConfig(seed=args.seed)
@@ -208,6 +215,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     }
     report = _make_report(g, params, [_record_payload(record)], started)
     report["diagnostics"] = diag.as_dict()
+    report["diagnostics"]["spectral"] = spectral_health(g, basis, emb.dim)
     _emit_report(report, args.output)
     if args.partition_out:
         _write_partition_file(args.partition_out, partition)

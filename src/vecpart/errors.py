@@ -107,3 +107,9 @@ class TooLarge(VecpartError):
     """Instance too large for exhaustive enumeration."""
 
     exit_code = 28
+
+
+class ObjectiveDecreased(VecpartError):
+    """The optimiser's objective fell across a sweep or became non-finite."""
+
+    exit_code = 29

@@ -8,6 +8,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import (
     AsymmetricEdgeList,
@@ -106,22 +107,12 @@ def _canonical_labels(labels: Sequence[int] | np.ndarray) -> tuple[np.ndarray, i
 def _is_connected(n: int, edge_index: np.ndarray) -> bool:
     if n <= 1:
         return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edge_index:
-        adj[i].append(int(j))
-        adj[j].append(int(i))
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
+    adj = sparse.coo_matrix(
+        (np.ones(edge_index.shape[0], dtype=np.int8), (edge_index[:, 0], edge_index[:, 1])),
+        shape=(n, n),
+    )
+    count, _ = csgraph.connected_components(adj, directed=False)
+    return count == 1
 
 
 def _build_graph(n: int, edges: dict[tuple[int, int], float]) -> Graph:

@@ -1,8 +1,8 @@
 """Experiment orchestration: time scans, dimension sweeps, embedding comparisons.
 
-Each routine decomposes the graph once and reuses the basis across grid
-points, dimensions and embedding sources. All results are deterministic for
-fixed seeds.
+Each routine decomposes the graph once, for the largest dimension it
+embeds at, and reuses the basis across grid points, dimensions and
+embedding sources. All results are deterministic for fixed seeds.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .errors import SizeMismatch
 from .graph import Graph, GroundTruth
 from .metrics import nmi, uncertainty_coefficient, variation_of_information
 from .objective import Partition, modularity_score
-from .spectral import build_embedding, decompose_modularity_matrix, decompose_transition
+from .spectral import build_embedding, decompose_modularity_matrix, decompose_transition, pairs_for_dim
 from .vp import VPConfig, VPDiagnostics, partition_vectors
 
 
@@ -114,7 +114,7 @@ def time_scan(
     if cfg is None:
         cfg = VPConfig()
     truth_p = _truth_partition(g, truth) if truth is not None else None
-    basis = decompose_transition(g)
+    basis = decompose_transition(g, pairs=pairs_for_dim(dim))
     records: list[ScanRecord] = []
     previous: Partition | None = None
     for t in geometric_grid(t_min, t_max, n_points):
@@ -151,10 +151,11 @@ def dim_sweep(
     if cfg is None:
         cfg = VPConfig()
     truth_p = _truth_partition(g, truth)
+    pairs = pairs_for_dim(max(dims)) if dims else None
     if mode == "modularity":
-        basis = decompose_modularity_matrix(g)
+        basis = decompose_modularity_matrix(g, pairs=pairs)
     else:
-        basis = decompose_transition(g)
+        basis = decompose_transition(g, pairs=pairs)
     rows: list[DimSweepRow] = []
     for dim in dims:
         emb = build_embedding(basis, mode, t=t, dim=dim)
@@ -188,8 +189,9 @@ def embedding_comparison(
     if cfg is None:
         cfg = VPConfig()
     truth_p = _truth_partition(g, truth)
-    basis_t = decompose_transition(g)
-    basis_q = decompose_modularity_matrix(g)
+    pairs = pairs_for_dim(max(dims)) if dims else None
+    basis_t = decompose_transition(g, pairs=pairs)
+    basis_q = decompose_modularity_matrix(g, pairs=pairs)
     rows: list[ComparisonRow] = []
     for dim in dims:
         results = []

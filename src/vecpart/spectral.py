@@ -10,12 +10,15 @@ vector partitioning.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+from scipy import sparse
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import DimOutOfRange, EigensolverFailure, ModeBasisMismatch, ZeroDegree
 from .graph import Graph
@@ -28,25 +31,49 @@ SOURCES = ("transition", "modularity")
 # an eigenvalue weight crosses zero along a time sweep.
 ZERO_WEIGHT_TOL = 1e-12
 
+# The truncated eigensolver (ARPACK) runs where it was measured faster than
+# the dense one: n >= TRUNCATED_MIN_N and pairs <= n / TRUNCATED_MAX_FRACTION.
+# Time ratio truncated / dense for both decompositions (transition,
+# modularity) on planted_partition(n // 50, 50, 0.2, 4 / n), 2-CPU x86_64,
+# OpenBLAS with 2 threads:
+#   n = 100:  1.6-4.1 for every pairs in 4..50 (dense takes 2-4 ms)
+#   n = 300:  pairs 26: 0.84, 0.53; pairs 50: 1.51, 0.85
+#   n = 400:  pairs 50: 0.90, 0.70; pairs 100: 2.2, 1.4
+#   n = 1000: pairs 100: 0.69, 0.41; pairs 200: 2.6, 1.6
+TRUNCATED_MIN_N = 300
+TRUNCATED_MAX_FRACTION = 10
+
+# When the Krylov space breaks down, as on a spectrum with few distinct
+# eigenvalues, ARPACK restarts from a random vector. SciPy releases whose
+# eigsh takes ``rng`` draw it from that generator, seeded from the operating
+# system unless given one; older releases use a fixed internal seed.
+_EIGSH_RESTART_SEED = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
-    """Full eigensystem of the transition or modularity matrix.
+    """Leading eigenpairs of the transition or modularity matrix.
 
-    Eigenvalues are sorted descending and eigenvectors are stored as columns.
-    Transition eigenvectors v_k are normalised so v_k^T diag(pi) v_l is the
-    identity; modularity eigenvectors are orthonormal in the standard inner
-    product, with the all-ones direction carried explicitly as the zero mode.
+    A basis holds either all n eigenpairs (the dense solver) or the leading
+    ``pairs`` < n of them (the truncated solver). Eigenvalues are sorted
+    descending and eigenvectors are stored as columns. Transition
+    eigenvectors v_k are normalised so v_k^T diag(pi) v_l is the identity;
+    modularity eigenvectors are orthonormal in the standard inner product,
+    with the all-ones direction carried explicitly as the zero mode.
     """
 
     source: str  # "transition" | "modularity"
-    eigenvalues: np.ndarray  # (n,) descending
-    eigenvectors: np.ndarray  # (n, n), column k pairs with eigenvalues[k]
+    eigenvalues: np.ndarray  # (pairs,) descending
+    eigenvectors: np.ndarray  # (n, pairs), column k pairs with eigenvalues[k]
     pi: np.ndarray  # stationary distribution d / 2m
     total_weight: float
 
     @property
     def n(self) -> int:
+        return int(self.eigenvectors.shape[0])
+
+    @property
+    def pairs(self) -> int:
         return int(self.eigenvalues.size)
 
 
@@ -84,12 +111,69 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
-def decompose_transition(g: Graph) -> SpectralBasis:
+def pairs_for_dim(dim: int | None) -> int | None:
+    """Eigenpairs to compute for an embedding of dimension ``dim``.
+
+    The embedding reads the leading dim + 1 pairs (the stationary or all-ones
+    mode and dim components). One more pair is kept so the eigenvalue gap at
+    the cut is known. None, the default full dimension, asks for all pairs.
+    """
+    return None if dim is None else dim + 2
+
+
+def _use_truncated(n: int, pairs: int | None) -> bool:
+    if pairs is None:
+        return False
+    if pairs < 2:
+        raise ValueError(f"pairs counts the stationary or ones mode and must be >= 2, got {pairs}")
+    return n >= TRUNCATED_MIN_N and pairs * TRUNCATED_MAX_FRACTION <= n
+
+
+def _similar_transition(g: Graph) -> sparse.csr_matrix:
+    """Sparse S = D^-1/2 A D^-1/2, exactly symmetric."""
+    inv_sqrt_d = 1.0 / np.sqrt(np.asarray(g.degrees, dtype=np.float64))
+    A = g.adjacency().tocoo()
+    data = A.data * (inv_sqrt_d[A.row] * inv_sqrt_d[A.col])
+    return sparse.csr_matrix((data, (A.row, A.col)), shape=A.shape)
+
+
+def _product(g: Graph, source: str):
+    """X -> S X for the transition source, X -> B_Q X for the modularity one.
+
+    B_Q X = A X - d (d^T X) / 2m is applied as sparse plus rank one, so
+    neither matrix is formed densely.
+    """
+    if source == "transition":
+        S = _similar_transition(g)
+        return lambda X: S @ X
+    A = g.adjacency()
+    d = np.asarray(g.degrees, dtype=np.float64)
+    two_m = 2.0 * g.total_weight
+    return lambda X: A @ X - np.multiply.outer(d, d @ X) / two_m
+
+
+def _leading_eigh(op, k: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The k algebraically largest eigenpairs of a symmetric operator, via ARPACK.
+
+    The fixed start vector, the fixed restart seed and tol=0 (machine
+    precision) make the result deterministic for a given operator.
+    """
+    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
+    try:
+        return eigsh(op, k=k, which="LA", v0=v0, tol=0, **_EIGSH_RESTART_SEED)
+    except ArpackError as exc:
+        raise EigensolverFailure(f"{what} truncated eigendecomposition failed: {exc}") from exc
+
+
+def decompose_transition(g: Graph, pairs: int | None = None) -> SpectralBasis:
     """Eigendecompose the random-walk transition matrix M = D^-1 A.
 
     The eigenproblem is solved on the symmetric similar matrix
     S = D^-1/2 A D^-1/2, whose eigenpairs (lam, u) map to eigenpairs
-    (lam, sqrt(2m) D^-1/2 u) of M normalised against diag(pi).
+    (lam, sqrt(2m) D^-1/2 u) of M normalised against diag(pi). With
+    ``pairs`` given and small against n, only the leading ``pairs``
+    eigenpairs are computed, by ARPACK on the sparse S; otherwise all n,
+    by the dense solver.
     """
     d = np.asarray(g.degrees, dtype=np.float64)
     if np.any(d <= 0):
@@ -97,13 +181,16 @@ def decompose_transition(g: Graph) -> SpectralBasis:
         raise ZeroDegree(f"node {bad} has zero degree")
     two_m = 2.0 * g.total_weight
     inv_sqrt_d = 1.0 / np.sqrt(d)
-    A = g.dense_adjacency()
-    S = inv_sqrt_d[:, None] * A * inv_sqrt_d[None, :]
-    S = 0.5 * (S + S.T)
-    try:
-        w, U = scipy.linalg.eigh(S)
-    except scipy.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"transition eigendecomposition failed: {exc}") from exc
+    if _use_truncated(g.n, pairs):
+        w, U = _leading_eigh(_similar_transition(g), pairs, "transition")
+    else:
+        A = g.dense_adjacency()
+        S = inv_sqrt_d[:, None] * A * inv_sqrt_d[None, :]
+        S = 0.5 * (S + S.T)
+        try:
+            w, U = scipy.linalg.eigh(S)
+        except scipy.linalg.LinAlgError as exc:
+            raise EigensolverFailure(f"transition eigendecomposition failed: {exc}") from exc
     order = np.argsort(-w, kind="stable")
     w = w[order]
     V = np.sqrt(two_m) * inv_sqrt_d[:, None] * U[:, order]
@@ -120,31 +207,62 @@ def decompose_transition(g: Graph) -> SpectralBasis:
     )
 
 
-def decompose_modularity_matrix(g: Graph) -> SpectralBasis:
+def _leading_modularity_off_ones(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k leading eigenpairs of B_Q on the orthogonal complement of the ones vector.
+
+    The operator is P B_Q P - s J, with P the projector off the unit ones
+    vector e and J = e e^T. It agrees with B_Q off e and sends e to -s e.
+    With s twice a bound on the spectral norm of B_Q (max degree plus
+    d^T d / 2m), -s lies below every eigenvalue of B_Q, so ARPACK's leading
+    pairs never include the ones direction.
+    """
+    n = g.n
+    d = np.asarray(g.degrees, dtype=np.float64)
+    e = np.full(n, 1.0 / np.sqrt(n))
+    shift = 2.0 * (float(d.max()) + float(d @ d) / (2.0 * g.total_weight))
+    product = _product(g, "modularity")
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        x = np.ravel(x)
+        c = float(e @ x)
+        y = product(x - c * e)
+        return y - float(e @ y) * e - shift * c * e
+
+    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    return _leading_eigh(op, k, "modularity")
+
+
+def decompose_modularity_matrix(g: Graph, pairs: int | None = None) -> SpectralBasis:
     """Eigendecompose the modularity matrix B_Q = A - d d^T / 2m.
 
     The all-ones direction is an exact zero mode of B_Q. It is separated by
     restricting B_Q to the orthogonal complement of the ones vector before
     calling the eigensolver, then re-inserted with eigenvalue 0, so
-    downstream consumers can exclude it unambiguously.
+    downstream consumers can exclude it unambiguously. With ``pairs`` given
+    and small against n, only the leading ``pairs`` - 1 eigenpairs off the
+    ones direction are computed, by ARPACK on a sparse-plus-rank-one
+    operator; otherwise all n - 1, by the dense solver.
     """
     n = g.n
     d = np.asarray(g.degrees, dtype=np.float64)
     two_m = 2.0 * g.total_weight
-    B = g.dense_adjacency() - np.outer(d, d) / two_m
     ones = np.full(n, 1.0 / np.sqrt(n))
-    try:
-        if n > 1:
-            W = scipy.linalg.null_space(np.ones((1, n)))
-            C = W.T @ B @ W
-            C = 0.5 * (C + C.T)
-            beta, Z = scipy.linalg.eigh(C)
-            U_rest = W @ Z
-        else:
-            beta = np.empty(0)
-            U_rest = np.empty((1, 0))
-    except scipy.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"modularity eigendecomposition failed: {exc}") from exc
+    if _use_truncated(n, pairs):
+        beta, U_rest = _leading_modularity_off_ones(g, pairs - 1)
+    else:
+        B = g.dense_adjacency() - np.outer(d, d) / two_m
+        try:
+            if n > 1:
+                W = scipy.linalg.null_space(np.ones((1, n)))
+                C = W.T @ B @ W
+                C = 0.5 * (C + C.T)
+                beta, Z = scipy.linalg.eigh(C)
+                U_rest = W @ Z
+            else:
+                beta = np.empty(0)
+                U_rest = np.empty((1, 0))
+        except scipy.linalg.LinAlgError as exc:
+            raise EigensolverFailure(f"modularity eigendecomposition failed: {exc}") from exc
     w_all = np.concatenate([beta, [0.0]])
     U_all = np.concatenate([U_rest, ones[:, None]], axis=1)
     order = np.argsort(-w_all, kind="stable")
@@ -188,6 +306,16 @@ def _ones_mode_index(U: np.ndarray) -> int:
     return int(np.argmax(np.abs(U.sum(axis=0))))
 
 
+def _component_indices(basis: SpectralBasis) -> np.ndarray:
+    """Basis columns an embedding may use, in the order it takes them.
+
+    Every held pair except the stationary mode of a transition basis or the
+    all-ones zero mode of a modularity basis.
+    """
+    skip = 0 if basis.source == "transition" else _ones_mode_index(basis.eigenvectors)
+    return np.delete(np.arange(basis.pairs), skip)
+
+
 def build_embedding(
     basis: SpectralBasis, mode: str, t: float | None = None, dim: int | None = None
 ) -> Embedding:
@@ -216,16 +344,17 @@ def build_embedding(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     n = basis.n
+    components = _component_indices(basis)
     if dim is None:
         dim = n - 1
-    if not 1 <= dim <= n - 1:
-        raise DimOutOfRange(f"dim must be in [1, {n - 1}], got {dim}")
+    if not 1 <= dim <= components.size:
+        held = f" (the basis holds {basis.pairs} of {n} eigenpairs)" if basis.pairs < n else ""
+        raise DimOutOfRange(f"dim must be in [1, {components.size}]{held}, got {dim}")
+    keep = components[:dim]
 
     if mode == "modularity":
         if basis.source != "modularity":
             raise ModeBasisMismatch("modularity mode needs a modularity basis")
-        ones_idx = _ones_mode_index(basis.eigenvectors)
-        keep = [k for k in range(n) if k != ones_idx][:dim]
         weights = basis.eigenvalues[keep]
         X = basis.eigenvectors[:, keep] * np.sqrt(np.abs(weights))[None, :]
         time_field: float | None = None
@@ -234,12 +363,8 @@ def build_embedding(
             raise ModeBasisMismatch(f"{mode} mode needs a transition basis")
         if t is None:
             raise ValueError(f"{mode} mode needs a time value")
-        weights = scaled_eigenvalues(basis, mode, t)[1 : dim + 1]
-        X = (
-            basis.pi[:, None]
-            * basis.eigenvectors[:, 1 : dim + 1]
-            * np.sqrt(np.abs(weights))[None, :]
-        )
+        weights = scaled_eigenvalues(basis, mode, t)[keep]
+        X = basis.pi[:, None] * basis.eigenvectors[:, keep] * np.sqrt(np.abs(weights))[None, :]
         time_field = float(t)
 
     signature = np.where(weights < -ZERO_WEIGHT_TOL, -1, 1).astype(np.int64)
@@ -256,6 +381,42 @@ def build_embedding(
         signature=signature,
         total_weight=basis.total_weight,
     )
+
+
+def _max_residual(g: Graph, basis: SpectralBasis) -> float:
+    """Largest ||S u - lam u|| over the held pairs, u a unit eigenvector of the
+    symmetric matrix solved: S = D^-1/2 A D^-1/2, or B_Q."""
+    product = _product(g, basis.source)
+    # A transition eigenvector v is stored pi-normalised; u = sqrt(pi) v is the unit one.
+    scale = np.sqrt(basis.pi)[:, None] if basis.source == "transition" else 1.0
+    worst = 0.0
+    block = 256  # columns at a time, so a full basis needs no extra n x n arrays
+    for start in range(0, basis.pairs, block):
+        cols = slice(start, start + block)
+        U = scale * basis.eigenvectors[:, cols]
+        R = product(U) - U * basis.eigenvalues[cols]
+        worst = max(worst, float(np.linalg.norm(R, axis=0).max()))
+    return worst
+
+
+def spectral_health(g: Graph, basis: SpectralBasis, dim: int) -> dict:
+    """Numerical health of ``basis`` for an embedding of dimension ``dim``.
+
+    ``solver`` is "eigh" for a basis of all n pairs and "eigsh" for a
+    truncated one; ``pairs`` is the number held; ``max_residual`` is the
+    largest eigen-residual over them; ``gap_at_dim`` is the drop from the
+    last eigenvalue the embedding reads to the next one, or None when the
+    basis holds no next one. A gap near zero means the retained eigenspace,
+    and so the embedding, depends on the eigensolver and not on the graph
+    alone.
+    """
+    lam = basis.eigenvalues[_component_indices(basis)]
+    return {
+        "solver": "eigh" if basis.pairs == basis.n else "eigsh",
+        "pairs": basis.pairs,
+        "max_residual": _max_residual(g, basis),
+        "gap_at_dim": float(lam[dim - 1] - lam[dim]) if dim < lam.size else None,
+    }
 
 
 def save_basis(basis: SpectralBasis, path: str | Path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LevelCapExceeded, SameGroup, TooLarge
+from .errors import LevelCapExceeded, ObjectiveDecreased, SameGroup, TooLarge
 from .objective import Partition, stability
 from .spectral import Embedding
 
@@ -28,6 +28,8 @@ class VPConfig:
     order, or "shuffled" with one permutation drawn per aggregation level
     from ``seed``). ``allow_detach`` additionally offers each vector a move
     into a fresh empty group, which can undo a poor merge after aggregation.
+    A move is made only when its gain exceeds ``gain_tolerance``, which is in
+    the units of the reported objective (modularity Q in modularity mode).
     """
 
     sweep_order: str = "natural"
@@ -171,8 +173,13 @@ def move_gain(state: VPState, signature: np.ndarray, i: int, beta: int) -> float
     return y_beta_score - float(sx @ (state.group_sums[alpha] - x))
 
 
-def _sweep(state: VPState, signature: np.ndarray, order: np.ndarray, cfg: VPConfig) -> int:
-    """One pass over all vectors; returns the number of accepted moves."""
+def _sweep(
+    state: VPState, signature: np.ndarray, order: np.ndarray, allow_detach: bool, tol: float
+) -> int:
+    """One pass over all vectors; returns the number of accepted moves.
+
+    A move is accepted when its gain exceeds ``tol``, in raw objective units.
+    """
     moved = 0
     for i in order:
         alpha = int(state.assignment[i])
@@ -185,10 +192,10 @@ def _sweep(state: VPState, signature: np.ndarray, order: np.ndarray, cfg: VPConf
         gains[alpha] = -np.inf
         beta = int(np.argmax(gains))  # ties resolve to the lowest group index
         best = float(gains[beta])
-        if cfg.allow_detach and state.group_sizes[alpha] > 1 and -base > best:
+        if allow_detach and state.group_sizes[alpha] > 1 and -base > best:
             beta = state.num_groups
             best = -base
-        if best > cfg.gain_tolerance:
+        if best > tol:
             state.apply_move(int(i), beta)
             moved += 1
     return moved
@@ -218,6 +225,12 @@ def partition_vectors(
     vectors = np.asarray(emb.vectors, dtype=np.float64)
     node_to_group = np.arange(emb.n, dtype=np.int64)
     diag = VPDiagnostics()
+    # The raw objective is the reported one times 2m in modularity mode, and
+    # its roundoff scales with it. Tolerances stay in reported units: in raw
+    # units, two vectors can swap forever on roundoff gains, and one ulp of
+    # drift can read as a decrease.
+    unit = 2.0 * emb.total_weight if emb.mode == "modularity" else 1.0
+    tol = cfg.gain_tolerance * unit
     prev_obj = -np.inf
     for level in range(cfg.max_levels):
         p = vectors.shape[0]
@@ -228,12 +241,15 @@ def partition_vectors(
         sweeps = 0
         moves = 0
         while True:
-            moved = _sweep(state, signature, order, cfg)
+            moved = _sweep(state, signature, order, cfg.allow_detach, tol)
             state.revalidate()
             sweeps += 1
             moves += moved
             obj = _raw_objective(state.group_sums, signature)
-            assert obj >= prev_obj - 1e-9, "objective decreased across a sweep"
+            if not obj >= prev_obj - 1e-9 * unit:  # also catches a NaN objective
+                raise ObjectiveDecreased(
+                    f"objective went from {prev_obj!r} to {obj!r} across a sweep at level {level}"
+                )
             diag.objective_trajectory.append(obj)
             prev_obj = obj
             if moved == 0:

@@ -107,6 +107,31 @@ class TestPartition:
         assert record["time"] is None
         assert record["mode"] == "modularity"
 
+    def test_spectral_health_in_diagnostics(self, graph_file, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["partition", graph_file, "--time", "5", "--dim", "2", "--output", str(out)]) == 0
+        health = json.loads(out.read_text())["diagnostics"]["spectral"]
+        assert health["solver"] == "eigh" and health["pairs"] == 4
+        assert 0 <= health["max_residual"] <= 1e-12
+        # dim 2 cuts inside the double eigenvalue -5/6 of pairgraph4
+        assert health["gap_at_dim"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exponential", "modularity"])
+    def test_low_dim_on_a_large_graph_uses_the_truncated_solver(self, tmp_path, mode):
+        g, _ = vp.planted_partition(6, 50, 0.3, 0.01, seed=0)
+        path = tmp_path / "g.txt"
+        path.write_text(g.to_edge_list_text())
+        args = ["partition", str(path), "--mode", mode, "--dim", "5", "--restarts", "2"]
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main(args + ["--output", str(out1)]) == 0
+        assert main(args + ["--output", str(out2)]) == 0
+        assert strip_timing(out1) == strip_timing(out2)
+        report = json.loads(out1.read_text())
+        health = report["diagnostics"]["spectral"]
+        assert health["solver"] == "eigsh" and health["pairs"] == 7
+        assert health["max_residual"] <= 1e-10 and health["gap_at_dim"] > 0
+        assert report["records"][0]["num_communities"] == 6
+
     def test_dim_zero_is_flag_error(self, graph_file):
         assert main(["partition", graph_file, "--dim", "0"]) == 2
 

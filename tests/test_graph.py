@@ -196,3 +196,20 @@ class TestPlantedPartition:
             vp.planted_partition(2, 1, 0.9, 0.1, seed=0)
         with pytest.raises(ValueError):
             vp.planted_partition(2, 4, 0.5, 0.9, seed=0)
+
+
+class TestConnectivity:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_agrees_with_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        from vecpart.graph import _is_connected
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rng.random(iu.size) < rng.uniform(0.0, 0.3)
+        edge_index = np.stack([iu[keep], ju[keep]], axis=1)
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_edges_from(map(tuple, edge_index))
+        assert _is_connected(n, edge_index) == nx.is_connected(reference)

@@ -91,6 +91,20 @@ class TestTimeScan:
             assert np.array_equal(a.partition.assignment, b.partition.assignment)
             assert a.objective == b.objective
 
+    def test_decomposes_once_with_the_pairs_the_embedding_reads(self, monkeypatch):
+        calls = []
+        real = vp.harness.decompose_transition
+
+        def counting(g, pairs=None):
+            calls.append(pairs)
+            return real(g, pairs=pairs)
+
+        monkeypatch.setattr(vp.harness, "decompose_transition", counting)
+        g, _ = vp.planted_partition(6, 50, 0.3, 0.01, seed=0)
+        records = vp.time_scan(g, 0.5, 5.0, 4, dim=4, restarts=1)
+        assert calls == [vp.pairs_for_dim(4)] == [6]
+        assert [r.dim for r in records] == [4] * 4
+
     def test_wrong_truth_size_rejected(self):
         g = pairgraph4()
         truth = vp.GroundTruth.from_labels([0, 0, 1])
@@ -139,6 +153,27 @@ class TestDimSweep:
             assert means[1] <= means[2] + 1e-12
             assert means[2] >= 0.9
             assert all(m - means[2] < 0.05 for m in means[3:])
+
+
+class TestLargestDimension:
+    @pytest.mark.parametrize("mode,t", [("linearised", 1.0), ("modularity", None)])
+    def test_sweeps_decompose_once_for_the_largest_dim(self, monkeypatch, mode, t):
+        calls = []
+        for name in ("decompose_transition", "decompose_modularity_matrix"):
+            real = getattr(vp.harness, name)
+
+            def counting(g, pairs=None, real=real):
+                calls.append(pairs)
+                return real(g, pairs=pairs)
+
+            monkeypatch.setattr(vp.harness, name, counting)
+        g, truth = vp.planted_partition(6, 50, 0.3, 0.01, seed=0)
+        rows = vp.dim_sweep(g, truth, t, mode, [2, 5, 3], restarts=1)
+        assert [row.dim for row in rows] == [2, 5, 3]
+        assert calls == [vp.pairs_for_dim(5)]
+        calls.clear()
+        vp.embedding_comparison(g, truth, [4, 2], restarts=1)
+        assert calls == [vp.pairs_for_dim(4)] * 2
 
 
 class TestEmbeddingComparison:

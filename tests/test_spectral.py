@@ -312,3 +312,161 @@ class TestBasisSerialisation:
         emb = vp.build_embedding(loaded, "exponential", t=2.0, dim=3)
         ref = vp.build_embedding(basis, "exponential", t=2.0, dim=3)
         assert np.array_equal(emb.vectors, ref.vectors)
+
+
+# Large enough for the truncated eigensolver: n = 400 and DIM + 2 pairs.
+TRUNCATED_DIM = 12
+
+
+@pytest.fixture(scope="module")
+def planted400():
+    g, _ = vp.planted_partition(8, 50, 0.2, 0.01, seed=1)
+    return g
+
+
+def bases(g, source, dim=TRUNCATED_DIM):
+    decompose = vp.decompose_transition if source == "transition" else vp.decompose_modularity_matrix
+    return decompose(g), decompose(g, pairs=vp.pairs_for_dim(dim))
+
+
+def component_eigenvalues(basis):
+    """Eigenvalues an embedding may use, in order: without the stationary or ones mode."""
+    lam = basis.eigenvalues
+    if basis.source == "transition":
+        return lam[1:]
+    ones = int(np.argmax(np.abs(basis.eigenvectors.sum(axis=0))))
+    return np.delete(lam, ones)
+
+
+def signed_gram(emb):
+    return (emb.vectors * emb.signature) @ emb.vectors.T
+
+
+MODE_CASES = [("transition", "exponential", 2.0), ("transition", "linearised", 1.5), ("modularity", "modularity", None)]
+
+
+class TestTruncatedEigensolver:
+    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    def test_holds_only_the_pairs_asked_for(self, planted400, source):
+        dense, truncated = bases(planted400, source)
+        assert dense.pairs == dense.n == 400
+        assert truncated.pairs == TRUNCATED_DIM + 2 and truncated.n == 400
+        assert truncated.eigenvectors.shape == (400, TRUNCATED_DIM + 2)
+
+    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    def test_eigenvalues_match_dense(self, planted400, source):
+        dense, truncated = bases(planted400, source)
+        lam = component_eigenvalues(truncated)
+        assert np.max(np.abs(lam - component_eigenvalues(dense)[: lam.size])) <= 1e-10
+        assert np.all(np.diff(truncated.eigenvalues) <= 0)
+
+    @pytest.mark.parametrize("source,mode,t", MODE_CASES)
+    def test_embedding_grams_match_dense(self, planted400, source, mode, t):
+        dense, truncated = bases(planted400, source)
+        g_dense = signed_gram(vp.build_embedding(dense, mode, t=t, dim=TRUNCATED_DIM))
+        g_trunc = signed_gram(vp.build_embedding(truncated, mode, t=t, dim=TRUNCATED_DIM))
+        assert np.max(np.abs(g_trunc - g_dense)) <= 1e-10 * np.max(np.abs(g_dense))
+
+    @pytest.mark.parametrize("source,mode,t", MODE_CASES)
+    def test_partitions_match_dense(self, planted400, source, mode, t):
+        dense, truncated = bases(planted400, source)
+        p_dense, obj_dense, _ = vp.partition_vectors(vp.build_embedding(dense, mode, t=t, dim=TRUNCATED_DIM))
+        p_trunc, obj_trunc, _ = vp.partition_vectors(vp.build_embedding(truncated, mode, t=t, dim=TRUNCATED_DIM))
+        assert np.array_equal(p_trunc.assignment, p_dense.assignment)
+        assert obj_trunc == pytest.approx(obj_dense, rel=1e-9)
+
+    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    def test_repeat_calls_are_byte_identical(self, planted400, source):
+        _, first = bases(planted400, source)
+        _, second = bases(planted400, source)
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    def test_degenerate_spectrum_is_repeatable(self, source):
+        # On a complete graph every nontrivial eigenvalue is equal, so the
+        # Krylov space breaks down and ARPACK restarts from a random vector.
+        complete, _ = vp.planted_partition(1, 300, 1.0, 1.0, seed=0)
+        _, first = bases(complete, source)
+        _, second = bases(complete, source)
+        assert first.pairs == TRUNCATED_DIM + 2
+        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+    def test_ones_mode_held_once_when_few_eigenvalues_are_positive(self):
+        # A complete graph with weights 1 + 0.12 u has a modularity spectrum
+        # near -1 with only a few positive eigenvalues, fewer than dim.
+        n, dim = 300, 20
+        iu, ju = np.triu_indices(n, k=1)
+        w = 1.0 + 0.12 * np.random.default_rng(0).random(iu.size)
+        text = "".join(f"{i} {j} {float(x)!r}\n" for i, j, x in zip(iu, ju, w))
+        dense, truncated = bases(vp.load_edge_list(text), "modularity", dim)
+        assert 0 < np.sum(dense.eigenvalues > 1e-9) < dim
+        assert truncated.pairs == dim + 2
+        overlaps = np.abs(truncated.eigenvectors.sum(axis=0)) / np.sqrt(n)
+        assert np.sum(overlaps > 1e-6) == 1
+        lam = component_eigenvalues(truncated)
+        assert np.max(np.abs(lam - component_eigenvalues(dense)[: lam.size])) <= 1e-10
+        e_dense = vp.build_embedding(dense, "modularity", dim=dim)
+        e_trunc = vp.build_embedding(truncated, "modularity", dim=dim)
+        assert np.array_equal(e_trunc.signature, e_dense.signature)
+        assert np.max(np.abs(signed_gram(e_trunc) - signed_gram(e_dense))) <= 1e-10
+
+    @pytest.mark.parametrize("source,mode,t", MODE_CASES)
+    def test_dim_beyond_held_pairs_rejected(self, planted400, source, mode, t):
+        _, truncated = bases(planted400, source)
+        assert vp.build_embedding(truncated, mode, t=t, dim=TRUNCATED_DIM + 1).dim == TRUNCATED_DIM + 1
+        with pytest.raises(vp.DimOutOfRange, match="holds 14 of 400"):
+            vp.build_embedding(truncated, mode, t=t, dim=TRUNCATED_DIM + 2)
+        with pytest.raises(vp.DimOutOfRange):
+            vp.build_embedding(truncated, mode, t=t)
+
+    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    def test_small_graphs_and_large_pair_counts_stay_dense(self, planted400, source):
+        small = random_connected_graph(4, n_range=(20, 30))
+        assert bases(small, source, dim=2)[1].pairs == small.n
+        assert bases(planted400, source, dim=100)[1].pairs == 400
+
+    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    def test_arpack_failure_is_eigensolver_failure(self, planted400, source, monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(vp.spectral, "eigsh", no_convergence)
+        with pytest.raises(vp.EigensolverFailure, match="truncated"):
+            bases(planted400, source)
+
+
+class TestSpectralHealth:
+    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    def test_both_solvers(self, planted400, source):
+        dense, truncated = bases(planted400, source)
+        h_dense = vp.spectral.spectral_health(planted400, dense, TRUNCATED_DIM)
+        h_trunc = vp.spectral.spectral_health(planted400, truncated, TRUNCATED_DIM)
+        assert (h_dense["solver"], h_dense["pairs"]) == ("eigh", 400)
+        assert (h_trunc["solver"], h_trunc["pairs"]) == ("eigsh", TRUNCATED_DIM + 2)
+        for health in (h_dense, h_trunc):
+            assert 0 <= health["max_residual"] <= 1e-10
+        lam = component_eigenvalues(dense)
+        expected_gap = lam[TRUNCATED_DIM - 1] - lam[TRUNCATED_DIM]
+        assert h_trunc["gap_at_dim"] == pytest.approx(expected_gap, abs=1e-10)
+        assert h_dense["gap_at_dim"] == pytest.approx(expected_gap, abs=1e-12)
+
+    def test_no_gap_at_full_dimension(self):
+        g = pairgraph4()
+        health = vp.spectral.spectral_health(g, vp.decompose_transition(g), 3)
+        assert health["gap_at_dim"] is None
+        assert health["max_residual"] <= 1e-12
+
+    def test_residual_detects_a_wrong_pair(self):
+        g = pairgraph4()
+        basis = vp.decompose_transition(g)
+        shifted = vp.SpectralBasis(
+            source="transition",
+            eigenvalues=basis.eigenvalues + np.array([0.0, 0.1, 0.0, 0.0]),
+            eigenvectors=basis.eigenvectors,
+            pi=basis.pi,
+            total_weight=basis.total_weight,
+        )
+        assert vp.spectral.spectral_health(g, shifted, 1)["max_residual"] == pytest.approx(0.1, abs=1e-12)

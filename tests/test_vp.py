@@ -142,6 +142,31 @@ class TestPartitionVectors:
         with pytest.raises(vp.LevelCapExceeded):
             vp.partition_vectors(emb, vp.VPConfig(max_levels=1))
 
+    def test_objective_decrease_raises_named_error(self, monkeypatch):
+        values = iter([2.0, 1.0])
+        monkeypatch.setattr(vp.vp, "_raw_objective", lambda sums, signature: next(values))
+        with pytest.raises(vp.ObjectiveDecreased, match="from 2.0 to 1.0"):
+            vp.partition_vectors(make_embedding([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.2]]))
+
+    def test_non_finite_objective_raises_named_error(self):
+        with pytest.raises(vp.ObjectiveDecreased, match="nan"):
+            vp.partition_vectors(make_embedding([[np.nan, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+    def test_modularity_result_independent_of_weight_scale(self, scale):
+        # Modularity is invariant under scaling all weights, and so is the
+        # optimiser once its tolerances are in units of Q. With a raw-unit
+        # tolerance, scale 1e4 never terminated (two vectors swapped forever
+        # on roundoff gains) and scale 1e6 failed the monotonicity check.
+        g, _ = vp.planted_partition(4, 10, 0.5, 0.05, seed=0)
+        scaled = vp.load_edge_list("".join(f"{i} {j} {w * scale!r}\n" for i, j, w in g.edges))
+        p_ref, q_ref, _ = vp.partition_vectors(vp.build_embedding(vp.decompose_modularity_matrix(g), "modularity"))
+        emb = vp.build_embedding(vp.decompose_modularity_matrix(scaled), "modularity")
+        p, q, diag = vp.partition_vectors(emb)
+        assert np.array_equal(p.assignment, p_ref.assignment)
+        assert q == pytest.approx(q_ref, abs=1e-9)
+        assert q == pytest.approx(vp.modularity_score(scaled, p), abs=1e-9)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             vp.VPConfig(sweep_order="spiral")
