@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -190,6 +191,12 @@ def _basis_for_mode(g: Graph, mode: str, pairs: int | None):
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
+    if args.mode == "exponential" and not args.time >= 0:
+        print(f"error: usage: exponential mode needs --time >= 0, got {args.time}", file=sys.stderr)
+        return 2
+    if args.mode == "linearised" and not 0 < args.time < math.inf:
+        print(f"error: usage: linearised mode needs a finite --time > 0, got {args.time}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     g = _load_graph(args.graph)
     basis = _basis_for_mode(g, args.mode, pairs_for_dim(args.dim))

@@ -55,6 +55,12 @@ class GenerationFailed(VecpartError):
     exit_code = 17
 
 
+class NonFiniteWeight(VecpartError):
+    """An edge weight is infinite."""
+
+    exit_code = 18
+
+
 class ZeroDegree(VecpartError):
     """A node with zero degree makes the random-walk operator undefined."""
 
@@ -104,7 +110,8 @@ class LevelCapExceeded(VecpartError):
 
 
 class TooLarge(VecpartError):
-    """Instance too large for exhaustive enumeration."""
+    """Input too large to handle: beyond the exhaustive enumeration limit, or
+    weights whose degree sums overflow the floating-point range."""
 
     exit_code = 28
 

@@ -17,8 +17,10 @@ from .errors import (
     GenerationFailed,
     MalformedLine,
     MissingCommunityLabel,
+    NonFiniteWeight,
     NonPositiveWeight,
     SelfLoop,
+    TooLarge,
 )
 
 INDEXING = ("zero-based", "one-based")
@@ -90,18 +92,19 @@ class GroundTruth:
 
     @classmethod
     def from_labels(cls, labels: Sequence[int] | np.ndarray) -> GroundTruth:
-        assignment, k = _canonical_labels(labels)
+        assignment, k = canonical_labels(labels)
         assignment.setflags(write=False)
         return cls(assignment=assignment, k=k)
 
 
-def _canonical_labels(labels: Sequence[int] | np.ndarray) -> tuple[np.ndarray, int]:
-    """Relabel to 0..k-1 in order of first appearance."""
-    mapping: dict[int, int] = {}
-    out = np.empty(len(labels), dtype=np.int64)
-    for idx, lab in enumerate(labels):
-        out[idx] = mapping.setdefault(int(lab), len(mapping))
-    return out, len(mapping)
+def canonical_labels(labels: Sequence[int] | np.ndarray) -> tuple[np.ndarray, int]:
+    """Relabel to 0..k-1 in order of first appearance; returns (labels, k)."""
+    values, first, inverse = np.unique(
+        np.asarray(labels, dtype=np.int64).reshape(-1), return_index=True, return_inverse=True
+    )
+    rank = np.empty(values.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(values.size)
+    return rank[inverse], int(values.size)
 
 
 def _is_connected(n: int, edge_index: np.ndarray) -> bool:
@@ -125,9 +128,13 @@ def _build_graph(n: int, edges: dict[tuple[int, int], float]) -> Graph:
     if not _is_connected(n, edge_index):
         raise Disconnected(f"graph with {n} nodes is not connected")
     degrees = np.zeros(n, dtype=np.float64)
-    np.add.at(degrees, edge_index[:, 0], edge_weight)
-    np.add.at(degrees, edge_index[:, 1], edge_weight)
-    total_weight = float(degrees.sum()) / 2.0
+    with np.errstate(over="ignore"):
+        np.add.at(degrees, edge_index[:, 0], edge_weight)
+        np.add.at(degrees, edge_index[:, 1], edge_weight)
+        two_m = float(degrees.sum())
+    if not np.isfinite(two_m):
+        raise TooLarge(f"the weighted degrees sum to {two_m}: the weights overflow float64")
+    total_weight = two_m / 2.0
     for arr in (edge_index, edge_weight, degrees):
         arr.setflags(write=False)
     return Graph(
@@ -186,6 +193,8 @@ def load_edge_list(stream: IO[str] | str, indexing: str = "zero-based") -> Graph
             raise SelfLoop(f"line {lineno}: self-loop at node {i + offset}")
         if not w > 0:
             raise NonPositiveWeight(f"line {lineno}: weight {w} on edge ({i}, {j})")
+        if w == np.inf:
+            raise NonFiniteWeight(f"line {lineno}: weight {w} on edge ({i}, {j})")
         key = (i, j) if i < j else (j, i)
         if key in edges and edges[key] != w:
             raise ConflictingDuplicateEdge(

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NonEuclideanEmbedding, SizeMismatch
-from .graph import Graph
+from .graph import Graph, canonical_labels
 from .spectral import Embedding
 
 
@@ -43,11 +43,8 @@ class Partition:
     @classmethod
     def from_labels(cls, labels: Sequence[int] | np.ndarray) -> Partition:
         """Build a partition from arbitrary labels, canonicalised by first appearance."""
-        mapping: dict[int, int] = {}
-        a = np.empty(len(labels), dtype=np.int64)
-        for idx, lab in enumerate(labels):
-            a[idx] = mapping.setdefault(int(lab), len(mapping))
-        return cls(assignment=a, num_groups=len(mapping))
+        a, c = canonical_labels(labels)
+        return cls(assignment=a, num_groups=c)
 
     @property
     def n(self) -> int:
@@ -61,8 +58,7 @@ class Partition:
 
     def canonical_key(self) -> tuple[int, ...]:
         """First-appearance relabelling, for comparing set partitions."""
-        mapping: dict[int, int] = {}
-        return tuple(mapping.setdefault(int(g), len(mapping)) for g in self.assignment)
+        return tuple(canonical_labels(self.assignment)[0].tolist())
 
 
 def _check_nodes(expected: int, p: Partition) -> None:

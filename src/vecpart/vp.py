@@ -5,6 +5,9 @@ the per-group sum vectors. It alternates greedy single-vector moves (accepted
 only on strictly positive gain, so the objective is monotone and the loop
 terminates) with aggregation of groups into their sum vectors, exactly the
 two-phase structure of the Louvain method with sum vectors as supernodes.
+A level with no more vectors than their dimension plus one runs on the
+signed Gram of its vectors instead, where every score is a sum of Gram
+entries over a group.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import LevelCapExceeded, ObjectiveDecreased, SameGroup, TooLarge
+from .graph import canonical_labels
 from .objective import Partition, stability
 from .spectral import Embedding
 
@@ -49,32 +54,55 @@ class VPConfig:
 
 @dataclass
 class VPDiagnostics:
-    """Per-run counters and the objective value recorded after every sweep."""
+    """Per-run counters, the path each level ran on, and the objective after every sweep."""
 
     levels: int = 0
     sweeps_per_level: list[int] = field(default_factory=list)
     moves_per_level: list[int] = field(default_factory=list)
+    paths_per_level: list[str] = field(default_factory=list)
     objective_trajectory: list[float] = field(default_factory=list)
+
+    def start_level(self, path: str) -> None:
+        self.levels += 1
+        self.sweeps_per_level.append(0)
+        self.moves_per_level.append(0)
+        self.paths_per_level.append(path)
+
+    def record_sweep(self, moved: int, objective: float, slack: float) -> None:
+        """Count a sweep of the current level and append its raw objective.
+
+        Raises ObjectiveDecreased when the objective fell by more than
+        ``slack`` since the previous sweep, or is NaN.
+        """
+        previous = self.objective_trajectory[-1] if self.objective_trajectory else -np.inf
+        if not objective >= previous - slack:
+            raise ObjectiveDecreased(
+                f"objective went from {previous!r} to {objective!r} "
+                f"across a sweep at level {self.levels - 1}"
+            )
+        self.sweeps_per_level[-1] += 1
+        self.moves_per_level[-1] += moved
+        self.objective_trajectory.append(objective)
 
     def as_dict(self) -> dict:
         return {
             "levels": self.levels,
             "sweeps_per_level": list(self.sweeps_per_level),
             "moves_per_level": list(self.moves_per_level),
+            "paths_per_level": list(self.paths_per_level),
             "objective_trajectory": list(self.objective_trajectory),
         }
 
 
 class VPState:
-    """Mutable state of one aggregation level of the optimiser.
+    """Mutable state of one aggregation level of the optimiser, in vector space.
 
-    ``assignment`` maps the level's input vectors to groups, ``group_sums``
-    holds one sum vector per group (possibly empty mid-sweep; empties are
-    pruned at aggregation), and ``node_to_group`` traces the original nodes
-    to their current group across levels.
+    ``assignment`` maps the level's input vectors to groups, and
+    ``group_sums`` holds one sum vector per group (possibly empty mid-sweep;
+    empties are pruned at aggregation).
     """
 
-    __slots__ = ("vectors", "assignment", "group_sums", "group_sizes", "level", "node_to_group")
+    __slots__ = ("vectors", "assignment", "group_sums", "group_sizes")
 
     def __init__(
         self,
@@ -82,31 +110,21 @@ class VPState:
         assignment: np.ndarray,
         group_sums: np.ndarray,
         group_sizes: np.ndarray,
-        level: int,
-        node_to_group: np.ndarray,
     ) -> None:
         self.vectors = vectors
         self.assignment = assignment
         self.group_sums = group_sums
         self.group_sizes = group_sizes
-        self.level = level
-        self.node_to_group = node_to_group
 
     @classmethod
-    def singletons(
-        cls, vectors: np.ndarray, level: int = 0, node_to_group: np.ndarray | None = None
-    ) -> VPState:
+    def singletons(cls, vectors: np.ndarray) -> VPState:
         vectors = np.asarray(vectors, dtype=np.float64)
         p = vectors.shape[0]
-        if node_to_group is None:
-            node_to_group = np.arange(p, dtype=np.int64)
         return cls(
             vectors=vectors,
             assignment=np.arange(p, dtype=np.int64),
             group_sums=vectors.copy(),
             group_sizes=np.ones(p, dtype=np.int64),
-            level=level,
-            node_to_group=node_to_group,
         )
 
     @property
@@ -133,9 +151,7 @@ class VPState:
         drift = float(np.max(np.abs(fresh - self.group_sums))) if fresh.size else 0.0
         if drift > tol:
             raise RuntimeError(f"group sums drifted by {drift} from their members")
-        sizes = np.bincount(self.assignment, minlength=self.num_groups)
-        if not np.array_equal(sizes, self.group_sizes):
-            raise RuntimeError("group sizes out of sync with assignment")
+        _check_sizes(self.assignment, self.group_sizes)
         self.group_sums = fresh
 
     def compact(self) -> tuple[np.ndarray, np.ndarray]:
@@ -144,13 +160,67 @@ class VPState:
         Returns (labels, sums): the compacted per-vector labels and the
         freshly recomputed sum vector of each surviving group.
         """
-        mapping: dict[int, int] = {}
-        labels = np.empty(self.assignment.size, dtype=np.int64)
-        for idx, grp in enumerate(self.assignment):
-            labels[idx] = mapping.setdefault(int(grp), len(mapping))
-        sums = np.zeros((len(mapping), self.vectors.shape[1]))
+        labels, c = canonical_labels(self.assignment)
+        sums = np.zeros((c, self.vectors.shape[1]))
         np.add.at(sums, labels, self.vectors)
         return labels, sums
+
+
+class GramState:
+    """Mutable state of one aggregation level of the optimiser, in Gram space.
+
+    ``gram`` is the p x p signed Gram matrix <x_i, S x_j> of the level's
+    input vectors. Every score is a sum of its entries over a group, so the
+    state keeps only the assignment and the group sizes; nothing can drift.
+    """
+
+    __slots__ = ("gram", "assignment", "group_sizes")
+
+    def __init__(self, gram: np.ndarray) -> None:
+        p = gram.shape[0]
+        self.gram = gram
+        self.assignment = np.arange(p, dtype=np.int64)
+        self.group_sizes = np.ones(p, dtype=np.int64)
+
+    @property
+    def num_groups(self) -> int:
+        return int(self.group_sizes.size)
+
+    def scores(self, i: int) -> np.ndarray:
+        """<x_i, S y_g> for every group g: row i of the Gram summed per group."""
+        return np.bincount(self.assignment, weights=self.gram[i], minlength=self.num_groups)
+
+    def apply_move(self, i: int, beta: int) -> None:
+        """Move vector i to group beta; beta == num_groups opens a new group."""
+        if beta == self.num_groups:
+            self.group_sizes = np.append(self.group_sizes, 0)
+        self.group_sizes[self.assignment[i]] -= 1
+        self.group_sizes[beta] += 1
+        self.assignment[i] = beta
+
+    def revalidate(self) -> None:
+        _check_sizes(self.assignment, self.group_sizes)
+
+    def objective(self) -> float:
+        """Raw objective: every vector's inner product with its own group's sum, totalled."""
+        same = self.assignment[:, None] == self.assignment[None, :]
+        own = np.sum(self.gram, axis=1, where=same)
+        return _raw_objective(np.ones_like(own), own)
+
+    def compact(self) -> tuple[np.ndarray, np.ndarray]:
+        """Drop empty groups; returns the first-appearance labels and the
+        group Gram H^T G H, with H the p x c one-hot group matrix."""
+        labels, c = canonical_labels(self.assignment)
+        p = labels.size
+        onehot = sparse.csr_array((np.ones(p), (labels, np.arange(p))), shape=(c, p))
+        partial = onehot @ self.gram  # H^T G
+        return labels, np.ascontiguousarray((onehot @ partial.T).T)
+
+
+def _check_sizes(assignment: np.ndarray, group_sizes: np.ndarray) -> None:
+    sizes = np.bincount(assignment, minlength=group_sizes.size)
+    if not np.array_equal(sizes, group_sizes):
+        raise RuntimeError("group sizes out of sync with assignment")
 
 
 def move_gain(state: VPState, signature: np.ndarray, i: int, beta: int) -> float:
@@ -159,7 +229,8 @@ def move_gain(state: VPState, signature: np.ndarray, i: int, beta: int) -> float
     Computed as <x_i, y_beta> - <x_i, y_alpha - x_i> under the signature
     inner product; twice this value is the exact change of the total signed
     squared group-sum length. ``beta == state.num_groups`` targets a fresh
-    empty group.
+    empty group. The optimiser's sweeps do not call this: it is the
+    reference the move rule in ``_choose_move`` is tested against.
     """
     alpha = int(state.assignment[i])
     if beta == alpha:
@@ -171,6 +242,29 @@ def move_gain(state: VPState, signature: np.ndarray, i: int, beta: int) -> float
     else:
         y_beta_score = float(sx @ state.group_sums[beta])
     return y_beta_score - float(sx @ (state.group_sums[alpha] - x))
+
+
+def _choose_move(
+    scores: np.ndarray, alpha: int, self_score: float, can_detach: bool, tol: float
+) -> int:
+    """The move rule shared by both sweeps: the target group, or -1 to stay.
+
+    ``scores[g]`` is <x_i, S y_g> for every group g, ``alpha`` is the
+    vector's group and ``self_score`` is <x_i, S x_i>. The gain of a move to
+    g is scores[g] - <x_i, S (y_alpha - x_i)>, and to a fresh group (index
+    len(scores)) minus that base. The best gain wins, ties to the lowest
+    group index, and a fresh group only when strictly better; a move is made
+    only when its gain exceeds ``tol``.
+    """
+    base = float(scores[alpha]) - self_score  # <x_i, y_alpha - x_i>
+    gains = scores - base
+    gains[alpha] = -np.inf
+    beta = int(np.argmax(gains))  # ties resolve to the lowest group index
+    best = float(gains[beta])
+    if can_detach and -base > best:
+        beta = scores.size
+        best = -base
+    return beta if best > tol else -1
 
 
 def _sweep(
@@ -185,24 +279,84 @@ def _sweep(
         alpha = int(state.assignment[i])
         x = state.vectors[i]
         sx = signature * x
-        q_i = float(sx @ x)
-        scores = state.group_sums @ sx
-        base = float(scores[alpha]) - q_i  # <x_i, y_alpha - x_i>
-        gains = scores - base
-        gains[alpha] = -np.inf
-        beta = int(np.argmax(gains))  # ties resolve to the lowest group index
-        best = float(gains[beta])
-        if allow_detach and state.group_sizes[alpha] > 1 and -base > best:
-            beta = state.num_groups
-            best = -base
-        if best > tol:
+        can_detach = allow_detach and state.group_sizes[alpha] > 1
+        beta = _choose_move(state.group_sums @ sx, alpha, float(sx @ x), can_detach, tol)
+        if beta >= 0:
             state.apply_move(int(i), beta)
             moved += 1
     return moved
 
 
-def _raw_objective(group_sums: np.ndarray, signature: np.ndarray) -> float:
-    return float((group_sums * group_sums * signature).sum())
+def _gram_sweep(state: GramState, order: np.ndarray, allow_detach: bool, tol: float) -> int:
+    """``_sweep`` with every score read from the Gram: O(p) per visit."""
+    moved = 0
+    for i in order:
+        alpha = int(state.assignment[i])
+        can_detach = allow_detach and state.group_sizes[alpha] > 1
+        beta = _choose_move(state.scores(i), alpha, float(state.gram[i, i]), can_detach, tol)
+        if beta >= 0:
+            state.apply_move(int(i), beta)
+            moved += 1
+    return moved
+
+
+def _raw_objective(sums: np.ndarray, signed_sums: np.ndarray) -> float:
+    """Total signed squared length of the group sums, as sum(sums * signed_sums).
+
+    A vector level passes the group sums Y and their signed images Y S. A
+    Gram level has no coordinates for the sums; it passes, for every input
+    vector, a 1 and the vector's inner product with its own group's sum,
+    which total the same value.
+    """
+    return float((sums * signed_sums).sum())
+
+
+def _vector_level(
+    vectors: np.ndarray,
+    signature: np.ndarray,
+    order: np.ndarray,
+    allow_detach: bool,
+    tol: float,
+    diag: VPDiagnostics,
+    slack: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep one level to a fixed point in vector space.
+
+    Returns the level's compacted labels and the group sum vectors, the
+    next level's input.
+    """
+    diag.start_level("vector")
+    state = VPState.singletons(vectors)
+    while True:
+        moved = _sweep(state, signature, order, allow_detach, tol)
+        state.revalidate()
+        diag.record_sweep(moved, _raw_objective(state.group_sums, state.group_sums * signature), slack)
+        if moved == 0:
+            return state.compact()
+
+
+def _gram_level(
+    gram: np.ndarray,
+    order: np.ndarray,
+    allow_detach: bool,
+    tol: float,
+    diag: VPDiagnostics,
+    slack: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep one level to a fixed point in Gram space.
+
+    Makes the moves ``_vector_level`` makes on vectors with this signed
+    Gram, up to roundoff in the scores. Returns the level's compacted
+    labels and the group Gram, the next level's input.
+    """
+    diag.start_level("gram")
+    state = GramState(gram)
+    while True:
+        moved = _gram_sweep(state, order, allow_detach, tol)
+        state.revalidate()
+        diag.record_sweep(moved, state.objective(), slack)
+        if moved == 0:
+            return state.compact()
 
 
 def partition_vectors(
@@ -215,7 +369,12 @@ def partition_vectors(
     a full sweep makes no move. Phase 2 replaces the inputs by the group sum
     vectors and repeats, unless every vector stayed in its own group, in
     which case the group trace is unwound to a node-level partition.
-    Deterministic for a fixed config.
+
+    A level with p input vectors of dimension dim runs in Gram space when
+    p <= dim + 1: its p x p signed Gram then holds at most p entries more
+    than the p x dim group sums it replaces, and each visit costs O(p)
+    instead of O(c dim) for c groups. Once a level runs there, so do all
+    later ones, on the aggregated Gram. Deterministic for a fixed config.
     """
     if cfg is None:
         cfg = VPConfig()
@@ -223,6 +382,7 @@ def partition_vectors(
         raise ValueError("embedding has no vectors")
     signature = emb.signature.astype(np.float64)
     vectors = np.asarray(emb.vectors, dtype=np.float64)
+    gram: np.ndarray | None = None
     node_to_group = np.arange(emb.n, dtype=np.int64)
     diag = VPDiagnostics()
     # The raw objective is the reported one times 2m in modularity mode, and
@@ -231,38 +391,24 @@ def partition_vectors(
     # drift can read as a decrease.
     unit = 2.0 * emb.total_weight if emb.mode == "modularity" else 1.0
     tol = cfg.gain_tolerance * unit
-    prev_obj = -np.inf
+    slack = 1e-9 * unit
     for level in range(cfg.max_levels):
-        p = vectors.shape[0]
-        state = VPState.singletons(vectors, level=level, node_to_group=node_to_group)
+        if gram is None and vectors.shape[0] <= vectors.shape[1] + 1:
+            gram = (vectors * signature) @ vectors.T
+        p = vectors.shape[0] if gram is None else gram.shape[0]
         order = np.arange(p, dtype=np.int64)
         if cfg.sweep_order == "shuffled":
             np.random.default_rng([cfg.seed, level]).shuffle(order)
-        sweeps = 0
-        moves = 0
-        while True:
-            moved = _sweep(state, signature, order, cfg.allow_detach, tol)
-            state.revalidate()
-            sweeps += 1
-            moves += moved
-            obj = _raw_objective(state.group_sums, signature)
-            if not obj >= prev_obj - 1e-9 * unit:  # also catches a NaN objective
-                raise ObjectiveDecreased(
-                    f"objective went from {prev_obj!r} to {obj!r} across a sweep at level {level}"
-                )
-            diag.objective_trajectory.append(obj)
-            prev_obj = obj
-            if moved == 0:
-                break
-        diag.sweeps_per_level.append(sweeps)
-        diag.moves_per_level.append(moves)
-        diag.levels = level + 1
-        labels, sums = state.compact()
+        if gram is None:
+            labels, vectors = _vector_level(vectors, signature, order, cfg.allow_detach, tol, diag, slack)
+            c = vectors.shape[0]
+        else:
+            labels, gram = _gram_level(gram, order, cfg.allow_detach, tol, diag, slack)
+            c = gram.shape[0]
         node_to_group = labels[node_to_group]
-        if sums.shape[0] == p:
+        if c == p:
             partition = Partition.from_labels(node_to_group)
             return partition, stability(emb, partition), diag
-        vectors = sums
     raise LevelCapExceeded(f"still aggregating after {cfg.max_levels} levels")
 
 

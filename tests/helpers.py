@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 import vecpart as vp
@@ -85,3 +87,45 @@ def pair_sum_objective(B: np.ndarray, p: vp.Partition) -> float:
     for members in p.groups():
         total += float(B[np.ix_(members, members)].sum())
     return total
+
+
+def first_appearance_labels(labels) -> list[int]:
+    """First-appearance relabelling as a plain loop, the reference for canonical_labels."""
+    mapping: dict[int, int] = {}
+    return [mapping.setdefault(int(lab), len(mapping)) for lab in labels]
+
+
+def vector_path_partition(emb: vp.Embedding, cfg: vp.VPConfig) -> tuple[vp.Partition, float]:
+    """``partition_vectors`` with every level run by the vector-space level routine.
+
+    The reference for the Gram-space levels: it repeats the level loop of
+    ``partition_vectors`` but never switches to the Gram path.
+    """
+    signature = emb.signature.astype(np.float64)
+    vectors = np.asarray(emb.vectors, dtype=np.float64)
+    unit = 2.0 * emb.total_weight if emb.mode == "modularity" else 1.0
+    node_to_group = np.arange(emb.n)
+    diag = vp.VPDiagnostics()
+    for level in range(cfg.max_levels):
+        p = vectors.shape[0]
+        order = np.arange(p, dtype=np.int64)
+        if cfg.sweep_order == "shuffled":
+            np.random.default_rng([cfg.seed, level]).shuffle(order)
+        labels, vectors = vp.vp._vector_level(
+            vectors, signature, order, cfg.allow_detach, cfg.gain_tolerance * unit, diag, 1e-9 * unit
+        )
+        node_to_group = labels[node_to_group]
+        if vectors.shape[0] == p:
+            partition = vp.Partition.from_labels(node_to_group)
+            return partition, vp.stability(emb, partition)
+    raise vp.LevelCapExceeded(f"still aggregating after {cfg.max_levels} levels")
+
+
+def vector_path_best_of_restarts(emb: vp.Embedding, cfg: vp.VPConfig, restarts: int) -> tuple[vp.Partition, float]:
+    """``best_of_restarts`` over ``vector_path_partition``."""
+    best = vector_path_partition(emb, cfg)
+    for k in range(1, restarts):
+        candidate = vector_path_partition(emb, replace(cfg, sweep_order="shuffled", seed=cfg.seed + k))
+        if candidate[1] > best[1]:
+            best = candidate
+    return best

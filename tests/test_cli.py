@@ -5,7 +5,7 @@ import pytest
 
 import vecpart as vp
 from vecpart.cli import main, validate_report
-from helpers import PAIRGRAPH4_TEXT
+from helpers import PAIRGRAPH4_TEXT, random_connected_graph
 
 
 @pytest.fixture()
@@ -131,6 +131,44 @@ class TestPartition:
         assert health["solver"] == "eigsh" and health["pairs"] == 7
         assert health["max_residual"] <= 1e-10 and health["gap_at_dim"] > 0
         assert report["records"][0]["num_communities"] == 6
+
+    def test_full_dim_linearised_objective_equals_linearised_stability(self, tmp_path):
+        g = random_connected_graph(5, n=12, weighted=True)
+        path = tmp_path / "g.txt"
+        path.write_text(g.to_edge_list_text())
+        out = tmp_path / "report.json"
+        args = ["partition", str(path), "--mode", "linearised", "--time", "0.7", "--restarts", "3"]
+        assert main(args + ["--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        record = report["records"][0]
+        expected = vp.linearised_stability(g, vp.Partition.from_labels(record["partition"]), 0.7)
+        assert record["objective"] == pytest.approx(expected, abs=1e-10)
+        assert set(report["diagnostics"]["paths_per_level"]) == {"gram"}
+
+    def test_report_names_the_path_of_each_level(self, graph_file, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["partition", graph_file, "--time", "5", "--dim", "2", "--output", str(out)]) == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        # 4 vectors of dimension 2 start in vector space; 2 groups end in Gram space
+        assert diagnostics["paths_per_level"] == ["vector", "gram"]
+        assert len(diagnostics["sweeps_per_level"]) == 2
+
+    @pytest.mark.parametrize("mode, t", [("exponential", "-1"), ("linearised", "0"), ("linearised", "inf")])
+    def test_time_outside_the_mode_domain_is_usage_error(self, graph_file, capsys, mode, t):
+        assert main(["partition", graph_file, "--mode", mode, "--time", t]) == 2
+        assert "usage" in capsys.readouterr().err
+
+    def test_infinite_weight_is_named_error(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 2 inf\n")
+        assert main(["partition", str(path)]) == vp.NonFiniteWeight.exit_code
+        assert "NonFiniteWeight: line 2" in capsys.readouterr().err
+
+    def test_overflowing_weights_are_named_error(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1 1e308\n1 2 1e308\n2 3 1e308\n0 3 1e308\n")
+        assert main(["partition", str(path)]) == vp.TooLarge.exit_code
+        assert "TooLarge" in capsys.readouterr().err
 
     def test_dim_zero_is_flag_error(self, graph_file):
         assert main(["partition", graph_file, "--dim", "0"]) == 2

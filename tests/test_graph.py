@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import vecpart as vp
-from helpers import PAIRGRAPH4_TEXT, TRIANGLE_TEXT, pairgraph4, random_connected_graph
+from helpers import (
+    PAIRGRAPH4_TEXT,
+    TRIANGLE_TEXT,
+    first_appearance_labels,
+    pairgraph4,
+    random_connected_graph,
+)
 
 
 class TestLoadEdgeList:
@@ -40,6 +46,15 @@ class TestLoadEdgeList:
     def test_nan_weight_rejected(self):
         with pytest.raises(vp.NonPositiveWeight):
             vp.load_edge_list("0 1 nan")
+
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(vp.NonFiniteWeight, match="line 2"):
+            vp.load_edge_list("0 1\n1 2 inf\n")
+
+    def test_overflowing_degree_sums_rejected(self):
+        # every weight is finite, but each degree sums two of them to inf
+        with pytest.raises(vp.TooLarge, match="overflow"):
+            vp.load_edge_list("0 1 1e308\n1 2 1e308\n2 3 1e308\n0 3 1e308\n")
 
     def test_malformed_lines(self):
         with pytest.raises(vp.MalformedLine, match="line 1"):
@@ -213,3 +228,20 @@ class TestConnectivity:
         reference.add_nodes_from(range(n))
         reference.add_edges_from(map(tuple, edge_index))
         assert _is_connected(n, edge_index) == nx.is_connected(reference)
+
+
+class TestCanonicalLabels:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(-5, 40, size=int(rng.integers(1, 60)))
+        out, k = vp.graph.canonical_labels(labels)
+        assert out.dtype == np.int64
+        assert out.tolist() == first_appearance_labels(labels)
+        assert k == len(set(labels.tolist()))
+
+    def test_sequences_and_empty_input(self):
+        out, k = vp.graph.canonical_labels([7, 7, 3, 9, 3])
+        assert out.tolist() == [0, 0, 1, 2, 1] and k == 3
+        out, k = vp.graph.canonical_labels([])
+        assert out.size == 0 and k == 0

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import vecpart as vp
-from helpers import pairgraph4, random_connected_graph, set_partitions
+from helpers import (
+    pairgraph4,
+    random_connected_graph,
+    set_partitions,
+    vector_path_best_of_restarts,
+    vector_path_partition,
+)
 
 
 def make_embedding(vectors, signature=None, mode="exponential"):
@@ -74,6 +80,41 @@ class TestMoveGain:
         state.group_sums[0] += 1.0
         with pytest.raises(RuntimeError):
             state.revalidate()
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("allow_detach", [True, False])
+    def test_move_rule_matches_move_gain_oracle(self, seed, allow_detach):
+        # The sweeps' move rule against move_gain: best gain over the other
+        # groups, ties to the lowest index, a fresh group only when strictly
+        # better and allowed, and no move unless the gain exceeds tol.
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(7, 3))
+        signature = rng.choice([1.0, -1.0], size=3)
+        state = vp.VPState.singletons(vectors)
+        for i in range(7):
+            target = int(rng.integers(0, state.num_groups))
+            if target != state.assignment[i]:
+                state.apply_move(i, target)
+        for i in range(7):
+            alpha = int(state.assignment[i])
+            can_detach = allow_detach and state.group_sizes[alpha] > 1
+            targets = [b for b in range(state.num_groups) if b != alpha]
+            gains = [vp.move_gain(state, signature, i, b) for b in targets]
+            best = max(gains) if gains else -np.inf
+            beta = targets[gains.index(best)] if gains else -1
+            fresh = vp.move_gain(state, signature, i, state.num_groups)
+            if can_detach and fresh > best:
+                beta, best = state.num_groups, fresh
+            expected = beta if best > 1e-12 else -1
+            sx = signature * vectors[i]
+            scores = state.group_sums @ sx
+            assert vp.vp._choose_move(scores, alpha, float(sx @ vectors[i]), can_detach, 1e-12) == expected
+            # the Gram state scores the same groups from the signed Gram
+            gram_state = vp.vp.GramState((vectors * signature) @ vectors.T)
+            gram_state.assignment = state.assignment.copy()
+            gram_state.group_sizes = state.group_sizes.copy()
+            assert gram_state.scores(i) == pytest.approx(scores, abs=1e-12)
 
 
 class TestPartitionVectors:
@@ -148,6 +189,16 @@ class TestPartitionVectors:
         with pytest.raises(vp.ObjectiveDecreased, match="from 2.0 to 1.0"):
             vp.partition_vectors(make_embedding([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.2]]))
 
+    def test_objective_decrease_raises_named_error_on_a_vector_level(self, monkeypatch):
+        # Four vectors of dimension 1 take the vector path (p > dim + 1); the
+        # three of the test above take the Gram path. Both report a fall
+        # through the same objective seam.
+        values = iter([2.0, 1.0])
+        monkeypatch.setattr(vp.vp, "_raw_objective", lambda sums, signature: next(values))
+        emb = make_embedding([[1.0], [0.9], [-1.0], [0.5]])
+        with pytest.raises(vp.ObjectiveDecreased, match="from 2.0 to 1.0"):
+            vp.partition_vectors(emb)
+
     def test_non_finite_objective_raises_named_error(self):
         with pytest.raises(vp.ObjectiveDecreased, match="nan"):
             vp.partition_vectors(make_embedding([[np.nan, 0.0], [1.0, 0.0]]))
@@ -180,6 +231,66 @@ class TestPartitionVectors:
         emb = vp.build_embedding(vp.decompose_transition(g), "exponential", t=5.0, dim=3)
         partition, _, _ = vp.partition_vectors(emb, vp.VPConfig(allow_detach=False))
         assert partition.canonical_key() == (0, 0, 1, 1)
+
+
+class TestGramPath:
+    def test_shape_rule_selects_the_path_of_each_level(self):
+        rng = np.random.default_rng(0)
+        # p <= dim + 1 from the start: every level in Gram space
+        _, _, diag = vp.partition_vectors(make_embedding(rng.normal(size=(6, 5))))
+        assert set(diag.paths_per_level) == {"gram"}
+        # a low-dimensional start runs in vector space until p shrinks
+        g, _ = vp.planted_partition(4, 10, 0.6, 0.02, seed=0)
+        emb = vp.build_embedding(vp.decompose_transition(g), "exponential", t=3.0, dim=3)
+        _, _, diag = vp.partition_vectors(emb)
+        assert diag.paths_per_level[0] == "vector"
+        assert diag.paths_per_level[-1] == "gram"
+        assert diag.as_dict()["paths_per_level"] == diag.paths_per_level
+        assert len(diag.paths_per_level) == diag.levels == len(diag.sweeps_per_level)
+
+    def test_group_size_check_fires(self):
+        state = vp.vp.GramState(np.eye(3))
+        state.apply_move(0, 1)
+        state.revalidate()
+        state.group_sizes[2] += 1
+        with pytest.raises(RuntimeError, match="group sizes"):
+            state.revalidate()
+
+    def test_compact_aggregates_the_gram(self):
+        rng = np.random.default_rng(1)
+        vectors = rng.normal(size=(6, 4))
+        signature = np.array([1.0, 1.0, -1.0, -1.0])
+        state = vp.vp.GramState((vectors * signature) @ vectors.T)
+        for i, beta in ((0, 2), (3, 2), (5, 6), (4, 1)):
+            state.apply_move(i, beta)
+        labels, gram = state.compact()
+        assert labels.tolist() == [0, 1, 0, 0, 1, 2]
+        sums = np.zeros((3, 4))
+        np.add.at(sums, labels, vectors)
+        assert gram == pytest.approx((sums * signature) @ sums.T, abs=1e-12)
+        assert state.objective() == pytest.approx(np.trace(gram), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("t", [1.0, 5.0])
+    def test_gram_levels_match_vector_levels_on_planted_graphs(self, seed, t):
+        g, _ = vp.planted_partition(4, 50, 0.2, 0.01, seed=seed)
+        emb = vp.build_embedding(vp.decompose_transition(g), "exponential", t=t, dim=g.n - 1)
+        signature = emb.signature.astype(float)
+        order = np.arange(g.n)
+        vector_diag, gram_diag = vp.VPDiagnostics(), vp.VPDiagnostics()
+        labels_v, sums = vp.vp._vector_level(emb.vectors, signature, order, True, 1e-12, vector_diag, 1e-9)
+        gram = (emb.vectors * signature) @ emb.vectors.T
+        labels_g, group_gram = vp.vp._gram_level(gram, order, True, 1e-12, gram_diag, 1e-9)
+        assert np.array_equal(labels_v, labels_g)
+        assert vector_diag.moves_per_level == gram_diag.moves_per_level
+        assert gram_diag.objective_trajectory == pytest.approx(vector_diag.objective_trajectory, abs=1e-12)
+        assert group_gram == pytest.approx((sums * signature) @ sums.T, abs=1e-12)
+        for cfg in (vp.VPConfig(), vp.VPConfig(sweep_order="shuffled", seed=3)):
+            p_gram, v_gram, diag = vp.partition_vectors(emb, cfg)
+            assert set(diag.paths_per_level) == {"gram"}
+            p_vec, v_vec = vector_path_partition(emb, cfg)
+            assert np.array_equal(p_gram.assignment, p_vec.assignment)
+            assert v_gram == v_vec
 
 
 class TestExhaustivePartition:
@@ -263,6 +374,23 @@ class TestHeuristicAgainstOracle:
             if abs(best_value - opt_value) <= 1e-9:
                 hits += 1
         assert hits / total >= 0.9
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("extra_dims", [-1, 0, 3])
+    def test_gram_path_against_oracle_with_mixed_signatures(self, seed, extra_dims):
+        # dim >= p - 1, so every level runs in Gram space, on indefinite
+        # signed Grams; the vector path is the second reference.
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(4, 9))
+        dim = p + extra_dims
+        signature = np.where(np.arange(dim) < (dim + 1) // 2, 1, -1)
+        emb = make_embedding(rng.normal(size=(p, dim)), signature=signature)
+        _, opt_value = vp.exhaustive_partition(emb)
+        _, best_value, diag = vp.best_of_restarts(emb, vp.VPConfig(), 5)
+        assert set(diag.paths_per_level) == {"gram"}
+        assert best_value <= opt_value + 1e-9
+        _, vector_value = vector_path_best_of_restarts(emb, vp.VPConfig(), 5)
+        assert best_value == pytest.approx(vector_value, abs=1e-9)
 
     def test_fiedler_limit_on_pairgraph4(self):
         g = pairgraph4()
