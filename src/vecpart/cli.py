@@ -10,26 +10,27 @@ timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import re
+import reprlib
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 from . import __version__
-from .errors import MalformedLine, SizeMismatch, VecpartError
-from .graph import Graph, GroundTruth, load_edge_list
+from .errors import MalformedLine, VecpartError
+from .graph import Graph, Partition, load_edge_list
 from .harness import ScanRecord, best_of_restarts, time_scan
 from .metrics import nmi, sankey_links, sankey_to_json, uncertainty_coefficient, variation_of_information
-from .objective import Partition
 from .spectral import (
     build_embedding,
     decompose_modularity_matrix,
     decompose_transition,
     pairs_for_dim,
-    save_basis,
     spectral_health,
 )
 from .vp import VPConfig
@@ -117,55 +118,87 @@ def _make_report(g: Graph, params: dict, records: list[dict], started: float) ->
     }
 
 
+_SCHEMA_PATH = Path(__file__).with_name("report_schema.json")
+
+# The JSON types a report schema may name, by Draft-7 name. A bool is neither
+# an integer nor a number, and a number must be finite.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and math.isfinite(v)),
+    "null": lambda v: v is None,
+}
+_KEYWORDS = {"type", "required", "properties", "items", "enum", "minimum", "exclusiveMinimum", "pattern"}
+_ANNOTATIONS = {"$schema", "title"}
+
+
+def _check_keywords(schema: dict, where: str) -> None:
+    """Raise NotImplementedError where the schema asks for a check _check_node lacks."""
+    unknown = set(schema) - _KEYWORDS - _ANNOTATIONS
+    if not isinstance(schema.get("items", {}), dict):
+        unknown.add("items as an array")
+    if unknown:
+        raise NotImplementedError(
+            f"report schema at {where} uses {sorted(unknown)}, which validate_report cannot check"
+        )
+    for key, sub in schema.get("properties", {}).items():
+        _check_keywords(sub, f"{where}/properties/{key}")
+    if "items" in schema:
+        _check_keywords(schema["items"], f"{where}/items")
+
+
+@functools.cache
+def _report_schema() -> dict:
+    schema = json.loads(_SCHEMA_PATH.read_text(encoding="utf-8"))
+    _check_keywords(schema, "#")
+    return schema
+
+
+def _fail(path: str, msg: str) -> None:
+    raise ValueError(f"invalid report: {path}: {msg}")
+
+
+def _check_node(value, schema: dict, path: str) -> None:
+    """Check ``value`` against one schema node, then its properties and items."""
+    if "type" in schema:
+        types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+        if not any(_TYPES[t](value) for t in types):
+            _fail(path, f"expected {' or '.join(types)}, got {reprlib.repr(value)}")
+    if "enum" in schema and value not in schema["enum"]:
+        _fail(path, f"expected one of {schema['enum']}, got {reprlib.repr(value)}")
+    if _TYPES["number"](value):
+        if "minimum" in schema and not value >= schema["minimum"]:
+            _fail(path, f"{value} is below the minimum {schema['minimum']}")
+        if "exclusiveMinimum" in schema and not value > schema["exclusiveMinimum"]:
+            _fail(path, f"{value} is not above {schema['exclusiveMinimum']}")
+    if isinstance(value, str) and "pattern" in schema and not re.search(schema["pattern"], value):
+        _fail(path, f"{value!r} does not match {schema['pattern']!r}")
+    if isinstance(value, dict):
+        for key in schema.get("required", []):
+            if key not in value:
+                _fail(path, f"missing key {key!r}")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _check_node(value[key], sub, f"{path}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for idx, item in enumerate(value):
+            _check_node(item, schema["items"], f"{path}[{idx}]")
+
+
 def validate_report(report: dict) -> None:
-    """Structural check of a run report against the committed schema."""
+    """Check a run report against report_schema.json, its single definition.
 
-    def expect(cond: bool, msg: str) -> None:
-        if not cond:
-            raise ValueError(f"invalid report: {msg}")
-
-    expect(isinstance(report, dict), "not an object")
-    for key in ("version", "graph", "params", "records", "timing_ms"):
-        expect(key in report, f"missing key {key!r}")
-    expect(isinstance(report["version"], str), "version must be a string")
-    graph = report["graph"]
-    expect(isinstance(graph, dict), "graph must be an object")
-    for key, types in (("n", int), ("m", (int, float)), ("edges", int), ("sha256", str)):
-        expect(key in graph and isinstance(graph[key], types), f"bad graph.{key}")
-    expect(isinstance(report["params"], dict), "params must be an object")
-    expect(isinstance(report["records"], list), "records must be an array")
-    expect(isinstance(report["timing_ms"], (int, float)), "timing_ms must be a number")
-    for idx, rec in enumerate(report["records"]):
-        expect(isinstance(rec, dict), f"records[{idx}] must be an object")
-        for key in ("time", "dim", "mode", "num_communities", "objective", "partition"):
-            expect(key in rec, f"records[{idx}] missing {key!r}")
-        expect(
-            rec["time"] is None or isinstance(rec["time"], (int, float)),
-            f"records[{idx}].time must be a number or null",
-        )
-        expect(isinstance(rec["dim"], int), f"records[{idx}].dim must be an integer")
-        expect(isinstance(rec["mode"], str), f"records[{idx}].mode must be a string")
-        expect(
-            isinstance(rec["num_communities"], int), f"records[{idx}].num_communities must be an integer"
-        )
-        expect(
-            isinstance(rec["objective"], (int, float)), f"records[{idx}].objective must be a number"
-        )
-        expect(
-            isinstance(rec["partition"], list)
-            and all(isinstance(x, int) for x in rec["partition"]),
-            f"records[{idx}].partition must be an integer array",
-        )
-        for key in ("nmi", "uncertainty", "vi_prev"):
-            if key in rec:
-                expect(isinstance(rec[key], (int, float)), f"records[{idx}].{key} must be a number")
-    if "diagnostics" in report:
-        expect(isinstance(report["diagnostics"], dict), "diagnostics must be an object")
+    Raises ValueError naming the path of the first value that fails.
+    """
+    _check_node(report, _report_schema(), "report")
 
 
 def _emit_report(report: dict, output: str | None) -> None:
     validate_report(report)
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if output:
         _write_atomic(output, text)
     else:
@@ -178,7 +211,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         basis = decompose_transition(g)
     else:
         basis = decompose_modularity_matrix(g)
-    save_basis(basis, args.output)
     for value in basis.eigenvalues:
         print(f"{value:.6f}")
     return 0
@@ -235,14 +267,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return 2
     started = time.perf_counter()
     g = _load_graph(args.graph)
-    truth = None
-    if args.truth:
-        truth_partition = _load_partition_file(args.truth)
-        if truth_partition.n != g.n:
-            raise SizeMismatch(
-                f"truth file covers {truth_partition.n} nodes, graph has {g.n}"
-            )
-        truth = GroundTruth.from_labels(truth_partition.assignment)
+    truth = _load_partition_file(args.truth) if args.truth else None
     records = time_scan(
         g,
         args.tmin,
@@ -304,10 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vecpart {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", help="eigendecompose a graph and dump the basis")
+    p = sub.add_parser("decompose", help="eigendecompose a graph and print its eigenvalues")
     p.add_argument("graph", help="edge-list file, 'i j [w]' per line, zero-based")
     p.add_argument("--source", choices=("transition", "modularity"), default="transition")
-    p.add_argument("--output", required=True, help="path for the JSON basis dump")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("partition", help="optimise a single partition")

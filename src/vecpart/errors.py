@@ -111,7 +111,8 @@ class LevelCapExceeded(VecpartError):
 
 class TooLarge(VecpartError):
     """Input too large to handle: beyond the exhaustive enumeration limit, or
-    weights whose degree sums overflow the floating-point range."""
+    weights whose degree sums, or degree products in the modularity matrix,
+    overflow the floating-point range."""
 
     exit_code = 28
 

@@ -1,4 +1,5 @@
-"""Weighted undirected graphs: validation, file ingestion and benchmark sampling."""
+"""Weighted undirected graphs and node partitions: validation, file ingestion and
+benchmark sampling."""
 
 from __future__ import annotations
 
@@ -83,20 +84,6 @@ class Graph:
         return hashlib.sha256(self.to_edge_list_text().encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True, eq=False)
-class GroundTruth:
-    """Reference community labels, canonicalised to the range 0..k-1."""
-
-    assignment: np.ndarray  # (n,) int64
-    k: int
-
-    @classmethod
-    def from_labels(cls, labels: Sequence[int] | np.ndarray) -> GroundTruth:
-        assignment, k = canonical_labels(labels)
-        assignment.setflags(write=False)
-        return cls(assignment=assignment, k=k)
-
-
 def canonical_labels(labels: Sequence[int] | np.ndarray) -> tuple[np.ndarray, int]:
     """Relabel to 0..k-1 in order of first appearance; returns (labels, k)."""
     values, first, inverse = np.unique(
@@ -105,6 +92,48 @@ def canonical_labels(labels: Sequence[int] | np.ndarray) -> tuple[np.ndarray, in
     rank = np.empty(values.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(values.size)
     return rank[inverse], int(values.size)
+
+
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """Assignment of nodes to non-overlapping groups labelled 0..c-1: a found
+    partition or the ground truth it is scored against."""
+
+    assignment: np.ndarray  # (n,) int64
+    num_groups: int
+
+    def __post_init__(self) -> None:
+        a = np.asarray(self.assignment, dtype=np.int64)
+        object.__setattr__(self, "assignment", a)
+        n = a.size
+        if n < 1:
+            raise ValueError("partition over an empty node set")
+        c = self.num_groups
+        if not 1 <= c <= n:
+            raise ValueError(f"num_groups must be in [1, {n}], got {c}")
+        if not np.array_equal(np.unique(a), np.arange(c)):
+            raise ValueError("labels must cover exactly 0..num_groups-1")
+        a.setflags(write=False)
+
+    @classmethod
+    def from_labels(cls, labels: Sequence[int] | np.ndarray) -> Partition:
+        """Build a partition from arbitrary labels, canonicalised by first appearance."""
+        a, c = canonical_labels(labels)
+        return cls(assignment=a, num_groups=c)
+
+    @property
+    def n(self) -> int:
+        return int(self.assignment.size)
+
+    def group_sizes(self) -> np.ndarray:
+        return np.bincount(self.assignment, minlength=self.num_groups)
+
+    def groups(self) -> list[np.ndarray]:
+        return [np.flatnonzero(self.assignment == s) for s in range(self.num_groups)]
+
+    def canonical_key(self) -> tuple[int, ...]:
+        """First-appearance relabelling, for comparing set partitions."""
+        return tuple(canonical_labels(self.assignment)[0].tolist())
 
 
 def _is_connected(n: int, edge_index: np.ndarray) -> bool:
@@ -207,7 +236,7 @@ def load_edge_list(stream: IO[str] | str, indexing: str = "zero-based") -> Graph
     return _build_graph(max_node + 1, edges)
 
 
-def load_lfr(network: IO[str] | str, community: IO[str] | str) -> tuple[Graph, GroundTruth]:
+def load_lfr(network: IO[str] | str, community: IO[str] | str) -> tuple[Graph, Partition]:
     """Read an LFR-style benchmark pair (network.dat, community.dat).
 
     The network file lists every undirected unit-weight edge in both
@@ -267,13 +296,12 @@ def load_lfr(network: IO[str] | str, community: IO[str] | str) -> tuple[Graph, G
     if not edges:
         raise MalformedLine("network file has no edges")
     g = _build_graph(n, edges)
-    truth = GroundTruth.from_labels([labels[v] for v in range(1, n + 1)])
-    return g, truth
+    return g, Partition.from_labels([labels[v] for v in range(1, n + 1)])
 
 
 def planted_partition(
     k: int, size: int, p_in: float, p_out: float, seed: int
-) -> tuple[Graph, GroundTruth]:
+) -> tuple[Graph, Partition]:
     """Sample a unit-weight planted-partition graph with k groups of equal size.
 
     Sampling contract, stable so tests can replay it independently: nodes are
@@ -300,7 +328,7 @@ def planted_partition(
         if edge_index.shape[0] > 0 and _is_connected(n, edge_index):
             edges = {(int(i), int(j)): 1.0 for i, j in edge_index}
             g = _build_graph(n, edges)
-            return g, GroundTruth.from_labels(group)
+            return g, Partition.from_labels(group)
     raise GenerationFailed(
         f"no connected sample in 100 attempts "
         f"(k={k}, size={size}, p_in={p_in}, p_out={p_out}, seed={seed})"

@@ -12,9 +12,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SizeMismatch
-from .graph import Graph, GroundTruth
+from .graph import Graph, Partition
 from .metrics import nmi, uncertainty_coefficient, variation_of_information
-from .objective import Partition, modularity_score
+from .objective import modularity_score
 from .spectral import build_embedding, decompose_modularity_matrix, decompose_transition, pairs_for_dim
 from .vp import VPConfig, VPDiagnostics, partition_vectors
 
@@ -85,10 +85,9 @@ def best_of_restarts(
     return best
 
 
-def _truth_partition(g: Graph, truth: GroundTruth) -> Partition:
-    if truth.assignment.size != g.n:
-        raise SizeMismatch(f"ground truth covers {truth.assignment.size} nodes, graph has {g.n}")
-    return Partition.from_labels(truth.assignment)
+def _check_truth(g: Graph, truth: Partition) -> None:
+    if truth.n != g.n:
+        raise SizeMismatch(f"ground truth covers {truth.n} nodes, graph has {g.n}")
 
 
 def time_scan(
@@ -100,7 +99,7 @@ def time_scan(
     dim: int | None = None,
     cfg: VPConfig | None = None,
     restarts: int = 5,
-    truth: GroundTruth | None = None,
+    truth: Partition | None = None,
 ) -> list[ScanRecord]:
     """Optimise the partition on a geometric grid of Markov times.
 
@@ -113,7 +112,8 @@ def time_scan(
         raise ValueError(f"time_scan mode must be exponential or linearised, got {mode!r}")
     if cfg is None:
         cfg = VPConfig()
-    truth_p = _truth_partition(g, truth) if truth is not None else None
+    if truth is not None:
+        _check_truth(g, truth)
     basis = decompose_transition(g, pairs=pairs_for_dim(dim))
     records: list[ScanRecord] = []
     previous: Partition | None = None
@@ -128,9 +128,9 @@ def time_scan(
             objective=objective,
             num_communities=partition.num_groups,
         )
-        if truth_p is not None:
-            record.nmi = nmi(truth_p, partition)
-            record.uncertainty = uncertainty_coefficient(truth_p, partition)
+        if truth is not None:
+            record.nmi = nmi(truth, partition)
+            record.uncertainty = uncertainty_coefficient(truth, partition)
         if previous is not None:
             record.vi_to_previous = variation_of_information(previous, partition)
         records.append(record)
@@ -140,7 +140,7 @@ def time_scan(
 
 def dim_sweep(
     g: Graph,
-    truth: GroundTruth,
+    truth: Partition,
     t: float | None,
     mode: str,
     dims: list[int],
@@ -150,7 +150,7 @@ def dim_sweep(
     """Optimise at a fixed time across embedding dimensions, scoring vs truth."""
     if cfg is None:
         cfg = VPConfig()
-    truth_p = _truth_partition(g, truth)
+    _check_truth(g, truth)
     pairs = pairs_for_dim(max(dims)) if dims else None
     if mode == "modularity":
         basis = decompose_modularity_matrix(g, pairs=pairs)
@@ -163,8 +163,8 @@ def dim_sweep(
         rows.append(
             DimSweepRow(
                 dim=dim,
-                nmi=nmi(truth_p, partition),
-                uncertainty=uncertainty_coefficient(truth_p, partition),
+                nmi=nmi(truth, partition),
+                uncertainty=uncertainty_coefficient(truth, partition),
                 num_communities=partition.num_groups,
                 objective=objective,
             )
@@ -174,7 +174,7 @@ def dim_sweep(
 
 def embedding_comparison(
     g: Graph,
-    truth: GroundTruth,
+    truth: Partition,
     dims: list[int],
     cfg: VPConfig | None = None,
     restarts: int = 5,
@@ -188,7 +188,7 @@ def embedding_comparison(
     """
     if cfg is None:
         cfg = VPConfig()
-    truth_p = _truth_partition(g, truth)
+    _check_truth(g, truth)
     pairs = pairs_for_dim(max(dims)) if dims else None
     basis_t = decompose_transition(g, pairs=pairs)
     basis_q = decompose_modularity_matrix(g, pairs=pairs)
@@ -202,7 +202,7 @@ def embedding_comparison(
                 EmbeddingResult(
                     modularity=modularity_score(g, partition),
                     num_communities=partition.num_groups,
-                    uncertainty=uncertainty_coefficient(truth_p, partition),
+                    uncertainty=uncertainty_coefficient(truth, partition),
                 )
             )
         rows.append(ComparisonRow(dim=dim, transition=results[0], modularity_matrix=results[1]))

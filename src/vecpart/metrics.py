@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeMismatch
-from .objective import Partition
+from .graph import Partition
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,56 +9,12 @@ is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 import scipy.linalg
 
 from .errors import NonEuclideanEmbedding, SizeMismatch
-from .graph import Graph, canonical_labels
+from .graph import Graph, Partition
 from .spectral import Embedding
-
-
-@dataclass(frozen=True, eq=False)
-class Partition:
-    """Assignment of nodes to non-overlapping groups labelled 0..c-1."""
-
-    assignment: np.ndarray  # (n,) int64
-    num_groups: int
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.assignment, dtype=np.int64)
-        object.__setattr__(self, "assignment", a)
-        n = a.size
-        if n < 1:
-            raise ValueError("partition over an empty node set")
-        c = self.num_groups
-        if not 1 <= c <= n:
-            raise ValueError(f"num_groups must be in [1, {n}], got {c}")
-        if not np.array_equal(np.unique(a), np.arange(c)):
-            raise ValueError("labels must cover exactly 0..num_groups-1")
-        a.setflags(write=False)
-
-    @classmethod
-    def from_labels(cls, labels: Sequence[int] | np.ndarray) -> Partition:
-        """Build a partition from arbitrary labels, canonicalised by first appearance."""
-        a, c = canonical_labels(labels)
-        return cls(assignment=a, num_groups=c)
-
-    @property
-    def n(self) -> int:
-        return int(self.assignment.size)
-
-    def group_sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.num_groups)
-
-    def groups(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.assignment == s) for s in range(self.num_groups)]
-
-    def canonical_key(self) -> tuple[int, ...]:
-        """First-appearance relabelling, for comparing set partitions."""
-        return tuple(canonical_labels(self.assignment)[0].tolist())
 
 
 def _check_nodes(expected: int, p: Partition) -> None:

@@ -11,20 +11,17 @@ vector partitioning.
 from __future__ import annotations
 
 import inspect
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .errors import DimOutOfRange, EigensolverFailure, ModeBasisMismatch, ZeroDegree
+from .errors import DimOutOfRange, EigensolverFailure, ModeBasisMismatch, TooLarge, ZeroDegree
 from .graph import Graph
 
 MODES = ("exponential", "linearised", "modularity")
-SOURCES = ("transition", "modularity")
 
 # Component weights with magnitude below this are treated as zero and kept
 # on the positive side of the signature, so the signature does not flap when
@@ -241,10 +238,15 @@ def decompose_modularity_matrix(g: Graph, pairs: int | None = None) -> SpectralB
     downstream consumers can exclude it unambiguously. With ``pairs`` given
     and small against n, only the leading ``pairs`` - 1 eigenpairs off the
     ones direction are computed, by ARPACK on a sparse-plus-rank-one
-    operator; otherwise all n - 1, by the dense solver.
+    operator; otherwise all n - 1, by the dense solver. Raises TooLarge when
+    the degree products d d^T overflow, as both solvers need them.
     """
     n = g.n
     d = np.asarray(g.degrees, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        dd = float(d @ d)
+    if not np.isfinite(dd):
+        raise TooLarge(f"the squared degrees sum to {dd}: the weights overflow the modularity matrix")
     two_m = 2.0 * g.total_weight
     ones = np.full(n, 1.0 / np.sqrt(n))
     if _use_truncated(n, pairs):
@@ -417,34 +419,3 @@ def spectral_health(g: Graph, basis: SpectralBasis, dim: int) -> dict:
         "max_residual": _max_residual(g, basis),
         "gap_at_dim": float(lam[dim - 1] - lam[dim]) if dim < lam.size else None,
     }
-
-
-def save_basis(basis: SpectralBasis, path: str | Path) -> None:
-    """Dump a SpectralBasis to JSON so later runs can skip recomputation."""
-    payload = {
-        "source": basis.source,
-        "n": basis.n,
-        "total_weight": basis.total_weight,
-        "eigenvalues": basis.eigenvalues.tolist(),
-        "eigenvectors": basis.eigenvectors.tolist(),  # [i][k] = component i of eigenvector k
-        "pi": basis.pi.tolist(),
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_basis(path: str | Path) -> SpectralBasis:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload["source"] not in SOURCES:
-        raise ValueError(f"unknown basis source {payload['source']!r}")
-    eigenvalues = np.asarray(payload["eigenvalues"], dtype=np.float64)
-    eigenvectors = np.asarray(payload["eigenvectors"], dtype=np.float64)
-    pi = np.asarray(payload["pi"], dtype=np.float64)
-    for arr in (eigenvalues, eigenvectors, pi):
-        arr.setflags(write=False)
-    return SpectralBasis(
-        source=payload["source"],
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        pi=pi,
-        total_weight=float(payload["total_weight"]),
-    )

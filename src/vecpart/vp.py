@@ -18,8 +18,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import LevelCapExceeded, ObjectiveDecreased, SameGroup, TooLarge
-from .graph import canonical_labels
-from .objective import Partition, stability
+from .graph import Partition, canonical_labels
+from .objective import stability
 from .spectral import Embedding
 
 SWEEP_ORDERS = ("natural", "shuffled")

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import pytest
 
 import vecpart as vp
-from vecpart.cli import main, validate_report
+from vecpart import cli
+from vecpart.cli import _emit_report, main, validate_report
 from helpers import PAIRGRAPH4_TEXT, random_connected_graph
 
 
@@ -28,36 +30,37 @@ def strip_timing(path):
 
 
 class TestDecompose:
-    def test_pairgraph4_eigenvalues_printed(self, graph_file, tmp_path, capsys):
-        out = tmp_path / "basis.json"
-        assert main(["decompose", graph_file, "--output", str(out)]) == 0
+    def test_pairgraph4_eigenvalues_printed(self, graph_file, capsys):
+        assert main(["decompose", graph_file]) == 0
         values = [float(v) for v in capsys.readouterr().out.split()]
         assert values == pytest.approx([1.0, 0.666667, -0.833333, -0.833333], abs=1e-6)
-        basis = vp.load_basis(out)
-        assert basis.source == "transition" and basis.n == 4
 
     def test_triangle(self, tmp_path, capsys):
         path = tmp_path / "triangle.txt"
         path.write_text("0 1\n1 2\n0 2\n")
-        out = tmp_path / "basis.json"
-        assert main(["decompose", str(path), "--output", str(out)]) == 0
+        assert main(["decompose", str(path)]) == 0
         values = [float(v) for v in capsys.readouterr().out.split()]
         assert values == pytest.approx([1.0, -0.5, -0.5], abs=1e-6)
 
-    def test_modularity_source(self, graph_file, tmp_path):
-        out = tmp_path / "basis.json"
-        assert main(["decompose", graph_file, "--source", "modularity", "--output", str(out)]) == 0
-        assert vp.load_basis(out).source == "modularity"
+    def test_modularity_source(self, graph_file, capsys):
+        assert main(["decompose", graph_file, "--source", "modularity"]) == 0
+        values = [float(v) for v in capsys.readouterr().out.split()]
+        expected = vp.decompose_modularity_matrix(vp.load_edge_list(PAIRGRAPH4_TEXT)).eigenvalues
+        assert values == pytest.approx(expected.tolist(), abs=1e-6)
+
+    def test_output_option_is_gone(self, graph_file, tmp_path):
+        assert main(["decompose", graph_file, "--output", str(tmp_path / "b.json")]) == 2
+        assert not (tmp_path / "b.json").exists()
 
     def test_disconnected_graph_fails_with_named_error(self, tmp_path, capsys):
         path = tmp_path / "disc.txt"
         path.write_text("0 1\n2 3\n")
-        code = main(["decompose", str(path), "--output", str(tmp_path / "b.json")])
+        code = main(["decompose", str(path)])
         assert code == vp.Disconnected.exit_code
         assert "Disconnected" in capsys.readouterr().err
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
-        code = main(["decompose", str(tmp_path / "nope.txt"), "--output", str(tmp_path / "b.json")])
+        code = main(["decompose", str(tmp_path / "nope.txt")])
         assert code == 3
 
 
@@ -177,6 +180,38 @@ class TestPartition:
         assert main(["partition", graph_file, "--mode", "exponential", "--time", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
         validate_report(report)
+
+
+class TestHugeWeights:
+    """Weights whose squared degrees overflow: only modularity mode needs d d^T."""
+
+    @staticmethod
+    def cycle4(tmp_path, weight):
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{i} {j} {weight}\n" for i, j in ((0, 1), (1, 2), (2, 3), (0, 3))))
+        return str(path)
+
+    def test_modularity_overflow_is_named_error(self, tmp_path, capsys):
+        path = self.cycle4(tmp_path, "1e200")
+        assert main(["partition", path, "--mode", "modularity"]) == vp.TooLarge.exit_code
+        assert main(["decompose", path, "--source", "modularity"]) == vp.TooLarge.exit_code
+        err = capsys.readouterr().err
+        assert err.count("error: TooLarge") == 2 and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["exponential", "linearised"])
+    def test_transition_modes_still_run(self, tmp_path, capsys, mode):
+        assert main(["partition", self.cycle4(tmp_path, "1e200"), "--mode", mode]) == 0
+        validate_report(json.loads(capsys.readouterr().out))
+
+    def test_modularity_runs_below_the_overflow(self, tmp_path, capsys):
+        records = []
+        for weight in ("1e153", "1"):
+            assert main(["partition", self.cycle4(tmp_path, weight), "--mode", "modularity"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            validate_report(report)
+            records.append(report["records"][0])
+        assert records[0]["partition"] == records[1]["partition"]
+        assert records[0]["objective"] == pytest.approx(records[1]["objective"], abs=1e-12)
 
 
 class TestScan:
@@ -345,6 +380,53 @@ class TestReportSchema:
                     "timing_ms": 0.0,
                 }
             )
+
+    @staticmethod
+    def valid_report():
+        return {
+            "version": "0.1.0",
+            "graph": {"n": 2, "m": 1.0, "edges": 1, "sha256": "0" * 64},
+            "params": {},
+            "records": [
+                {"time": 1.0, "dim": 1, "mode": "exponential", "num_communities": 1, "objective": 0.0, "partition": [0, 0]}
+            ],
+            "timing_ms": 0.0,
+        }
+
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [("objective", math.nan, "records[0].objective"), ("objective", math.inf, "records[0].objective"),
+         ("dim", True, "records[0].dim"), ("time", False, "records[0].time")],
+    )
+    def test_validator_rejects_non_finite_and_bool_numbers(self, field, value, path):
+        report = self.valid_report()
+        validate_report(report)
+        report["records"][0][field] = value
+        with pytest.raises(ValueError, match=re.escape(f"report.{path}:")):
+            validate_report(report)
+
+    def test_validator_names_the_failing_path(self):
+        report = self.valid_report()
+        report["records"][0]["partition"][1] = -1
+        with pytest.raises(ValueError, match=re.escape("report.records[0].partition[1]: -1 is below the minimum 0")):
+            validate_report(report)
+
+    def test_emitted_report_is_strict_json(self, capsys):
+        report = self.valid_report()
+        report["diagnostics"] = {"gap": math.nan}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit_report(report, None)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "schema",
+        [{"type": "object", "additionalProperties": False},
+         {"properties": {"x": {"type": "number", "maximum": 1}}},
+         {"items": [{"type": "integer"}]}],
+    )
+    def test_unchecked_schema_keyword_raises(self, schema):
+        with pytest.raises(NotImplementedError, match="validate_report cannot check"):
+            cli._check_keywords(schema, "#")
 
 
 class TestUsage:

@@ -133,12 +133,12 @@ class TestLoadLfr:
         g, truth = vp.load_lfr(self.NETWORK, self.COMMUNITY)
         assert g.n == 4
         assert g.total_weight == 3.0
-        assert truth.k == 2
+        assert truth.num_groups == 2
         assert np.array_equal(truth.assignment, [0, 0, 1, 1])
 
     def test_space_separated_accepted(self):
         g, truth = vp.load_lfr(self.NETWORK.replace("\t", " "), self.COMMUNITY.replace("\t", " "))
-        assert g.n == 4 and truth.k == 2
+        assert g.n == 4 and truth.num_groups == 2
 
     def test_asymmetric_edge_rejected(self):
         with pytest.raises(vp.AsymmetricEdgeList):
@@ -147,7 +147,7 @@ class TestLoadLfr:
     def test_label_canonicalisation(self):
         labels = "1\t5\n2\t5\n3\t9\n4\t9\n"
         _, truth = vp.load_lfr(self.NETWORK, labels)
-        assert truth.k == 2
+        assert truth.num_groups == 2
         assert np.array_equal(truth.assignment, [0, 0, 1, 1])
 
     def test_missing_label_rejected(self):
@@ -169,13 +169,13 @@ class TestPlantedPartition:
         assert g.n == 8
         assert g.num_edges == 8 * 7 // 2
         assert np.array_equal(g.degrees, np.full(8, 7.0))
-        assert truth.k == 2
+        assert truth.num_groups == 2
         assert np.array_equal(truth.assignment, [0] * 4 + [1] * 4)
 
     def test_example_instance_connected(self):
         g, truth = vp.planted_partition(3, 10, 0.9, 0.05, seed=7)
         assert g.n == 30
-        assert truth.k == 3
+        assert truth.num_groups == 3
 
     def test_edge_count_matches_recount_of_sampled_pairs(self):
         # Replays the documented sampling contract independently.

@@ -107,7 +107,7 @@ class TestTimeScan:
 
     def test_wrong_truth_size_rejected(self):
         g = pairgraph4()
-        truth = vp.GroundTruth.from_labels([0, 0, 1])
+        truth = vp.Partition.from_labels([0, 0, 1])
         with pytest.raises(vp.SizeMismatch):
             vp.time_scan(g, 0.1, 1.0, 2, dim=3, truth=truth)
 
@@ -132,7 +132,7 @@ class TestDimSweep:
         # pairgraph4's second eigenvector is (1, 1, -1, -1): its sign split
         # is the heavy-edge bipartition, so dim=1 at t=5 recovers it.
         g = pairgraph4()
-        truth = vp.GroundTruth.from_labels([0, 0, 1, 1])
+        truth = vp.Partition.from_labels([0, 0, 1, 1])
         rows = vp.dim_sweep(g, truth, 5.0, "exponential", [1], restarts=5)
         assert rows[0].nmi == pytest.approx(1.0, abs=1e-12)
         assert rows[0].num_communities == 2

@@ -104,6 +104,20 @@ class TestDecomposeModularityMatrix:
         assert np.allclose(basis.eigenvalues, oracle, atol=1e-10)
         assert basis.eigenvalues.min() < -1e-6
 
+    @pytest.mark.parametrize("n, pairs", [(4, None), (300, 4)])  # the dense and the truncated path
+    def test_overflowing_degree_products_are_named_error(self, n, pairs):
+        # Each degree is 2e200: the degree sum is finite, d @ d is not.
+        g = vp.load_edge_list("".join(f"{i} {(i + 1) % n} 1e200\n" for i in range(n)))
+        with pytest.raises(vp.TooLarge, match="modularity"):
+            vp.decompose_modularity_matrix(g, pairs=pairs)
+        assert np.all(np.isfinite(vp.decompose_transition(g, pairs=pairs).eigenvalues))
+
+    def test_large_weights_below_the_overflow_still_decompose(self):
+        g = vp.load_edge_list("0 1 1e153\n1 2 1e153\n2 3 1e153\n0 3 1e153\n")
+        basis = vp.decompose_modularity_matrix(g)
+        B = g.dense_adjacency() - np.outer(g.degrees, g.degrees) / (2 * g.total_weight)
+        assert np.allclose(basis.eigenvalues, np.sort(np.linalg.eigvalsh(B))[::-1], rtol=0, atol=1e-12 * 4e153)
+
 
 class TestScaledEigenvalues:
     def test_stationary_mode_weight_is_one(self):
@@ -298,24 +312,9 @@ class TestBuildEmbedding:
         assert np.max(np.abs(gram - B)) <= 1e-8
 
 
-class TestBasisSerialisation:
-    def test_round_trip(self, tmp_path):
-        basis = vp.decompose_transition(pairgraph4())
-        path = tmp_path / "basis.json"
-        vp.save_basis(basis, path)
-        loaded = vp.load_basis(path)
-        assert loaded.source == basis.source
-        assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
-        assert np.array_equal(loaded.eigenvectors, basis.eigenvectors)
-        assert np.array_equal(loaded.pi, basis.pi)
-        assert loaded.total_weight == basis.total_weight
-        emb = vp.build_embedding(loaded, "exponential", t=2.0, dim=3)
-        ref = vp.build_embedding(basis, "exponential", t=2.0, dim=3)
-        assert np.array_equal(emb.vectors, ref.vectors)
-
-
 # Large enough for the truncated eigensolver: n = 400 and DIM + 2 pairs.
 TRUNCATED_DIM = 12
+SOURCES = ("transition", "modularity")
 
 
 @pytest.fixture(scope="module")
@@ -346,14 +345,14 @@ MODE_CASES = [("transition", "exponential", 2.0), ("transition", "linearised", 1
 
 
 class TestTruncatedEigensolver:
-    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    @pytest.mark.parametrize("source", SOURCES)
     def test_holds_only_the_pairs_asked_for(self, planted400, source):
         dense, truncated = bases(planted400, source)
         assert dense.pairs == dense.n == 400
         assert truncated.pairs == TRUNCATED_DIM + 2 and truncated.n == 400
         assert truncated.eigenvectors.shape == (400, TRUNCATED_DIM + 2)
 
-    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    @pytest.mark.parametrize("source", SOURCES)
     def test_eigenvalues_match_dense(self, planted400, source):
         dense, truncated = bases(planted400, source)
         lam = component_eigenvalues(truncated)
@@ -375,14 +374,14 @@ class TestTruncatedEigensolver:
         assert np.array_equal(p_trunc.assignment, p_dense.assignment)
         assert obj_trunc == pytest.approx(obj_dense, rel=1e-9)
 
-    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    @pytest.mark.parametrize("source", SOURCES)
     def test_repeat_calls_are_byte_identical(self, planted400, source):
         _, first = bases(planted400, source)
         _, second = bases(planted400, source)
         assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
         assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
 
-    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    @pytest.mark.parametrize("source", SOURCES)
     def test_degenerate_spectrum_is_repeatable(self, source):
         # On a complete graph every nontrivial eigenvalue is equal, so the
         # Krylov space breaks down and ARPACK restarts from a random vector.
@@ -420,13 +419,13 @@ class TestTruncatedEigensolver:
         with pytest.raises(vp.DimOutOfRange):
             vp.build_embedding(truncated, mode, t=t)
 
-    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    @pytest.mark.parametrize("source", SOURCES)
     def test_small_graphs_and_large_pair_counts_stay_dense(self, planted400, source):
         small = random_connected_graph(4, n_range=(20, 30))
         assert bases(small, source, dim=2)[1].pairs == small.n
         assert bases(planted400, source, dim=100)[1].pairs == 400
 
-    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    @pytest.mark.parametrize("source", SOURCES)
     def test_arpack_failure_is_eigensolver_failure(self, planted400, source, monkeypatch):
         from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -439,7 +438,7 @@ class TestTruncatedEigensolver:
 
 
 class TestSpectralHealth:
-    @pytest.mark.parametrize("source", vp.spectral.SOURCES)
+    @pytest.mark.parametrize("source", SOURCES)
     def test_both_solvers(self, planted400, source):
         dense, truncated = bases(planted400, source)
         h_dense = vp.spectral.spectral_health(planted400, dense, TRUNCATED_DIM)
