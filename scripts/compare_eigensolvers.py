@@ -36,7 +36,7 @@ JOBS = (
 
 def solve(basis: vp.SpectralBasis, mode: str, t: float | None, dim: int) -> tuple[vp.Partition, float]:
     emb = vp.build_embedding(basis, mode, t=t, dim=dim)
-    partition, objective, _ = vp.best_of_restarts(emb, vp.VPConfig(seed=0), RESTARTS)
+    partition, objective, _ = vp.best_of_restarts(emb, RESTARTS)
     return partition, objective
 
 

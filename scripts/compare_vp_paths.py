@@ -9,7 +9,7 @@ For each of the first ``--graphs`` graphs of the ``fulldim_stability``,
 ...), the script builds each job's embedding once and optimises it twice
 with the jobs' settings: with ``partition_vectors``, whose levels run in
 Gram space once p <= dim + 1, and with the test suite's reference loop,
-which runs every level through the vector-space level routine. It prints
+which runs every level as a vector-space ``VPState``. It prints
 one line per graph and job and a total, and exits 1 if any partition or
 objective differs. Where a move's gain ties exactly between two groups, the
 two paths' roundoff can pick different ones; in linearised and modularity
@@ -45,7 +45,6 @@ def main() -> int:
     parser.add_argument("--graphs", type=int, default=5)
     parser.add_argument("--workload", nargs="*", default=[job[0] for job in JOBS])
     args = parser.parse_args()
-    cfg = vp.VPConfig(seed=0)
     compared = differ = 0
     for workload, family, dim, restarts, modes in JOBS:
         if workload not in args.workload:
@@ -59,8 +58,8 @@ def main() -> int:
                 gaps = []
                 for t in times:
                     emb = vp.build_embedding(basis, mode, t=t, dim=dim)
-                    p_gram, obj_gram, _ = vp.best_of_restarts(emb, cfg, restarts)
-                    p_vec, obj_vec = vector_path_best_of_restarts(emb, cfg, restarts)
+                    p_gram, obj_gram, _ = vp.best_of_restarts(emb, restarts)
+                    p_vec, obj_vec = vector_path_best_of_restarts(emb, restarts)
                     if np.array_equal(p_gram.assignment, p_vec.assignment) and obj_gram == obj_vec:
                         same += 1
                     else:

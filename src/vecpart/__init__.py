@@ -22,7 +22,6 @@ from .errors import (
     NonFiniteWeight,
     NonPositiveWeight,
     ObjectiveDecreased,
-    SameGroup,
     SelfLoop,
     SizeMismatch,
     TooLarge,
@@ -67,11 +66,9 @@ from .spectral import (
     scaled_eigenvalues,
 )
 from .vp import (
-    VPConfig,
     VPDiagnostics,
     VPState,
     exhaustive_partition,
-    move_gain,
     partition_vectors,
 )
 
@@ -98,13 +95,11 @@ __all__ = [
     "NonPositiveWeight",
     "ObjectiveDecreased",
     "Partition",
-    "SameGroup",
     "ScanRecord",
     "SelfLoop",
     "SizeMismatch",
     "SpectralBasis",
     "TooLarge",
-    "VPConfig",
     "VPDiagnostics",
     "VPState",
     "VecpartError",
@@ -124,7 +119,6 @@ __all__ = [
     "load_edge_list",
     "load_lfr",
     "modularity_score",
-    "move_gain",
     "nmi",
     "pairs_for_dim",
     "partition_vectors",

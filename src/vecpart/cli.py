@@ -33,7 +33,6 @@ from .spectral import (
     pairs_for_dim,
     spectral_health,
 )
-from .vp import VPConfig
 
 
 def _load_graph(path: str) -> Graph:
@@ -140,6 +139,8 @@ def _check_keywords(schema: dict, where: str) -> None:
     unknown = set(schema) - _KEYWORDS - _ANNOTATIONS
     if not isinstance(schema.get("items", {}), dict):
         unknown.add("items as an array")
+    if "pattern" in schema and not (schema["pattern"].startswith("^") and schema["pattern"].endswith("$")):
+        unknown.add("a pattern not anchored at both ends")
     if unknown:
         raise NotImplementedError(
             f"report schema at {where} uses {sorted(unknown)}, which validate_report cannot check"
@@ -174,7 +175,10 @@ def _check_node(value, schema: dict, path: str) -> None:
             _fail(path, f"{value} is below the minimum {schema['minimum']}")
         if "exclusiveMinimum" in schema and not value > schema["exclusiveMinimum"]:
             _fail(path, f"{value} is not above {schema['exclusiveMinimum']}")
-    if isinstance(value, str) and "pattern" in schema and not re.search(schema["pattern"], value):
+    # A pattern is anchored at both ends (see _check_keywords), where ECMA-262,
+    # which Draft 7 names, reads $ as the end of the string. Python's $ also
+    # matches before a final newline; fullmatch does not.
+    if isinstance(value, str) and "pattern" in schema and not re.fullmatch(schema["pattern"], value):
         _fail(path, f"{value!r} does not match {schema['pattern']!r}")
     if isinstance(value, dict):
         for key in schema.get("required", []):
@@ -234,8 +238,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     basis = _basis_for_mode(g, args.mode, pairs_for_dim(args.dim))
     t = None if args.mode == "modularity" else args.time
     emb = build_embedding(basis, args.mode, t=t, dim=args.dim)
-    cfg = VPConfig(seed=args.seed)
-    partition, objective, diag = best_of_restarts(emb, cfg, args.restarts)
+    partition, objective, diag = best_of_restarts(emb, args.restarts, args.seed)
     record = ScanRecord(
         time=emb.time,
         mode=args.mode,
@@ -275,7 +278,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         args.npoints,
         mode=args.mode,
         dim=args.dim,
-        cfg=VPConfig(seed=args.seed),
+        seed=args.seed,
         restarts=args.restarts,
         truth=truth,
     )

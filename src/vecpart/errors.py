@@ -97,10 +97,8 @@ class NonEuclideanEmbedding(VecpartError):
     exit_code = 25
 
 
-class SameGroup(VecpartError):
-    """Source and target group of a move are identical."""
-
-    exit_code = 26
+# Exit code 26 is retired: it belonged to an error of a move-gain helper that
+# the package no longer has. Do not reuse it.
 
 
 class LevelCapExceeded(VecpartError):

@@ -4,6 +4,7 @@ benchmark sampling."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -151,6 +152,8 @@ def _build_graph(n: int, edges: dict[tuple[int, int], float]) -> Graph:
     """Assemble and validate a Graph from deduplicated (i, j) -> w with i < j."""
     if n < 1:
         raise MalformedLine("graph has no nodes")
+    if len(edges) < n - 1:  # before anything sized by the largest node id
+        raise Disconnected(f"graph with {n} nodes has only {len(edges)} edges and is not connected")
     items = sorted(edges.items())
     edge_index = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, 2)
     edge_weight = np.array([w for _, w in items], dtype=np.float64)
@@ -265,9 +268,11 @@ def load_lfr(network: IO[str] | str, community: IO[str] | str) -> tuple[Graph, P
     if not labels:
         raise MalformedLine("community file has no labels")
     n = max(labels)
-    missing = [str(v) for v in range(1, n + 1) if v not in labels]
+    missing = n - len(labels)
     if missing:
-        raise MissingCommunityLabel(f"no community label for node(s) {', '.join(missing)}")
+        first = ", ".join(itertools.islice((str(v) for v in range(1, n + 1) if v not in labels), 10))
+        more = ", ..." if missing > 10 else ""
+        raise MissingCommunityLabel(f"{missing} node(s) have no community label: {first}{more}")
 
     oriented: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(_iter_lines(network), start=1):

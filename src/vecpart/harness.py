@@ -7,7 +7,7 @@ embedding sources. All results are deterministic for fixed seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .graph import Graph, Partition
 from .metrics import nmi, uncertainty_coefficient, variation_of_information
 from .objective import modularity_score
 from .spectral import build_embedding, decompose_modularity_matrix, decompose_transition, pairs_for_dim
-from .vp import VPConfig, VPDiagnostics, partition_vectors
+from .vp import VPDiagnostics, partition_vectors
 
 
 @dataclass
@@ -66,20 +66,18 @@ def geometric_grid(t_min: float, t_max: float, n_points: int) -> np.ndarray:
 
 
 def best_of_restarts(
-    emb, cfg: VPConfig, restarts: int
+    emb, restarts: int, seed: int = 0
 ) -> tuple[Partition, float, VPDiagnostics]:
-    """Best of one run with the given config plus shuffled-order restarts.
+    """Best of one natural-order run plus shuffled-order restarts.
 
-    Restart k (k >= 1) reuses the config with sweep_order="shuffled" and seed
-    cfg.seed + k. The highest objective wins; ties keep the earliest run.
+    Restart k (k >= 1) visits the vectors in the order drawn from seed
+    ``seed + k``. The highest objective wins; ties keep the earliest run.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    best = partition_vectors(emb, cfg)
+    best = partition_vectors(emb)
     for k in range(1, restarts):
-        candidate = partition_vectors(
-            emb, replace(cfg, sweep_order="shuffled", seed=cfg.seed + k)
-        )
+        candidate = partition_vectors(emb, seed=seed + k)
         if candidate[1] > best[1]:
             best = candidate
     return best
@@ -97,7 +95,7 @@ def time_scan(
     n_points: int,
     mode: str = "exponential",
     dim: int | None = None,
-    cfg: VPConfig | None = None,
+    seed: int = 0,
     restarts: int = 5,
     truth: Partition | None = None,
 ) -> list[ScanRecord]:
@@ -110,8 +108,6 @@ def time_scan(
     """
     if mode not in ("exponential", "linearised"):
         raise ValueError(f"time_scan mode must be exponential or linearised, got {mode!r}")
-    if cfg is None:
-        cfg = VPConfig()
     if truth is not None:
         _check_truth(g, truth)
     basis = decompose_transition(g, pairs=pairs_for_dim(dim))
@@ -119,7 +115,7 @@ def time_scan(
     previous: Partition | None = None
     for t in geometric_grid(t_min, t_max, n_points):
         emb = build_embedding(basis, mode, t=float(t), dim=dim)
-        partition, objective, _ = best_of_restarts(emb, cfg, restarts)
+        partition, objective, _ = best_of_restarts(emb, restarts, seed)
         record = ScanRecord(
             time=float(t),
             mode=mode,
@@ -144,12 +140,10 @@ def dim_sweep(
     t: float | None,
     mode: str,
     dims: list[int],
-    cfg: VPConfig | None = None,
+    seed: int = 0,
     restarts: int = 5,
 ) -> list[DimSweepRow]:
     """Optimise at a fixed time across embedding dimensions, scoring vs truth."""
-    if cfg is None:
-        cfg = VPConfig()
     _check_truth(g, truth)
     pairs = pairs_for_dim(max(dims)) if dims else None
     if mode == "modularity":
@@ -159,7 +153,7 @@ def dim_sweep(
     rows: list[DimSweepRow] = []
     for dim in dims:
         emb = build_embedding(basis, mode, t=t, dim=dim)
-        partition, objective, _ = best_of_restarts(emb, cfg, restarts)
+        partition, objective, _ = best_of_restarts(emb, restarts, seed)
         rows.append(
             DimSweepRow(
                 dim=dim,
@@ -176,7 +170,7 @@ def embedding_comparison(
     g: Graph,
     truth: Partition,
     dims: list[int],
-    cfg: VPConfig | None = None,
+    seed: int = 0,
     restarts: int = 5,
 ) -> list[ComparisonRow]:
     """Modularity optimisation from two spectral embeddings, side by side.
@@ -186,8 +180,6 @@ def embedding_comparison(
     modularity-matrix embedding; each side reports the modularity of its
     partition, the community count, and the uncertainty coefficient vs truth.
     """
-    if cfg is None:
-        cfg = VPConfig()
     _check_truth(g, truth)
     pairs = pairs_for_dim(max(dims)) if dims else None
     basis_t = decompose_transition(g, pairs=pairs)
@@ -197,7 +189,7 @@ def embedding_comparison(
         results = []
         for basis, mode, t in ((basis_t, "linearised", 1.0), (basis_q, "modularity", None)):
             emb = build_embedding(basis, mode, t=t, dim=dim)
-            partition, _, _ = best_of_restarts(emb, cfg, restarts)
+            partition, _, _ = best_of_restarts(emb, restarts, seed)
             results.append(
                 EmbeddingResult(
                     modularity=modularity_score(g, partition),

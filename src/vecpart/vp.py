@@ -12,44 +12,21 @@ entries over a group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import sparse
 
-from .errors import LevelCapExceeded, ObjectiveDecreased, SameGroup, TooLarge
+from .errors import LevelCapExceeded, ObjectiveDecreased, TooLarge
 from .graph import Partition, canonical_labels
 from .objective import stability
 from .spectral import Embedding
 
-SWEEP_ORDERS = ("natural", "shuffled")
-
-
-@dataclass
-class VPConfig:
-    """Knobs of one optimisation run.
-
-    ``sweep_order`` fixes the order vectors are visited in ("natural" index
-    order, or "shuffled" with one permutation drawn per aggregation level
-    from ``seed``). ``allow_detach`` additionally offers each vector a move
-    into a fresh empty group, which can undo a poor merge after aggregation.
-    A move is made only when its gain exceeds ``gain_tolerance``, which is in
-    the units of the reported objective (modularity Q in modularity mode).
-    """
-
-    sweep_order: str = "natural"
-    seed: int = 0
-    allow_detach: bool = True
-    gain_tolerance: float = 1e-12
-    max_levels: int = 64
-
-    def __post_init__(self) -> None:
-        if self.sweep_order not in SWEEP_ORDERS:
-            raise ValueError(f"sweep_order must be one of {SWEEP_ORDERS}, got {self.sweep_order!r}")
-        if not self.gain_tolerance > 0:
-            raise ValueError(f"gain_tolerance must be > 0, got {self.gain_tolerance}")
-        if self.max_levels < 1:
-            raise ValueError(f"max_levels must be >= 1, got {self.max_levels}")
+# A move is made only when its gain exceeds GAIN_TOLERANCE, in the units of
+# the reported objective (modularity Q in modularity mode).
+GAIN_TOLERANCE = 1e-12
+# Safety cap on aggregation levels; each level strictly shrinks the vector count.
+MAX_LEVELS = 64
 
 
 @dataclass
@@ -85,110 +62,26 @@ class VPDiagnostics:
         self.objective_trajectory.append(objective)
 
     def as_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "sweeps_per_level": list(self.sweeps_per_level),
-            "moves_per_level": list(self.moves_per_level),
-            "paths_per_level": list(self.paths_per_level),
-            "objective_trajectory": list(self.objective_trajectory),
-        }
+        return asdict(self)
 
 
-class VPState:
-    """Mutable state of one aggregation level of the optimiser, in vector space.
+class _LevelState:
+    """The bookkeeping both kinds of level share, from all-singletons.
 
-    ``assignment`` maps the level's input vectors to groups, and
-    ``group_sums`` holds one sum vector per group (possibly empty mid-sweep;
-    empties are pruned at aggregation).
+    ``assignment`` maps the level's p input vectors to groups, and
+    ``group_sizes`` counts each group's members; a group may be empty
+    mid-sweep, and empties are pruned at aggregation.
     """
 
-    __slots__ = ("vectors", "assignment", "group_sums", "group_sizes")
+    __slots__ = ("assignment", "group_sizes")
 
-    def __init__(
-        self,
-        vectors: np.ndarray,
-        assignment: np.ndarray,
-        group_sums: np.ndarray,
-        group_sizes: np.ndarray,
-    ) -> None:
-        self.vectors = vectors
-        self.assignment = assignment
-        self.group_sums = group_sums
-        self.group_sizes = group_sizes
-
-    @classmethod
-    def singletons(cls, vectors: np.ndarray) -> VPState:
-        vectors = np.asarray(vectors, dtype=np.float64)
-        p = vectors.shape[0]
-        return cls(
-            vectors=vectors,
-            assignment=np.arange(p, dtype=np.int64),
-            group_sums=vectors.copy(),
-            group_sizes=np.ones(p, dtype=np.int64),
-        )
-
-    @property
-    def num_groups(self) -> int:
-        return int(self.group_sums.shape[0])
-
-    def apply_move(self, i: int, beta: int) -> None:
-        """Move vector i to group beta; beta == num_groups opens a new group."""
-        alpha = int(self.assignment[i])
-        x = self.vectors[i]
-        if beta == self.num_groups:
-            self.group_sums = np.vstack([self.group_sums, np.zeros((1, x.size))])
-            self.group_sizes = np.append(self.group_sizes, 0)
-        self.group_sums[alpha] -= x
-        self.group_sums[beta] += x
-        self.group_sizes[alpha] -= 1
-        self.group_sizes[beta] += 1
-        self.assignment[i] = beta
-
-    def revalidate(self, tol: float = 1e-9) -> None:
-        """Recompute group sums from members and check incremental drift."""
-        fresh = np.zeros_like(self.group_sums)
-        np.add.at(fresh, self.assignment, self.vectors)
-        drift = float(np.max(np.abs(fresh - self.group_sums))) if fresh.size else 0.0
-        if drift > tol:
-            raise RuntimeError(f"group sums drifted by {drift} from their members")
-        _check_sizes(self.assignment, self.group_sizes)
-        self.group_sums = fresh
-
-    def compact(self) -> tuple[np.ndarray, np.ndarray]:
-        """Drop empty groups; labels relabelled by first appearance.
-
-        Returns (labels, sums): the compacted per-vector labels and the
-        freshly recomputed sum vector of each surviving group.
-        """
-        labels, c = canonical_labels(self.assignment)
-        sums = np.zeros((c, self.vectors.shape[1]))
-        np.add.at(sums, labels, self.vectors)
-        return labels, sums
-
-
-class GramState:
-    """Mutable state of one aggregation level of the optimiser, in Gram space.
-
-    ``gram`` is the p x p signed Gram matrix <x_i, S x_j> of the level's
-    input vectors. Every score is a sum of its entries over a group, so the
-    state keeps only the assignment and the group sizes; nothing can drift.
-    """
-
-    __slots__ = ("gram", "assignment", "group_sizes")
-
-    def __init__(self, gram: np.ndarray) -> None:
-        p = gram.shape[0]
-        self.gram = gram
+    def __init__(self, p: int) -> None:
         self.assignment = np.arange(p, dtype=np.int64)
         self.group_sizes = np.ones(p, dtype=np.int64)
 
     @property
     def num_groups(self) -> int:
         return int(self.group_sizes.size)
-
-    def scores(self, i: int) -> np.ndarray:
-        """<x_i, S y_g> for every group g: row i of the Gram summed per group."""
-        return np.bincount(self.assignment, weights=self.gram[i], minlength=self.num_groups)
 
     def apply_move(self, i: int, beta: int) -> None:
         """Move vector i to group beta; beta == num_groups opens a new group."""
@@ -199,55 +92,118 @@ class GramState:
         self.assignment[i] = beta
 
     def revalidate(self) -> None:
-        _check_sizes(self.assignment, self.group_sizes)
+        """Check the group sizes against the assignment."""
+        sizes = np.bincount(self.assignment, minlength=self.group_sizes.size)
+        if not np.array_equal(sizes, self.group_sizes):
+            raise RuntimeError("group sizes out of sync with assignment")
+
+
+class VPState(_LevelState):
+    """One aggregation level of the optimiser in vector space.
+
+    ``group_sums`` holds one sum vector per group, updated incrementally.
+    """
+
+    path = "vector"
+    __slots__ = ("vectors", "signature", "group_sums")
+
+    def __init__(self, vectors: np.ndarray, signature: np.ndarray) -> None:
+        self.vectors = np.asarray(vectors, dtype=np.float64)
+        self.signature = signature
+        self.group_sums = self.vectors.copy()
+        super().__init__(self.vectors.shape[0])
+
+    def scores(self, i: int) -> tuple[np.ndarray, float]:
+        """<x_i, S y_g> for every group g, and <x_i, S x_i>."""
+        x = self.vectors[i]
+        sx = self.signature * x
+        return self.group_sums @ sx, float(sx @ x)
+
+    def apply_move(self, i: int, beta: int) -> None:
+        x = self.vectors[i]
+        if beta == self.num_groups:
+            self.group_sums = np.vstack([self.group_sums, np.zeros((1, x.size))])
+        self.group_sums[self.assignment[i]] -= x
+        self.group_sums[beta] += x
+        super().apply_move(i, beta)
+
+    def revalidate(self) -> None:
+        """Recompute group sums from members and check incremental drift."""
+        fresh = np.zeros_like(self.group_sums)
+        np.add.at(fresh, self.assignment, self.vectors)
+        drift = float(np.max(np.abs(fresh - self.group_sums))) if fresh.size else 0.0
+        if drift > 1e-9:
+            raise RuntimeError(f"group sums drifted by {drift} from their members")
+        super().revalidate()
+        self.group_sums = fresh
+
+    def objective(self) -> float:
+        """Raw objective: the total signed squared length of the group sums."""
+        return float((self.group_sums * (self.group_sums * self.signature)).sum())
+
+    def compact(self) -> tuple[np.ndarray, VPState | GramState]:
+        """Drop empty groups; returns the first-appearance labels and the
+        next level's state over the recomputed group sum vectors."""
+        labels, c = canonical_labels(self.assignment)
+        sums = np.zeros((c, self.vectors.shape[1]))
+        np.add.at(sums, labels, self.vectors)
+        return labels, _level_state(sums, self.signature)
+
+
+class GramState(_LevelState):
+    """One aggregation level of the optimiser in Gram space.
+
+    ``gram`` is the p x p signed Gram matrix <x_i, S x_j> of the level's
+    input vectors. Every score is a sum of its entries over a group, so the
+    state keeps only the assignment and the group sizes; nothing can drift.
+    """
+
+    path = "gram"
+    __slots__ = ("gram",)
+
+    def __init__(self, gram: np.ndarray) -> None:
+        self.gram = gram
+        super().__init__(gram.shape[0])
+
+    def scores(self, i: int) -> tuple[np.ndarray, float]:
+        """Row i of the Gram summed per group, and <x_i, S x_i>."""
+        row = self.gram[i]
+        return np.bincount(self.assignment, weights=row, minlength=self.num_groups), float(row[i])
 
     def objective(self) -> float:
         """Raw objective: every vector's inner product with its own group's sum, totalled."""
         same = self.assignment[:, None] == self.assignment[None, :]
-        own = np.sum(self.gram, axis=1, where=same)
-        return _raw_objective(np.ones_like(own), own)
+        return float(np.sum(self.gram, axis=1, where=same).sum())
 
-    def compact(self) -> tuple[np.ndarray, np.ndarray]:
+    def compact(self) -> tuple[np.ndarray, GramState]:
         """Drop empty groups; returns the first-appearance labels and the
-        group Gram H^T G H, with H the p x c one-hot group matrix."""
+        next level's state over the group Gram H^T G H, with H the p x c
+        one-hot group matrix."""
         labels, c = canonical_labels(self.assignment)
         p = labels.size
         onehot = sparse.csr_array((np.ones(p), (labels, np.arange(p))), shape=(c, p))
         partial = onehot @ self.gram  # H^T G
-        return labels, np.ascontiguousarray((onehot @ partial.T).T)
+        return labels, GramState(np.ascontiguousarray((onehot @ partial.T).T))
 
 
-def _check_sizes(assignment: np.ndarray, group_sizes: np.ndarray) -> None:
-    sizes = np.bincount(assignment, minlength=group_sizes.size)
-    if not np.array_equal(sizes, group_sizes):
-        raise RuntimeError("group sizes out of sync with assignment")
+def _level_state(vectors: np.ndarray, signature: np.ndarray) -> VPState | GramState:
+    """The state a level over these vectors runs in, chosen by shape alone.
 
-
-def move_gain(state: VPState, signature: np.ndarray, i: int, beta: int) -> float:
-    """Gain of moving vector i from its group alpha to group beta.
-
-    Computed as <x_i, y_beta> - <x_i, y_alpha - x_i> under the signature
-    inner product; twice this value is the exact change of the total signed
-    squared group-sum length. ``beta == state.num_groups`` targets a fresh
-    empty group. The optimiser's sweeps do not call this: it is the
-    reference the move rule in ``_choose_move`` is tested against.
+    With p vectors of dimension dim, a level runs in Gram space when
+    p <= dim + 1: its p x p signed Gram then holds at most p entries more
+    than the p x dim group sums it replaces, and each visit costs O(p)
+    instead of O(c dim) for c groups. Aggregation only shrinks p, so once a
+    level runs there, so do all later ones.
     """
-    alpha = int(state.assignment[i])
-    if beta == alpha:
-        raise SameGroup(f"vector {i} is already in group {alpha}")
-    x = state.vectors[i]
-    sx = signature * x
-    if beta == state.num_groups:
-        y_beta_score = 0.0
-    else:
-        y_beta_score = float(sx @ state.group_sums[beta])
-    return y_beta_score - float(sx @ (state.group_sums[alpha] - x))
+    if vectors.shape[0] <= vectors.shape[1] + 1:
+        return GramState((vectors * signature) @ vectors.T)
+    return VPState(vectors, signature)
 
 
 def _choose_move(
     scores: np.ndarray, alpha: int, self_score: float, can_detach: bool, tol: float
 ) -> int:
-    """The move rule shared by both sweeps: the target group, or -1 to stay.
+    """The move rule: the target group, or -1 to stay.
 
     ``scores[g]`` is <x_i, S y_g> for every group g, ``alpha`` is the
     vector's group and ``self_score`` is <x_i, S x_i>. The gain of a move to
@@ -267,92 +223,34 @@ def _choose_move(
     return beta if best > tol else -1
 
 
-def _sweep(
-    state: VPState, signature: np.ndarray, order: np.ndarray, allow_detach: bool, tol: float
-) -> int:
+def _sweep(state: VPState | GramState, order: np.ndarray, tol: float) -> int:
     """One pass over all vectors; returns the number of accepted moves.
 
-    A move is accepted when its gain exceeds ``tol``, in raw objective units.
+    A move is accepted when its gain exceeds ``tol``, in raw objective
+    units. A vector may detach into a fresh group unless it is alone.
     """
     moved = 0
     for i in order:
         alpha = int(state.assignment[i])
-        x = state.vectors[i]
-        sx = signature * x
-        can_detach = allow_detach and state.group_sizes[alpha] > 1
-        beta = _choose_move(state.group_sums @ sx, alpha, float(sx @ x), can_detach, tol)
+        scores, self_score = state.scores(i)
+        beta = _choose_move(scores, alpha, self_score, state.group_sizes[alpha] > 1, tol)
         if beta >= 0:
             state.apply_move(int(i), beta)
             moved += 1
     return moved
 
 
-def _gram_sweep(state: GramState, order: np.ndarray, allow_detach: bool, tol: float) -> int:
-    """``_sweep`` with every score read from the Gram: O(p) per visit."""
-    moved = 0
-    for i in order:
-        alpha = int(state.assignment[i])
-        can_detach = allow_detach and state.group_sizes[alpha] > 1
-        beta = _choose_move(state.scores(i), alpha, float(state.gram[i, i]), can_detach, tol)
-        if beta >= 0:
-            state.apply_move(int(i), beta)
-            moved += 1
-    return moved
+def _run_level(
+    state: VPState | GramState, order: np.ndarray, tol: float, diag: VPDiagnostics, slack: float
+) -> tuple[np.ndarray, VPState | GramState]:
+    """Sweep one level to a fixed point; returns ``state.compact()``.
 
-
-def _raw_objective(sums: np.ndarray, signed_sums: np.ndarray) -> float:
-    """Total signed squared length of the group sums, as sum(sums * signed_sums).
-
-    A vector level passes the group sums Y and their signed images Y S. A
-    Gram level has no coordinates for the sums; it passes, for every input
-    vector, a 1 and the vector's inner product with its own group's sum,
-    which total the same value.
+    Every sweep is followed by the state's consistency check and by the
+    objective check of ``diag.record_sweep``.
     """
-    return float((sums * signed_sums).sum())
-
-
-def _vector_level(
-    vectors: np.ndarray,
-    signature: np.ndarray,
-    order: np.ndarray,
-    allow_detach: bool,
-    tol: float,
-    diag: VPDiagnostics,
-    slack: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sweep one level to a fixed point in vector space.
-
-    Returns the level's compacted labels and the group sum vectors, the
-    next level's input.
-    """
-    diag.start_level("vector")
-    state = VPState.singletons(vectors)
+    diag.start_level(state.path)
     while True:
-        moved = _sweep(state, signature, order, allow_detach, tol)
-        state.revalidate()
-        diag.record_sweep(moved, _raw_objective(state.group_sums, state.group_sums * signature), slack)
-        if moved == 0:
-            return state.compact()
-
-
-def _gram_level(
-    gram: np.ndarray,
-    order: np.ndarray,
-    allow_detach: bool,
-    tol: float,
-    diag: VPDiagnostics,
-    slack: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sweep one level to a fixed point in Gram space.
-
-    Makes the moves ``_vector_level`` makes on vectors with this signed
-    Gram, up to roundoff in the scores. Returns the level's compacted
-    labels and the group Gram, the next level's input.
-    """
-    diag.start_level("gram")
-    state = GramState(gram)
-    while True:
-        moved = _gram_sweep(state, order, allow_detach, tol)
+        moved = _sweep(state, order, tol)
         state.revalidate()
         diag.record_sweep(moved, state.objective(), slack)
         if moved == 0:
@@ -360,7 +258,7 @@ def _gram_level(
 
 
 def partition_vectors(
-    emb: Embedding, cfg: VPConfig | None = None
+    emb: Embedding, seed: int | None = None
 ) -> tuple[Partition, float, VPDiagnostics]:
     """Optimise the max-sum vector partition of an embedding.
 
@@ -370,19 +268,14 @@ def partition_vectors(
     vectors and repeats, unless every vector stayed in its own group, in
     which case the group trace is unwound to a node-level partition.
 
-    A level with p input vectors of dimension dim runs in Gram space when
-    p <= dim + 1: its p x p signed Gram then holds at most p entries more
-    than the p x dim group sums it replaces, and each visit costs O(p)
-    instead of O(c dim) for c groups. Once a level runs there, so do all
-    later ones, on the aggregated Gram. Deterministic for a fixed config.
+    Vectors are visited in index order when ``seed`` is None, and otherwise
+    in one permutation per level drawn from ``default_rng([seed, level])``.
+    Each level runs in the state ``_level_state`` picks by shape.
+    Deterministic for a fixed seed.
     """
-    if cfg is None:
-        cfg = VPConfig()
     if emb.n < 1:
         raise ValueError("embedding has no vectors")
-    signature = emb.signature.astype(np.float64)
-    vectors = np.asarray(emb.vectors, dtype=np.float64)
-    gram: np.ndarray | None = None
+    state = _level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
     node_to_group = np.arange(emb.n, dtype=np.int64)
     diag = VPDiagnostics()
     # The raw objective is the reported one times 2m in modularity mode, and
@@ -390,26 +283,19 @@ def partition_vectors(
     # units, two vectors can swap forever on roundoff gains, and one ulp of
     # drift can read as a decrease.
     unit = 2.0 * emb.total_weight if emb.mode == "modularity" else 1.0
-    tol = cfg.gain_tolerance * unit
+    tol = GAIN_TOLERANCE * unit
     slack = 1e-9 * unit
-    for level in range(cfg.max_levels):
-        if gram is None and vectors.shape[0] <= vectors.shape[1] + 1:
-            gram = (vectors * signature) @ vectors.T
-        p = vectors.shape[0] if gram is None else gram.shape[0]
+    for level in range(MAX_LEVELS):
+        p = state.num_groups
         order = np.arange(p, dtype=np.int64)
-        if cfg.sweep_order == "shuffled":
-            np.random.default_rng([cfg.seed, level]).shuffle(order)
-        if gram is None:
-            labels, vectors = _vector_level(vectors, signature, order, cfg.allow_detach, tol, diag, slack)
-            c = vectors.shape[0]
-        else:
-            labels, gram = _gram_level(gram, order, cfg.allow_detach, tol, diag, slack)
-            c = gram.shape[0]
+        if seed is not None:
+            np.random.default_rng([seed, level]).shuffle(order)
+        labels, state = _run_level(state, order, tol, diag, slack)
         node_to_group = labels[node_to_group]
-        if c == p:
+        if state.num_groups == p:  # every vector stayed in its own group
             partition = Partition.from_labels(node_to_group)
             return partition, stability(emb, partition), diag
-    raise LevelCapExceeded(f"still aggregating after {cfg.max_levels} levels")
+    raise LevelCapExceeded(f"still aggregating after {MAX_LEVELS} levels")
 
 
 def exhaustive_partition(emb: Embedding) -> tuple[Partition, float]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 import vecpart as vp
@@ -95,8 +93,39 @@ def first_appearance_labels(labels) -> list[int]:
     return [mapping.setdefault(int(lab), len(mapping)) for lab in labels]
 
 
-def vector_path_partition(emb: vp.Embedding, cfg: vp.VPConfig) -> tuple[vp.Partition, float]:
-    """``partition_vectors`` with every level run by the vector-space level routine.
+class SameGroup(ValueError):
+    """Source and target group of a move are identical."""
+
+
+def move_gain(state: vp.VPState, i: int, beta: int) -> float:
+    """Gain of moving vector i from its group alpha to group beta.
+
+    Computed as <x_i, y_beta> - <x_i, y_alpha - x_i> under the signature
+    inner product; twice this value is the exact change of the total signed
+    squared group-sum length. ``beta == state.num_groups`` targets a fresh
+    empty group. The reference the optimiser's move rule is tested against.
+    """
+    alpha = int(state.assignment[i])
+    if beta == alpha:
+        raise SameGroup(f"vector {i} is already in group {alpha}")
+    x = state.vectors[i]
+    sx = state.signature * x
+    if beta == state.num_groups:
+        y_beta_score = 0.0
+    else:
+        y_beta_score = float(sx @ state.group_sums[beta])
+    return y_beta_score - float(sx @ (state.group_sums[alpha] - x))
+
+
+def group_sums(vectors: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-group sums of ``vectors`` under 0-based ``labels``."""
+    sums = np.zeros((int(labels.max()) + 1, vectors.shape[1]))
+    np.add.at(sums, labels, vectors)
+    return sums
+
+
+def vector_path_partition(emb: vp.Embedding, seed: int | None = None) -> tuple[vp.Partition, float]:
+    """``partition_vectors`` with every level a ``VPState``.
 
     The reference for the Gram-space levels: it repeats the level loop of
     ``partition_vectors`` but never switches to the Gram path.
@@ -106,26 +135,27 @@ def vector_path_partition(emb: vp.Embedding, cfg: vp.VPConfig) -> tuple[vp.Parti
     unit = 2.0 * emb.total_weight if emb.mode == "modularity" else 1.0
     node_to_group = np.arange(emb.n)
     diag = vp.VPDiagnostics()
-    for level in range(cfg.max_levels):
+    for level in range(vp.vp.MAX_LEVELS):
         p = vectors.shape[0]
         order = np.arange(p, dtype=np.int64)
-        if cfg.sweep_order == "shuffled":
-            np.random.default_rng([cfg.seed, level]).shuffle(order)
-        labels, vectors = vp.vp._vector_level(
-            vectors, signature, order, cfg.allow_detach, cfg.gain_tolerance * unit, diag, 1e-9 * unit
+        if seed is not None:
+            np.random.default_rng([seed, level]).shuffle(order)
+        labels, _ = vp.vp._run_level(
+            vp.VPState(vectors, signature), order, vp.vp.GAIN_TOLERANCE * unit, diag, 1e-9 * unit
         )
         node_to_group = labels[node_to_group]
+        vectors = group_sums(vectors, labels)
         if vectors.shape[0] == p:
             partition = vp.Partition.from_labels(node_to_group)
             return partition, vp.stability(emb, partition)
-    raise vp.LevelCapExceeded(f"still aggregating after {cfg.max_levels} levels")
+    raise vp.LevelCapExceeded(f"still aggregating after {vp.vp.MAX_LEVELS} levels")
 
 
-def vector_path_best_of_restarts(emb: vp.Embedding, cfg: vp.VPConfig, restarts: int) -> tuple[vp.Partition, float]:
+def vector_path_best_of_restarts(emb: vp.Embedding, restarts: int, seed: int = 0) -> tuple[vp.Partition, float]:
     """``best_of_restarts`` over ``vector_path_partition``."""
-    best = vector_path_partition(emb, cfg)
+    best = vector_path_partition(emb)
     for k in range(1, restarts):
-        candidate = vector_path_partition(emb, replace(cfg, sweep_order="shuffled", seed=cfg.seed + k))
+        candidate = vector_path_partition(emb, seed=seed + k)
         if candidate[1] > best[1]:
             best = candidate
     return best

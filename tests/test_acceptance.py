@@ -122,7 +122,7 @@ def test_criterion_04_fiedler_limit():
         fiedler = vp.Partition.from_labels((basis.eigenvectors[:, 1] < 0).astype(int))
         if opt_partition.canonical_key() == fiedler.canonical_key():
             exhaustive_matches += 1
-        _, best_value, _ = vp.best_of_restarts(emb, vp.VPConfig(), 5)
+        _, best_value, _ = vp.best_of_restarts(emb, 5)
         if abs(best_value - opt_value) <= 1e-9:
             heuristic_matches += 1
     elapsed = time.perf_counter() - started
@@ -146,11 +146,8 @@ def test_criterion_05_heuristic_quality():
             vp.decompose_transition(g), "exponential", t=times[idx % 4], dim=g.n - 1
         )
         best_value = -np.inf
-        configs = [vp.VPConfig()] + [
-            vp.VPConfig(sweep_order="shuffled", seed=k) for k in range(1, 5)
-        ]
-        for cfg in configs:
-            _, value, diag = vp.partition_vectors(emb, cfg)
+        for seed in [None] + list(range(1, 5)):
+            _, value, diag = vp.partition_vectors(emb, seed)
             traj = diag.objective_trajectory
             total_runs += 1
             if all(b >= a - 1e-9 for a, b in zip(traj, traj[1:])):

@@ -411,6 +411,14 @@ class TestReportSchema:
         with pytest.raises(ValueError, match=re.escape("report.records[0].partition[1]: -1 is below the minimum 0")):
             validate_report(report)
 
+    def test_validator_rejects_a_sha256_with_a_trailing_newline(self):
+        # ECMA-262 reads the schema's ^...$ as the whole string; Python's $
+        # also matches before a final newline, which let this digest through.
+        report = self.valid_report()
+        report["graph"]["sha256"] = "0" * 64 + "\n"
+        with pytest.raises(ValueError, match=re.escape("report.graph.sha256:")):
+            validate_report(report)
+
     def test_emitted_report_is_strict_json(self, capsys):
         report = self.valid_report()
         report["diagnostics"] = {"gap": math.nan}
@@ -422,7 +430,8 @@ class TestReportSchema:
         "schema",
         [{"type": "object", "additionalProperties": False},
          {"properties": {"x": {"type": "number", "maximum": 1}}},
-         {"items": [{"type": "integer"}]}],
+         {"items": [{"type": "integer"}]},
+         {"properties": {"s": {"type": "string", "pattern": "[0-9a-f]{64}"}}}],
     )
     def test_unchecked_schema_keyword_raises(self, schema):
         with pytest.raises(NotImplementedError, match="validate_report cannot check"):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,18 @@ class TestLoadEdgeList:
         with pytest.raises(vp.Disconnected):
             vp.load_edge_list("0 1\n2 3\n")
 
+    def test_stray_huge_node_id_rejected_before_allocating_by_id(self):
+        # Three edges cannot connect 2,000,001 nodes. The check must come
+        # before anything sized by the largest id, which took ~20 MB here.
+        tracemalloc.start()
+        try:
+            with pytest.raises(vp.Disconnected, match="2000001 nodes has only 3 edges"):
+                vp.load_edge_list("0 1\n1 2\n0 2000000\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_one_based_indexing(self):
         g = vp.load_edge_list("1 2\n2 3\n1 3\n", indexing="one-based")
         assert g.n == 3
@@ -153,6 +166,14 @@ class TestLoadLfr:
     def test_missing_label_rejected(self):
         with pytest.raises(vp.MissingCommunityLabel, match="3"):
             vp.load_lfr(self.NETWORK, "1\t1\n2\t1\n4\t2\n")
+
+    def test_stray_huge_label_id_gives_a_short_message(self):
+        # One stray id used to list all 2,999,997 missing nodes (25.9 MB).
+        with pytest.raises(vp.MissingCommunityLabel) as info:
+            vp.load_lfr(self.NETWORK, "1\t1\n2\t1\n3000000\t2\n")
+        message = str(info.value)
+        assert message.startswith("2999997 node(s) have no community label: 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ...")
+        assert len(message) < 200
 
     def test_network_node_without_label(self):
         with pytest.raises(vp.MissingCommunityLabel):

@@ -47,7 +47,7 @@ class TestTimeScan:
         records = vp.time_scan(g, 5.0, 5.0, 1, mode="exponential", dim=3, restarts=5)
         assert len(records) == 1
         emb = vp.build_embedding(vp.decompose_transition(g), "exponential", t=5.0, dim=3)
-        partition, value, _ = vp.best_of_restarts(emb, vp.VPConfig(), 5)
+        partition, value, _ = vp.best_of_restarts(emb, 5)
         assert records[0].partition.canonical_key() == partition.canonical_key()
         assert records[0].objective == value
         assert records[0].vi_to_previous is None
@@ -123,7 +123,7 @@ class TestDimSweep:
         # rerun the same optimisation to recover the partition, then check the
         # reported objective against the direct matrix-form computation
         emb = vp.build_embedding(vp.decompose_transition(g), "linearised", t=1.0, dim=g.n - 1)
-        partition, value, _ = vp.best_of_restarts(emb, vp.VPConfig(), 5)
+        partition, value, _ = vp.best_of_restarts(emb, 5)
         assert rows[0].objective == value
         assert value == pytest.approx(vp.linearised_stability(g, partition, 1.0), abs=1e-8)
         assert value == pytest.approx(vp.modularity_score(g, partition), abs=1e-8)

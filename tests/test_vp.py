@@ -3,6 +3,9 @@ import pytest
 
 import vecpart as vp
 from helpers import (
+    SameGroup,
+    group_sums,
+    move_gain,
     pairgraph4,
     random_connected_graph,
     set_partitions,
@@ -35,21 +38,19 @@ def raw_objective(vectors, signature, labels):
 
 class TestMoveGain:
     def test_singleton_to_empty_group_is_zero(self):
-        state = vp.VPState.singletons(np.array([[1.0, 2.0], [0.5, -1.0]]))
-        sig = np.ones(2)
-        assert vp.move_gain(state, sig, 0, state.num_groups) == 0.0
+        state = vp.VPState(np.array([[1.0, 2.0], [0.5, -1.0]]), np.ones(2))
+        assert move_gain(state, 0, state.num_groups) == 0.0
 
     def test_identical_vectors_merge_with_squared_norm_gain(self):
         x = np.array([0.3, -0.4])
-        state = vp.VPState.singletons(np.stack([x, x]))
-        sig = np.ones(2)
-        assert vp.move_gain(state, sig, 0, 1) == pytest.approx(float(x @ x), abs=1e-15)
+        state = vp.VPState(np.stack([x, x]), np.ones(2))
+        assert move_gain(state, 0, 1) == pytest.approx(float(x @ x), abs=1e-15)
         assert float(x @ x) > 0
 
     def test_same_group_rejected(self):
-        state = vp.VPState.singletons(np.array([[1.0], [2.0]]))
-        with pytest.raises(vp.SameGroup):
-            vp.move_gain(state, np.ones(1), 0, 0)
+        state = vp.VPState(np.array([[1.0], [2.0]]), np.ones(1))
+        with pytest.raises(SameGroup):
+            move_gain(state, 0, 0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_twice_gain_equals_objective_difference(self, seed):
@@ -58,7 +59,7 @@ class TestMoveGain:
         rng = np.random.default_rng(seed)
         vectors = rng.normal(size=(6, 3))
         signature = rng.choice([1.0, -1.0], size=3)
-        state = vp.VPState.singletons(vectors)
+        state = vp.VPState(vectors, signature)
         # scramble into a random partition first
         for i in range(6):
             target = int(rng.integers(0, state.num_groups))
@@ -70,13 +71,13 @@ class TestMoveGain:
             if beta == state.assignment[i]:
                 continue
             before = raw_objective(vectors, signature, state.assignment)
-            gain = vp.move_gain(state, signature, i, beta)
+            gain = move_gain(state, i, beta)
             state.apply_move(i, beta)
             after = raw_objective(vectors, signature, state.assignment)
             assert 2.0 * gain == pytest.approx(after - before, abs=1e-9)
 
     def test_state_revalidate_catches_drift(self):
-        state = vp.VPState.singletons(np.array([[1.0], [2.0]]))
+        state = vp.VPState(np.array([[1.0], [2.0]]), np.ones(1))
         state.group_sums[0] += 1.0
         with pytest.raises(RuntimeError):
             state.revalidate()
@@ -91,7 +92,7 @@ class TestMoveGain:
         rng = np.random.default_rng(seed)
         vectors = rng.normal(size=(7, 3))
         signature = rng.choice([1.0, -1.0], size=3)
-        state = vp.VPState.singletons(vectors)
+        state = vp.VPState(vectors, signature)
         for i in range(7):
             target = int(rng.integers(0, state.num_groups))
             if target != state.assignment[i]:
@@ -100,21 +101,25 @@ class TestMoveGain:
             alpha = int(state.assignment[i])
             can_detach = allow_detach and state.group_sizes[alpha] > 1
             targets = [b for b in range(state.num_groups) if b != alpha]
-            gains = [vp.move_gain(state, signature, i, b) for b in targets]
+            gains = [move_gain(state, i, b) for b in targets]
             best = max(gains) if gains else -np.inf
             beta = targets[gains.index(best)] if gains else -1
-            fresh = vp.move_gain(state, signature, i, state.num_groups)
+            fresh = move_gain(state, i, state.num_groups)
             if can_detach and fresh > best:
                 beta, best = state.num_groups, fresh
             expected = beta if best > 1e-12 else -1
             sx = signature * vectors[i]
             scores = state.group_sums @ sx
+            vector_scores, vector_self_score = state.scores(i)
+            assert np.array_equal(vector_scores, scores) and vector_self_score == float(sx @ vectors[i])
             assert vp.vp._choose_move(scores, alpha, float(sx @ vectors[i]), can_detach, 1e-12) == expected
             # the Gram state scores the same groups from the signed Gram
             gram_state = vp.vp.GramState((vectors * signature) @ vectors.T)
             gram_state.assignment = state.assignment.copy()
             gram_state.group_sizes = state.group_sizes.copy()
-            assert gram_state.scores(i) == pytest.approx(scores, abs=1e-12)
+            gram_scores, gram_self_score = gram_state.scores(i)
+            assert gram_scores == pytest.approx(scores, abs=1e-12)
+            assert gram_self_score == pytest.approx(float(sx @ vectors[i]), abs=1e-12)
 
 
 class TestPartitionVectors:
@@ -158,9 +163,9 @@ class TestPartitionVectors:
     def test_deterministic(self):
         g = random_connected_graph(3, n_range=(6, 10), weighted=True)
         emb = vp.build_embedding(vp.decompose_transition(g), "exponential", t=1.0, dim=g.n - 1)
-        for cfg in (vp.VPConfig(), vp.VPConfig(sweep_order="shuffled", seed=5)):
-            p1, v1, _ = vp.partition_vectors(emb, cfg)
-            p2, v2, _ = vp.partition_vectors(emb, cfg)
+        for seed in (None, 5):
+            p1, v1, _ = vp.partition_vectors(emb, seed)
+            p2, v2, _ = vp.partition_vectors(emb, seed)
             assert np.array_equal(p1.assignment, p2.assignment)
             assert v1 == v2
 
@@ -177,24 +182,25 @@ class TestPartitionVectors:
             _, value, _ = vp.partition_vectors(permuted)
             assert value == pytest.approx(base_value, abs=1e-9)
 
-    def test_level_cap_exceeded(self):
+    def test_level_cap_exceeded(self, monkeypatch):
         g = pairgraph4()
         emb = vp.build_embedding(vp.decompose_transition(g), "exponential", t=5.0, dim=3)
+        monkeypatch.setattr(vp.vp, "MAX_LEVELS", 1)
         with pytest.raises(vp.LevelCapExceeded):
-            vp.partition_vectors(emb, vp.VPConfig(max_levels=1))
+            vp.partition_vectors(emb)
 
     def test_objective_decrease_raises_named_error(self, monkeypatch):
         values = iter([2.0, 1.0])
-        monkeypatch.setattr(vp.vp, "_raw_objective", lambda sums, signature: next(values))
+        monkeypatch.setattr(vp.vp.GramState, "objective", lambda state: next(values))
         with pytest.raises(vp.ObjectiveDecreased, match="from 2.0 to 1.0"):
             vp.partition_vectors(make_embedding([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.2]]))
 
     def test_objective_decrease_raises_named_error_on_a_vector_level(self, monkeypatch):
         # Four vectors of dimension 1 take the vector path (p > dim + 1); the
         # three of the test above take the Gram path. Both report a fall
-        # through the same objective seam.
+        # through the same level loop.
         values = iter([2.0, 1.0])
-        monkeypatch.setattr(vp.vp, "_raw_objective", lambda sums, signature: next(values))
+        monkeypatch.setattr(vp.vp.VPState, "objective", lambda state: next(values))
         emb = make_embedding([[1.0], [0.9], [-1.0], [0.5]])
         with pytest.raises(vp.ObjectiveDecreased, match="from 2.0 to 1.0"):
             vp.partition_vectors(emb)
@@ -217,20 +223,6 @@ class TestPartitionVectors:
         assert np.array_equal(p.assignment, p_ref.assignment)
         assert q == pytest.approx(q_ref, abs=1e-9)
         assert q == pytest.approx(vp.modularity_score(scaled, p), abs=1e-9)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            vp.VPConfig(sweep_order="spiral")
-        with pytest.raises(ValueError):
-            vp.VPConfig(gain_tolerance=0.0)
-        with pytest.raises(ValueError):
-            vp.VPConfig(max_levels=0)
-
-    def test_detach_can_be_disabled(self):
-        g = pairgraph4()
-        emb = vp.build_embedding(vp.decompose_transition(g), "exponential", t=5.0, dim=3)
-        partition, _, _ = vp.partition_vectors(emb, vp.VPConfig(allow_detach=False))
-        assert partition.canonical_key() == (0, 0, 1, 1)
 
 
 class TestGramPath:
@@ -263,7 +255,8 @@ class TestGramPath:
         state = vp.vp.GramState((vectors * signature) @ vectors.T)
         for i, beta in ((0, 2), (3, 2), (5, 6), (4, 1)):
             state.apply_move(i, beta)
-        labels, gram = state.compact()
+        labels, next_state = state.compact()
+        gram = next_state.gram
         assert labels.tolist() == [0, 1, 0, 0, 1, 2]
         sums = np.zeros((3, 4))
         np.add.at(sums, labels, vectors)
@@ -278,17 +271,19 @@ class TestGramPath:
         signature = emb.signature.astype(float)
         order = np.arange(g.n)
         vector_diag, gram_diag = vp.VPDiagnostics(), vp.VPDiagnostics()
-        labels_v, sums = vp.vp._vector_level(emb.vectors, signature, order, True, 1e-12, vector_diag, 1e-9)
+        labels_v, _ = vp.vp._run_level(vp.VPState(emb.vectors, signature), order, 1e-12, vector_diag, 1e-9)
+        sums = group_sums(emb.vectors, labels_v)
         gram = (emb.vectors * signature) @ emb.vectors.T
-        labels_g, group_gram = vp.vp._gram_level(gram, order, True, 1e-12, gram_diag, 1e-9)
+        labels_g, next_state = vp.vp._run_level(vp.vp.GramState(gram), order, 1e-12, gram_diag, 1e-9)
+        group_gram = next_state.gram
         assert np.array_equal(labels_v, labels_g)
         assert vector_diag.moves_per_level == gram_diag.moves_per_level
         assert gram_diag.objective_trajectory == pytest.approx(vector_diag.objective_trajectory, abs=1e-12)
         assert group_gram == pytest.approx((sums * signature) @ sums.T, abs=1e-12)
-        for cfg in (vp.VPConfig(), vp.VPConfig(sweep_order="shuffled", seed=3)):
-            p_gram, v_gram, diag = vp.partition_vectors(emb, cfg)
+        for seed in (None, 3):
+            p_gram, v_gram, diag = vp.partition_vectors(emb, seed)
             assert set(diag.paths_per_level) == {"gram"}
-            p_vec, v_vec = vector_path_partition(emb, cfg)
+            p_vec, v_vec = vector_path_partition(emb, seed)
             assert np.array_equal(p_gram.assignment, p_vec.assignment)
             assert v_gram == v_vec
 
@@ -352,7 +347,7 @@ class TestHeuristicAgainstOracle:
         basis = vp.decompose_transition(g)
         t = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
         emb = vp.build_embedding(basis, "exponential", t=t, dim=g.n - 1)
-        _, best_value, _ = vp.best_of_restarts(emb, vp.VPConfig(), 5)
+        _, best_value, _ = vp.best_of_restarts(emb, 5)
         _, opt_value = vp.exhaustive_partition(emb)
         assert best_value <= opt_value + 1e-9
 
@@ -368,7 +363,7 @@ class TestHeuristicAgainstOracle:
                 t=float(rng.choice([0.5, 1.0, 2.0, 5.0])),
                 dim=g.n - 1,
             )
-            _, best_value, _ = vp.best_of_restarts(emb, vp.VPConfig(), 5)
+            _, best_value, _ = vp.best_of_restarts(emb, 5)
             _, opt_value = vp.exhaustive_partition(emb)
             total += 1
             if abs(best_value - opt_value) <= 1e-9:
@@ -386,10 +381,10 @@ class TestHeuristicAgainstOracle:
         signature = np.where(np.arange(dim) < (dim + 1) // 2, 1, -1)
         emb = make_embedding(rng.normal(size=(p, dim)), signature=signature)
         _, opt_value = vp.exhaustive_partition(emb)
-        _, best_value, diag = vp.best_of_restarts(emb, vp.VPConfig(), 5)
+        _, best_value, diag = vp.best_of_restarts(emb, 5)
         assert set(diag.paths_per_level) == {"gram"}
         assert best_value <= opt_value + 1e-9
-        _, vector_value = vector_path_best_of_restarts(emb, vp.VPConfig(), 5)
+        _, vector_value = vector_path_best_of_restarts(emb, 5)
         assert best_value == pytest.approx(vector_value, abs=1e-9)
 
     def test_fiedler_limit_on_pairgraph4(self):
