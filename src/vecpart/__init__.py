@@ -14,6 +14,7 @@ from .errors import (
     Disconnected,
     EigensolverFailure,
     GenerationFailed,
+    InvalidParameter,
     LevelCapExceeded,
     MalformedLine,
     MissingCommunityLabel,
@@ -85,6 +86,7 @@ __all__ = [
     "EigensolverFailure",
     "Embedding",
     "GenerationFailed",
+    "InvalidParameter",
     "Graph",
     "LevelCapExceeded",
     "MalformedLine",

@@ -61,6 +61,13 @@ class NonFiniteWeight(VecpartError):
     exit_code = 18
 
 
+class InvalidParameter(VecpartError, ValueError):
+    """A library call got a parameter outside its domain: an unknown mode, an
+    empty or reversed time grid, or no restarts."""
+
+    exit_code = 19
+
+
 class ZeroDegree(VecpartError):
     """A node with zero degree makes the random-walk operator undefined."""
 

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeMismatch
+from .errors import InvalidParameter, SizeMismatch
 from .graph import Graph, Partition
 from .metrics import nmi, uncertainty_coefficient, variation_of_information
 from .objective import modularity_score
 from .spectral import build_embedding, decompose_modularity_matrix, decompose_transition, pairs_for_dim
-from .vp import VPDiagnostics, partition_vectors
+from .vp import VPDiagnostics, _shared_gram, partition_vectors
 
 
 @dataclass
@@ -59,9 +59,9 @@ class ComparisonRow:
 
 def geometric_grid(t_min: float, t_max: float, n_points: int) -> np.ndarray:
     if not 0 < t_min <= t_max:
-        raise ValueError(f"need 0 < t_min <= t_max, got {t_min}, {t_max}")
+        raise InvalidParameter(f"need 0 < t_min <= t_max, got {t_min}, {t_max}")
     if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
+        raise InvalidParameter(f"n_points must be >= 1, got {n_points}")
     return np.geomspace(t_min, t_max, n_points)
 
 
@@ -72,12 +72,14 @@ def best_of_restarts(
 
     Restart k (k >= 1) visits the vectors in the order drawn from seed
     ``seed + k``. The highest objective wins; ties keep the earliest run.
+    All runs share one level-0 Gram when level 0 runs in Gram space.
     """
     if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    best = partition_vectors(emb)
+        raise InvalidParameter(f"restarts must be >= 1, got {restarts}")
+    gram = _shared_gram(emb)
+    best = partition_vectors(emb, _gram=gram)
     for k in range(1, restarts):
-        candidate = partition_vectors(emb, seed=seed + k)
+        candidate = partition_vectors(emb, seed=seed + k, _gram=gram)
         if candidate[1] > best[1]:
             best = candidate
     return best
@@ -107,13 +109,14 @@ def time_scan(
     NMI / uncertainty against the ground truth when one is given.
     """
     if mode not in ("exponential", "linearised"):
-        raise ValueError(f"time_scan mode must be exponential or linearised, got {mode!r}")
+        raise InvalidParameter(f"time_scan mode must be exponential or linearised, got {mode!r}")
     if truth is not None:
         _check_truth(g, truth)
+    times = geometric_grid(t_min, t_max, n_points)
     basis = decompose_transition(g, pairs=pairs_for_dim(dim))
     records: list[ScanRecord] = []
     previous: Partition | None = None
-    for t in geometric_grid(t_min, t_max, n_points):
+    for t in times:
         emb = build_embedding(basis, mode, t=float(t), dim=dim)
         partition, objective, _ = best_of_restarts(emb, restarts, seed)
         record = ScanRecord(

@@ -18,7 +18,7 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .errors import DimOutOfRange, EigensolverFailure, ModeBasisMismatch, TooLarge, ZeroDegree
+from .errors import DimOutOfRange, EigensolverFailure, InvalidParameter, ModeBasisMismatch, TooLarge, ZeroDegree
 from .graph import Graph
 
 MODES = ("exponential", "linearised", "modularity")
@@ -344,7 +344,7 @@ def build_embedding(
     components precede all -1 components.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise InvalidParameter(f"mode must be one of {MODES}, got {mode!r}")
     n = basis.n
     components = _component_indices(basis)
     if dim is None:

@@ -7,7 +7,8 @@ terminates) with aggregation of groups into their sum vectors, exactly the
 two-phase structure of the Louvain method with sum vectors as supernodes.
 A level with no more vectors than their dimension plus one runs on the
 signed Gram of its vectors instead, where every score is a sum of Gram
-entries over a group.
+entries over a group. In vector space, every sweep of a level after its
+first visits only the vectors that a vectorised screen finds may move.
 """
 
 from __future__ import annotations
@@ -27,14 +28,21 @@ from .spectral import Embedding
 GAIN_TOLERANCE = 1e-12
 # Safety cap on aggregation levels; each level strictly shrinks the vector count.
 MAX_LEVELS = 64
+# A screened sweep scores the vectors in blocks of this many.
+SCREEN_BLOCK = 256
 
 
 @dataclass
 class VPDiagnostics:
-    """Per-run counters, the path each level ran on, and the objective after every sweep."""
+    """Per-run counters, the path each level ran on, and the objective after every sweep.
+
+    ``visits_per_level`` counts the visits that ran the move rule; a
+    screened sweep skips the others.
+    """
 
     levels: int = 0
     sweeps_per_level: list[int] = field(default_factory=list)
+    visits_per_level: list[int] = field(default_factory=list)
     moves_per_level: list[int] = field(default_factory=list)
     paths_per_level: list[str] = field(default_factory=list)
     objective_trajectory: list[float] = field(default_factory=list)
@@ -42,10 +50,11 @@ class VPDiagnostics:
     def start_level(self, path: str) -> None:
         self.levels += 1
         self.sweeps_per_level.append(0)
+        self.visits_per_level.append(0)
         self.moves_per_level.append(0)
         self.paths_per_level.append(path)
 
-    def record_sweep(self, moved: int, objective: float, slack: float) -> None:
+    def record_sweep(self, moved: int, visits: int, objective: float, slack: float) -> None:
         """Count a sweep of the current level and append its raw objective.
 
         Raises ObjectiveDecreased when the objective fell by more than
@@ -58,6 +67,7 @@ class VPDiagnostics:
                 f"across a sweep at level {self.levels - 1}"
             )
         self.sweeps_per_level[-1] += 1
+        self.visits_per_level[-1] += visits
         self.moves_per_level[-1] += moved
         self.objective_trajectory.append(objective)
 
@@ -105,6 +115,7 @@ class VPState(_LevelState):
     """
 
     path = "vector"
+    screened = True
     __slots__ = ("vectors", "signature", "group_sums")
 
     def __init__(self, vectors: np.ndarray, signature: np.ndarray) -> None:
@@ -118,6 +129,24 @@ class VPState(_LevelState):
         x = self.vectors[i]
         sx = self.signature * x
         return self.group_sums @ sx, float(sx @ x)
+
+    def block_scores(self, rows: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The scores of the vectors ``rows`` against the groups ``live``, the
+        rows' own signed Gram, and per row a bound on the roundoff of any of
+        its scores, also after up to len(rows) moves among these rows.
+
+        A dot product of length dim errs by at most dim eps |x| |y|, each of
+        up to len(rows) later updates of a score or a group sum adds at most
+        eps |x| |y|, and no group sum outgrows the largest one now by more
+        than the norms of the rows that may join it.
+        """
+        X = self.vectors[rows]
+        SX = X * self.signature
+        Y = self.group_sums[live]
+        norms = np.linalg.norm(X, axis=1)
+        reach = np.linalg.norm(Y, axis=1).max() + norms.sum()
+        roundoff = (X.shape[1] + rows.size) * np.finfo(np.float64).eps * norms * reach
+        return SX @ Y.T, SX @ X.T, roundoff
 
     def apply_move(self, i: int, beta: int) -> None:
         x = self.vectors[i]
@@ -156,9 +185,13 @@ class GramState(_LevelState):
     ``gram`` is the p x p signed Gram matrix <x_i, S x_j> of the level's
     input vectors. Every score is a sum of its entries over a group, so the
     state keeps only the assignment and the group sizes; nothing can drift.
+
+    Its later sweeps are not screened: scoring a block of rows here costs
+    O(p) per row, as much as visiting it does.
     """
 
     path = "gram"
+    screened = False
     __slots__ = ("gram",)
 
     def __init__(self, gram: np.ndarray) -> None:
@@ -215,7 +248,7 @@ def _choose_move(
     base = float(scores[alpha]) - self_score  # <x_i, y_alpha - x_i>
     gains = scores - base
     gains[alpha] = -np.inf
-    beta = int(np.argmax(gains))  # ties resolve to the lowest group index
+    beta = int(gains.argmax())  # ties resolve to the lowest group index
     best = float(gains[beta])
     if can_detach and -base > best:
         beta = scores.size
@@ -223,21 +256,83 @@ def _choose_move(
     return beta if best > tol else -1
 
 
-def _sweep(state: VPState | GramState, order: np.ndarray, tol: float) -> int:
-    """One pass over all vectors; returns the number of accepted moves.
+def _visit(state: VPState | GramState, i: int, tol: float) -> int:
+    """Visit vector i: make the move rule's move, if any; returns its target
+    group, or -1 when the vector stays. It may detach into a fresh group
+    unless it is alone."""
+    alpha = int(state.assignment[i])
+    scores, self_score = state.scores(i)
+    beta = _choose_move(scores, alpha, self_score, state.group_sizes[alpha] > 1, tol)
+    if beta >= 0:
+        state.apply_move(i, beta)
+    return beta
 
-    A move is accepted when its gain exceeds ``tol``, in raw objective
-    units. A vector may detach into a fresh group unless it is alone.
+
+def _sweep(state: VPState | GramState, order: np.ndarray, tol: float) -> tuple[int, int]:
+    """One pass over all vectors; returns the number of accepted moves and of visits.
+
+    A move is accepted when its gain exceeds ``tol``, in raw objective units.
     """
-    moved = 0
-    for i in order:
-        alpha = int(state.assignment[i])
-        scores, self_score = state.scores(i)
-        beta = _choose_move(scores, alpha, self_score, state.group_sizes[alpha] > 1, tol)
-        if beta >= 0:
-            state.apply_move(int(i), beta)
+    moved = sum(_visit(state, int(i), tol) >= 0 for i in order)
+    return moved, order.size
+
+
+def _screened_sweep(state: VPState, order: np.ndarray, tol: float) -> tuple[int, int]:
+    """``_sweep`` without the visits that cannot move; returns the number of
+    accepted moves and of visits that ran the move rule.
+
+    Walks ``order`` in blocks of SCREEN_BLOCK vectors. ``state.block_scores``
+    gives the block's scores Z against the non-empty groups in ascending
+    order, its signed Gram P and a roundoff bound per row. One vectorised
+    step estimates from Z the best gain of every row not yet visited,
+    counting the move to a fresh or empty group, and the rows whose estimate
+    exceeds ``tol`` less a margin are visited in order, as ``_sweep`` visits
+    them. After a move of block row h from group a to b, column a of Z loses
+    P[:, h], column b gains it, and the rest of the block is estimated again;
+    a move into a group without a column starts a new block at the next row.
+    The margin exceeds the estimates' roundoff, so every move ``_sweep``
+    would make is visited, and the moves are the same.
+    """
+    moved = visits = 0
+    start = 0
+    while start < order.size:
+        rows = order[start : start + SCREEN_BLOCK]
+        start += rows.size
+        live = np.flatnonzero(state.group_sizes)
+        Z, P, roundoff = state.block_scores(rows, live)
+        self_scores = P.diagonal()
+        # The margin below tol: half of tol, plus the roundoff of the three
+        # scores in a gain, both here and in the move rule's fresh scores.
+        threshold = tol / 2 - 8.0 * roundoff
+        column = np.full(state.num_groups, -1)
+        column[live] = np.arange(live.size)
+        groups = state.assignment[rows]  # a row keeps its group until its visit
+        own = (np.arange(rows.size), column[groups])
+        others = np.zeros_like(Z)
+        others[own] = -np.inf
+        k = 0
+        while k < rows.size:
+            base = Z[own][k:] - self_scores[k:]
+            # A move to the fresh group, or to an empty one, gains -base. For a
+            # vector alone in its group that is 0 up to roundoff.
+            free = state.group_sizes[groups[k:]] > 1
+            best = np.maximum((Z[k:] + others[k:]).max(axis=1), np.where(free, 0.0, -np.inf))
+            for h in k + np.flatnonzero(best - base > threshold[k:]):
+                alpha = int(groups[h])
+                beta = _visit(state, int(rows[h]), tol)
+                visits += 1
+                if beta >= 0:
+                    break
+            else:
+                break
             moved += 1
-    return moved
+            k = h + 1
+            if beta >= column.size or column[beta] < 0:
+                start -= rows.size - k
+                break
+            Z[:, column[alpha]] -= P[:, h]
+            Z[:, column[beta]] += P[:, h]
+    return moved, visits
 
 
 def _run_level(
@@ -245,20 +340,34 @@ def _run_level(
 ) -> tuple[np.ndarray, VPState | GramState]:
     """Sweep one level to a fixed point; returns ``state.compact()``.
 
-    Every sweep is followed by the state's consistency check and by the
-    objective check of ``diag.record_sweep``.
+    The first sweep visits every vector; the later ones are screened when
+    ``state.screened``. Every sweep is followed by the state's consistency
+    check and by the objective check of ``diag.record_sweep``.
     """
     diag.start_level(state.path)
+    later_sweep = _screened_sweep if state.screened else _sweep
+    moved, visits = _sweep(state, order, tol)
     while True:
-        moved = _sweep(state, order, tol)
         state.revalidate()
-        diag.record_sweep(moved, state.objective(), slack)
+        diag.record_sweep(moved, visits, state.objective(), slack)
         if moved == 0:
             return state.compact()
+        moved, visits = later_sweep(state, order, tol)
+
+
+def _shared_gram(emb: Embedding) -> np.ndarray | None:
+    """The signed Gram that level 0 of ``partition_vectors(emb)`` runs on,
+    read-only, or None when level 0 runs in vector space. Runs on one
+    embedding can share it through ``partition_vectors(emb, _gram=...)``."""
+    state = _level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
+    if not isinstance(state, GramState):
+        return None
+    state.gram.setflags(write=False)
+    return state.gram
 
 
 def partition_vectors(
-    emb: Embedding, seed: int | None = None
+    emb: Embedding, seed: int | None = None, *, _gram: np.ndarray | None = None
 ) -> tuple[Partition, float, VPDiagnostics]:
     """Optimise the max-sum vector partition of an embedding.
 
@@ -271,11 +380,15 @@ def partition_vectors(
     Vectors are visited in index order when ``seed`` is None, and otherwise
     in one permutation per level drawn from ``default_rng([seed, level])``.
     Each level runs in the state ``_level_state`` picks by shape.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. ``_gram`` is ``_shared_gram(emb)``,
+    formed once for many runs; it does not change the result.
     """
     if emb.n < 1:
         raise ValueError("embedding has no vectors")
-    state = _level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
+    if _gram is None:
+        state = _level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
+    else:
+        state = GramState(_gram)
     node_to_group = np.arange(emb.n, dtype=np.int64)
     diag = VPDiagnostics()
     # The raw objective is the reported one times 2m in modularity mode, and

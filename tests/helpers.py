@@ -159,3 +159,49 @@ def vector_path_best_of_restarts(emb: vp.Embedding, restarts: int, seed: int = 0
         if candidate[1] > best[1]:
             best = candidate
     return best
+
+
+def plain_sweep_partition(
+    emb: vp.Embedding, seed: int | None = None
+) -> tuple[vp.Partition, float, vp.VPDiagnostics]:
+    """``partition_vectors`` with every sweep the plain ``_sweep``.
+
+    The reference for the screened sweeps: it repeats the level loop of
+    ``partition_vectors`` and of ``_run_level``, with the same states, but
+    visits every vector in every sweep.
+    """
+    unit = 2.0 * emb.total_weight if emb.mode == "modularity" else 1.0
+    tol, slack = vp.vp.GAIN_TOLERANCE * unit, 1e-9 * unit
+    state = vp.vp._level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
+    node_to_group = np.arange(emb.n)
+    diag = vp.VPDiagnostics()
+    for level in range(vp.vp.MAX_LEVELS):
+        p = state.num_groups
+        order = np.arange(p, dtype=np.int64)
+        if seed is not None:
+            np.random.default_rng([seed, level]).shuffle(order)
+        diag.start_level(state.path)
+        while True:
+            moved, visits = vp.vp._sweep(state, order, tol)
+            state.revalidate()
+            diag.record_sweep(moved, visits, state.objective(), slack)
+            if moved == 0:
+                break
+        labels, state = state.compact()
+        node_to_group = labels[node_to_group]
+        if state.num_groups == p:
+            partition = vp.Partition.from_labels(node_to_group)
+            return partition, vp.stability(emb, partition), diag
+    raise vp.LevelCapExceeded(f"still aggregating after {vp.vp.MAX_LEVELS} levels")
+
+
+def plain_sweep_best_of_restarts(
+    emb: vp.Embedding, restarts: int, seed: int = 0
+) -> tuple[vp.Partition, float, vp.VPDiagnostics]:
+    """``best_of_restarts`` over ``plain_sweep_partition``."""
+    best = plain_sweep_partition(emb)
+    for k in range(1, restarts):
+        candidate = plain_sweep_partition(emb, seed=seed + k)
+        if candidate[1] > best[1]:
+            best = candidate
+    return best

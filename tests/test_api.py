@@ -27,3 +27,8 @@ def test_every_error_has_its_own_exit_code():
         codes[cls.exit_code] = cls.__name__
     # 2 and 3 are the CLI's usage and IO codes; 26 is retired.
     assert not {2, 3, 26} & set(codes)
+
+
+def test_invalid_parameter_is_also_a_value_error():
+    assert issubclass(vp.InvalidParameter, ValueError)
+    assert vp.InvalidParameter.exit_code == 19

@@ -24,6 +24,14 @@ class TestGeometricGrid:
         with pytest.raises(ValueError):
             vp.geometric_grid(1.0, 2.0, 0)
 
+    def test_reversed_grid_is_an_invalid_parameter(self):
+        with pytest.raises(vp.InvalidParameter, match="t_min <= t_max"):
+            vp.geometric_grid(2.0, 1.0, 5)
+
+    def test_empty_grid_is_an_invalid_parameter(self):
+        with pytest.raises(vp.InvalidParameter, match="n_points"):
+            vp.geometric_grid(1.0, 2.0, 0)
+
 
 class TestTimeScan:
     def test_pairgraph4_matches_exhaustive_everywhere(self):
@@ -114,6 +122,48 @@ class TestTimeScan:
     def test_modularity_mode_rejected(self):
         with pytest.raises(ValueError):
             vp.time_scan(pairgraph4(), 0.1, 1.0, 2, mode="modularity", dim=3)
+
+    def test_unknown_mode_is_an_invalid_parameter(self):
+        with pytest.raises(vp.InvalidParameter, match="exponential or linearised"):
+            vp.time_scan(pairgraph4(), 0.1, 1.0, 2, mode="markov", dim=3)
+
+    @pytest.mark.parametrize("t_min, t_max, n_points", [(1.0, 0.1, 2), (0.1, 1.0, 0)])
+    def test_bad_grid_is_an_invalid_parameter_raised_before_decomposing(self, monkeypatch, t_min, t_max, n_points):
+        def fail(*args, **kwargs):
+            raise AssertionError("decomposed before checking the grid")
+
+        monkeypatch.setattr(vp.harness, "decompose_transition", fail)
+        with pytest.raises(vp.InvalidParameter):
+            vp.time_scan(pairgraph4(), t_min, t_max, n_points, dim=3)
+
+
+class TestBestOfRestarts:
+    def test_no_restarts_is_an_invalid_parameter(self):
+        emb = vp.build_embedding(vp.decompose_transition(pairgraph4()), "exponential", t=1.0, dim=3)
+        with pytest.raises(vp.InvalidParameter, match="restarts"):
+            vp.best_of_restarts(emb, 0)
+
+    def test_restarts_share_one_level0_gram(self, monkeypatch):
+        g, _ = vp.planted_partition(4, 25, 0.3, 0.02, seed=0)
+        emb = vp.build_embedding(vp.decompose_transition(g), "exponential", t=2.0)
+        level0 = []
+        init = vp.vp.GramState.__init__
+
+        def record(self, gram):
+            if gram.shape == (g.n, g.n):
+                level0.append(gram)
+            init(self, gram)
+
+        monkeypatch.setattr(vp.vp.GramState, "__init__", record)
+        best = vp.best_of_restarts(emb, 3)
+        assert len(level0) >= 3 and all(gram is level0[0] for gram in level0)  # one array for every run
+        assert not level0[0].flags.writeable
+        monkeypatch.setattr(vp.vp.GramState, "__init__", init)
+        runs = [vp.partition_vectors(emb, seed) for seed in (None, 1, 2)]
+        expected = max(runs, key=lambda run: run[1])  # max keeps the first of equal objectives
+        assert np.array_equal(best[0].assignment, expected[0].assignment)
+        assert best[1] == expected[1]
+        assert best[2].objective_trajectory == expected[2].objective_trajectory
 
 
 class TestDimSweep:

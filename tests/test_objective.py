@@ -129,6 +129,17 @@ class TestModularityScore:
         assert vp.modularity_score(g, p) == pytest.approx(q_oracle, abs=1e-12)
         assert q_oracle == pytest.approx(5.0 / 14.0, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_networkx_on_random_weighted_graphs(self, seed):
+        nx = pytest.importorskip("networkx")
+        g = random_connected_graph(seed, n_range=(5, 12), weighted=True)
+        partition = random_partition(np.random.default_rng(seed), g.n)
+        G = nx.Graph()
+        G.add_weighted_edges_from((int(i), int(j), float(w)) for (i, j), w in zip(g.edge_index, g.edge_weight))
+        communities = [set(members.tolist()) for members in partition.groups()]
+        expected = nx.community.modularity(G, communities, weight="weight")
+        assert vp.modularity_score(g, partition) == pytest.approx(expected, abs=1e-12)
+
 
 class TestLinearisedStability:
     def test_t1_equals_modularity_exactly(self):

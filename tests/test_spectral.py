@@ -292,6 +292,11 @@ class TestBuildEmbedding:
         with pytest.raises(vp.ModeBasisMismatch):
             vp.build_embedding(mb, "exponential", t=1.0, dim=2)
 
+    def test_unknown_mode_is_an_invalid_parameter(self):
+        basis = vp.decompose_transition(pairgraph4())
+        with pytest.raises(vp.InvalidParameter, match="mode must be one of"):
+            vp.build_embedding(basis, "markov", t=1.0, dim=2)
+
     def test_time_validation(self):
         basis = vp.decompose_transition(pairgraph4())
         with pytest.raises(ValueError):
