@@ -8,7 +8,9 @@ For each of the first ``--graphs`` graphs of the ``lowdim_partition`` and
 ``scan`` workloads of perfbench (graph seeds 0, 1, ...), the script
 decomposes the graph twice, once with all n eigenpairs (dense ``eigh``) and
 once with only the pairs the embedding reads (ARPACK ``eigsh``), then runs
-the same optimiser on both embeddings with the jobs' settings. It prints
+the same optimiser on both embeddings with the jobs' settings. Both solvers
+work on the same symmetric operator of each source (``spectral._operator``),
+so a difference comes from the solver alone. It prints
 one line per graph and job, and exits 1 if any partition or objective
 differs.
 """

@@ -227,11 +227,14 @@ def _basis_for_mode(g: Graph, mode: str, pairs: int | None):
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.time):
+        print(f"error: usage: --time must be finite, got {args.time}", file=sys.stderr)
+        return 2
     if args.mode == "exponential" and not args.time >= 0:
         print(f"error: usage: exponential mode needs --time >= 0, got {args.time}", file=sys.stderr)
         return 2
-    if args.mode == "linearised" and not 0 < args.time < math.inf:
-        print(f"error: usage: linearised mode needs a finite --time > 0, got {args.time}", file=sys.stderr)
+    if args.mode == "linearised" and not args.time > 0:
+        print(f"error: usage: linearised mode needs --time > 0, got {args.time}", file=sys.stderr)
         return 2
     started = time.perf_counter()
     g = _load_graph(args.graph)
@@ -265,8 +268,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if not 0 < args.tmin <= args.tmax:
-        print(f"error: usage: need 0 < tmin <= tmax, got {args.tmin}, {args.tmax}", file=sys.stderr)
+    if not 0 < args.tmin <= args.tmax < math.inf:
+        print(f"error: usage: need finite 0 < tmin <= tmax, got {args.tmin}, {args.tmax}", file=sys.stderr)
         return 2
     started = time.perf_counter()
     g = _load_graph(args.graph)

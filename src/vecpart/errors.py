@@ -63,13 +63,17 @@ class NonFiniteWeight(VecpartError):
 
 class InvalidParameter(VecpartError, ValueError):
     """A library call got a parameter outside its domain: an unknown mode, an
-    empty or reversed time grid, or no restarts."""
+    empty, reversed or infinite time grid, no restarts, a missing, negative
+    or non-finite Markov time, fewer than 2 eigenpairs, labels that do not
+    form a partition, an unknown edge-list indexing, out-of-range
+    planted-partition parameters, or an embedding with no vectors."""
 
     exit_code = 19
 
 
 class ZeroDegree(VecpartError):
-    """A node with zero degree makes the random-walk operator undefined."""
+    """A node with zero degree makes the random-walk operator undefined, and
+    a graph without edges the modularity matrix."""
 
     exit_code = 20
 

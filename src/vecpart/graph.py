@@ -17,6 +17,7 @@ from .errors import (
     ConflictingDuplicateEdge,
     Disconnected,
     GenerationFailed,
+    InvalidParameter,
     MalformedLine,
     MissingCommunityLabel,
     NonFiniteWeight,
@@ -108,12 +109,12 @@ class Partition:
         object.__setattr__(self, "assignment", a)
         n = a.size
         if n < 1:
-            raise ValueError("partition over an empty node set")
+            raise InvalidParameter("partition over an empty node set")
         c = self.num_groups
         if not 1 <= c <= n:
-            raise ValueError(f"num_groups must be in [1, {n}], got {c}")
+            raise InvalidParameter(f"num_groups must be in [1, {n}], got {c}")
         if not np.array_equal(np.unique(a), np.arange(c)):
-            raise ValueError("labels must cover exactly 0..num_groups-1")
+            raise InvalidParameter("labels must cover exactly 0..num_groups-1")
         a.setflags(write=False)
 
     @classmethod
@@ -194,7 +195,7 @@ def load_edge_list(stream: IO[str] | str, indexing: str = "zero-based") -> Graph
     ``indexing``; they are stored zero-based.
     """
     if indexing not in INDEXING:
-        raise ValueError(f"indexing must be one of {INDEXING}, got {indexing!r}")
+        raise InvalidParameter(f"indexing must be one of {INDEXING}, got {indexing!r}")
     offset = 0 if indexing == "zero-based" else 1
     edges: dict[tuple[int, int], float] = {}
     max_node = -1
@@ -317,11 +318,11 @@ def planted_partition(
     type. The first connected sample out of 100 attempts is returned.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InvalidParameter(f"k must be >= 1, got {k}")
     if size < 2:
-        raise ValueError(f"size must be >= 2, got {size}")
+        raise InvalidParameter(f"size must be >= 2, got {size}")
     if not (0.0 <= p_out <= p_in <= 1.0):
-        raise ValueError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
+        raise InvalidParameter(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
     n = k * size
     group = np.arange(n) // size
     iu, ju = np.triu_indices(n, k=1)

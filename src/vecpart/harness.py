@@ -7,6 +7,7 @@ embedding sources. All results are deterministic for fixed seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class ComparisonRow:
 
 
 def geometric_grid(t_min: float, t_max: float, n_points: int) -> np.ndarray:
-    if not 0 < t_min <= t_max:
-        raise InvalidParameter(f"need 0 < t_min <= t_max, got {t_min}, {t_max}")
+    if not 0 < t_min <= t_max < math.inf:
+        raise InvalidParameter(f"need finite 0 < t_min <= t_max, got {t_min}, {t_max}")
     if n_points < 1:
         raise InvalidParameter(f"n_points must be >= 1, got {n_points}")
     return np.geomspace(t_min, t_max, n_points)

@@ -9,10 +9,12 @@ is tested against.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
-from .errors import NonEuclideanEmbedding, SizeMismatch
+from .errors import InvalidParameter, NonEuclideanEmbedding, SizeMismatch
 from .graph import Graph, Partition
 from .spectral import Embedding
 
@@ -51,8 +53,8 @@ def autocovariance_direct(g: Graph, t: float) -> np.ndarray:
     Computed with a dense matrix exponential, independent of any spectral
     decomposition; rows sum to zero because exp(-t (I - M)) is row-stochastic.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise InvalidParameter(f"t must be finite and >= 0, got {t}")
     d = np.asarray(g.degrees, dtype=np.float64)
     pi = d / (2.0 * g.total_weight)
     M = g.dense_adjacency() / d[:, None]
@@ -87,8 +89,8 @@ def linearised_stability(g: Graph, p: Partition, t: float) -> float:
     (1 - t) P_s + t W_s / 2m - P_s^2 per group, where P_s is the group's
     stationary mass and W_s its internal weight. At t = 1 this is modularity.
     """
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise InvalidParameter(f"t must be finite and > 0, got {t}")
     _check_nodes(g.n, p)
     two_m = 2.0 * g.total_weight
     W = _within_group_weight(g, p)

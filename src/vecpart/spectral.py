@@ -11,6 +11,7 @@ vector partitioning.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,7 @@ def _use_truncated(n: int, pairs: int | None) -> bool:
     if pairs is None:
         return False
     if pairs < 2:
-        raise ValueError(f"pairs counts the stationary or ones mode and must be >= 2, got {pairs}")
+        raise InvalidParameter(f"pairs counts the stationary or ones mode and must be >= 2, got {pairs}")
     return n >= TRUNCATED_MIN_N and pairs * TRUNCATED_MAX_FRACTION <= n
 
 
@@ -149,17 +150,65 @@ def _product(g: Graph, source: str):
     return lambda X: A @ X - np.multiply.outer(d, d @ X) / two_m
 
 
-def _leading_eigh(op, k: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The k algebraically largest eigenpairs of a symmetric operator, via ARPACK.
+def _operator(g: Graph, source: str):
+    """The symmetric matrix both eigensolvers solve for ``source``.
 
-    The fixed start vector, the fixed restart seed and tol=0 (machine
-    precision) make the result deterministic for a given operator.
+    For the transition source, the sparse S = D^-1/2 A D^-1/2. For the
+    modularity source, P B_Q P - s J, with P the projector off the unit ones
+    vector e and J = e e^T. It agrees with B_Q off e and sends e to -s e.
+    With s twice a bound on the spectral norm of B_Q (max degree plus
+    d^T d / 2m), -s lies below every eigenvalue of B_Q, so the ones
+    direction is the lowest pair and never among the leading ones.
     """
-    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
+    if source == "transition":
+        return _similar_transition(g)
+    n = g.n
+    d = np.asarray(g.degrees, dtype=np.float64)
+    e = np.full(n, 1.0 / np.sqrt(n))
+    shift = 2.0 * (float(d.max()) + float(d @ d) / (2.0 * g.total_weight))
+    product = _product(g, "modularity")
+
+    def apply(X: np.ndarray) -> np.ndarray:
+        # X is one vector (n,) or a block (n, k).
+        c = e @ X
+        Y = product(X - np.multiply.outer(e, c))
+        return Y - np.multiply.outer(e, e @ Y) - np.multiply.outer(e, shift * c)
+
+    return LinearOperator((n, n), matvec=apply, matmat=apply, dtype=np.float64)
+
+
+def _eigenpairs(g: Graph, source: str, k: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of ``_operator(g, source)`` in ascending order.
+
+    With ``k`` given, the k algebraically largest, by ARPACK: the fixed start
+    vector, the fixed restart seed and tol=0 (machine precision) make the
+    result deterministic for a given operator. Otherwise every pair, by the
+    dense solver on the densified operator, less the modularity operator's
+    lowest pair: its shifted ones direction.
+    """
+    op = _operator(g, source)
+    if k is not None:
+        v0 = np.random.default_rng(0).standard_normal(g.n)
+        try:
+            return eigsh(op, k=k, which="LA", v0=v0, tol=0, **_EIGSH_RESTART_SEED)
+        except ArpackError as exc:
+            raise EigensolverFailure(f"{source} truncated eigendecomposition failed: {exc}") from exc
     try:
-        return eigsh(op, k=k, which="LA", v0=v0, tol=0, **_EIGSH_RESTART_SEED)
-    except ArpackError as exc:
-        raise EigensolverFailure(f"{what} truncated eigendecomposition failed: {exc}") from exc
+        w, U = scipy.linalg.eigh(op.toarray() if source == "transition" else op @ np.eye(g.n))
+    except scipy.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"{source} eigendecomposition failed: {exc}") from exc
+    return (w, U) if source == "transition" else (w[1:], U[:, 1:])
+
+
+def _basis(g: Graph, source: str, w: np.ndarray, V: np.ndarray) -> SpectralBasis:
+    """Sort the pairs (w, V) descending, fix the column signs and freeze them."""
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    V = _fix_signs(V[:, order])
+    pi = np.asarray(g.degrees, dtype=np.float64) / (2.0 * g.total_weight)
+    for arr in (w, V, pi):
+        arr.setflags(write=False)
+    return SpectralBasis(source=source, eigenvalues=w, eigenvectors=V, pi=pi, total_weight=g.total_weight)
 
 
 def decompose_transition(g: Graph, pairs: int | None = None) -> SpectralBasis:
@@ -169,117 +218,42 @@ def decompose_transition(g: Graph, pairs: int | None = None) -> SpectralBasis:
     S = D^-1/2 A D^-1/2, whose eigenpairs (lam, u) map to eigenpairs
     (lam, sqrt(2m) D^-1/2 u) of M normalised against diag(pi). With
     ``pairs`` given and small against n, only the leading ``pairs``
-    eigenpairs are computed, by ARPACK on the sparse S; otherwise all n,
-    by the dense solver.
+    eigenpairs are computed, by ARPACK; otherwise all n, by the dense
+    solver. Both solve the same sparse S.
     """
     d = np.asarray(g.degrees, dtype=np.float64)
     if np.any(d <= 0):
         bad = int(np.argmin(d))
         raise ZeroDegree(f"node {bad} has zero degree")
-    two_m = 2.0 * g.total_weight
+    w, U = _eigenpairs(g, "transition", pairs if _use_truncated(g.n, pairs) else None)
     inv_sqrt_d = 1.0 / np.sqrt(d)
-    if _use_truncated(g.n, pairs):
-        w, U = _leading_eigh(_similar_transition(g), pairs, "transition")
-    else:
-        A = g.dense_adjacency()
-        S = inv_sqrt_d[:, None] * A * inv_sqrt_d[None, :]
-        S = 0.5 * (S + S.T)
-        try:
-            w, U = scipy.linalg.eigh(S)
-        except scipy.linalg.LinAlgError as exc:
-            raise EigensolverFailure(f"transition eigendecomposition failed: {exc}") from exc
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    V = np.sqrt(two_m) * inv_sqrt_d[:, None] * U[:, order]
-    V = _fix_signs(V)
-    pi = d / two_m
-    for arr in (w, V, pi):
-        arr.setflags(write=False)
-    return SpectralBasis(
-        source="transition",
-        eigenvalues=w,
-        eigenvectors=V,
-        pi=pi,
-        total_weight=g.total_weight,
-    )
-
-
-def _leading_modularity_off_ones(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k leading eigenpairs of B_Q on the orthogonal complement of the ones vector.
-
-    The operator is P B_Q P - s J, with P the projector off the unit ones
-    vector e and J = e e^T. It agrees with B_Q off e and sends e to -s e.
-    With s twice a bound on the spectral norm of B_Q (max degree plus
-    d^T d / 2m), -s lies below every eigenvalue of B_Q, so ARPACK's leading
-    pairs never include the ones direction.
-    """
-    n = g.n
-    d = np.asarray(g.degrees, dtype=np.float64)
-    e = np.full(n, 1.0 / np.sqrt(n))
-    shift = 2.0 * (float(d.max()) + float(d @ d) / (2.0 * g.total_weight))
-    product = _product(g, "modularity")
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        x = np.ravel(x)
-        c = float(e @ x)
-        y = product(x - c * e)
-        return y - float(e @ y) * e - shift * c * e
-
-    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    return _leading_eigh(op, k, "modularity")
+    return _basis(g, "transition", w, np.sqrt(2.0 * g.total_weight) * inv_sqrt_d[:, None] * U)
 
 
 def decompose_modularity_matrix(g: Graph, pairs: int | None = None) -> SpectralBasis:
     """Eigendecompose the modularity matrix B_Q = A - d d^T / 2m.
 
-    The all-ones direction is an exact zero mode of B_Q. It is separated by
-    restricting B_Q to the orthogonal complement of the ones vector before
-    calling the eigensolver, then re-inserted with eigenvalue 0, so
-    downstream consumers can exclude it unambiguously. With ``pairs`` given
-    and small against n, only the leading ``pairs`` - 1 eigenpairs off the
-    ones direction are computed, by ARPACK on a sparse-plus-rank-one
-    operator; otherwise all n - 1, by the dense solver. Raises TooLarge when
-    the degree products d d^T overflow, as both solvers need them.
+    The all-ones direction is an exact zero mode of B_Q. Both solvers work
+    on an operator that shifts it below the spectrum (see ``_operator``), so
+    the pairs they return lie off the ones vector, which is then re-inserted
+    exactly with eigenvalue 0, so downstream consumers can exclude it
+    unambiguously. With ``pairs`` given and small against n, only the
+    leading ``pairs`` - 1 eigenpairs off the ones direction are computed, by
+    ARPACK; otherwise all n - 1, by the dense solver. Raises ZeroDegree for
+    a graph without edges, and TooLarge when the degree products d d^T
+    overflow, as both solvers need them.
     """
+    if not g.total_weight > 0:
+        raise ZeroDegree("the graph has no edges: the modularity matrix is undefined")
     n = g.n
     d = np.asarray(g.degrees, dtype=np.float64)
     with np.errstate(over="ignore"):
         dd = float(d @ d)
     if not np.isfinite(dd):
         raise TooLarge(f"the squared degrees sum to {dd}: the weights overflow the modularity matrix")
-    two_m = 2.0 * g.total_weight
-    ones = np.full(n, 1.0 / np.sqrt(n))
-    if _use_truncated(n, pairs):
-        beta, U_rest = _leading_modularity_off_ones(g, pairs - 1)
-    else:
-        B = g.dense_adjacency() - np.outer(d, d) / two_m
-        try:
-            if n > 1:
-                W = scipy.linalg.null_space(np.ones((1, n)))
-                C = W.T @ B @ W
-                C = 0.5 * (C + C.T)
-                beta, Z = scipy.linalg.eigh(C)
-                U_rest = W @ Z
-            else:
-                beta = np.empty(0)
-                U_rest = np.empty((1, 0))
-        except scipy.linalg.LinAlgError as exc:
-            raise EigensolverFailure(f"modularity eigendecomposition failed: {exc}") from exc
-    w_all = np.concatenate([beta, [0.0]])
-    U_all = np.concatenate([U_rest, ones[:, None]], axis=1)
-    order = np.argsort(-w_all, kind="stable")
-    w_all = w_all[order]
-    U_all = _fix_signs(U_all[:, order])
-    pi = d / two_m
-    for arr in (w_all, U_all, pi):
-        arr.setflags(write=False)
-    return SpectralBasis(
-        source="modularity",
-        eigenvalues=w_all,
-        eigenvectors=U_all,
-        pi=pi,
-        total_weight=g.total_weight,
-    )
+    beta, U = _eigenpairs(g, "modularity", pairs - 1 if _use_truncated(n, pairs) else None)
+    ones = np.full((n, 1), 1.0 / np.sqrt(n))
+    return _basis(g, "modularity", np.append(beta, 0.0), np.concatenate([U, ones], axis=1))
 
 
 def scaled_eigenvalues(basis: SpectralBasis, mode: str, t: float) -> np.ndarray:
@@ -293,12 +267,12 @@ def scaled_eigenvalues(basis: SpectralBasis, mode: str, t: float) -> np.ndarray:
         raise ModeBasisMismatch(f"scaled eigenvalues need a transition basis, got {basis.source!r}")
     lam = basis.eigenvalues
     if mode == "exponential":
-        if t < 0:
-            raise ValueError(f"exponential mode needs t >= 0, got {t}")
+        if not 0 <= t < math.inf:
+            raise InvalidParameter(f"exponential mode needs a finite t >= 0, got {t}")
         return np.exp(-t * (1.0 - lam))
     if mode == "linearised":
-        if not t > 0:
-            raise ValueError(f"linearised mode needs t > 0, got {t}")
+        if not 0 < t < math.inf:
+            raise InvalidParameter(f"linearised mode needs a finite t > 0, got {t}")
         return 1.0 - t * (1.0 - lam)
     raise ModeBasisMismatch(f"no eigenvalue scaling for mode {mode!r}")
 
@@ -364,7 +338,7 @@ def build_embedding(
         if basis.source != "transition":
             raise ModeBasisMismatch(f"{mode} mode needs a transition basis")
         if t is None:
-            raise ValueError(f"{mode} mode needs a time value")
+            raise InvalidParameter(f"{mode} mode needs a time value")
         weights = scaled_eigenvalues(basis, mode, t)[keep]
         X = basis.pi[:, None] * basis.eigenvectors[:, keep] * np.sqrt(np.abs(weights))[None, :]
         time_field = float(t)

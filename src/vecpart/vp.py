@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import LevelCapExceeded, ObjectiveDecreased, TooLarge
+from .errors import InvalidParameter, LevelCapExceeded, ObjectiveDecreased, TooLarge
 from .graph import Partition, canonical_labels
 from .objective import stability
 from .spectral import Embedding
@@ -384,7 +384,7 @@ def partition_vectors(
     formed once for many runs; it does not change the result.
     """
     if emb.n < 1:
-        raise ValueError("embedding has no vectors")
+        raise InvalidParameter("embedding has no vectors")
     if _gram is None:
         state = _level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
     else:

@@ -156,7 +156,17 @@ class TestPartition:
         assert diagnostics["paths_per_level"] == ["vector", "gram"]
         assert len(diagnostics["sweeps_per_level"]) == 2
 
-    @pytest.mark.parametrize("mode, t", [("exponential", "-1"), ("linearised", "0"), ("linearised", "inf")])
+    @pytest.mark.parametrize(
+        "mode, t",
+        [
+            ("exponential", "-1"),
+            ("linearised", "0"),
+            ("linearised", "inf"),
+            ("exponential", "inf"),
+            ("modularity", "inf"),
+            ("modularity", "nan"),
+        ],
+    )
     def test_time_outside_the_mode_domain_is_usage_error(self, graph_file, capsys, mode, t):
         assert main(["partition", graph_file, "--mode", mode, "--time", t]) == 2
         assert "usage" in capsys.readouterr().err
@@ -267,6 +277,8 @@ class TestScan:
     def test_bad_grid_is_usage_error(self, graph_file):
         assert main(["scan", graph_file, "--tmin", "0", "--tmax", "1", "--npoints", "3"]) == 2
         assert main(["scan", graph_file, "--tmin", "5", "--tmax", "1", "--npoints", "3"]) == 2
+        for mode in ("exponential", "linearised"):
+            assert main(["scan", graph_file, "--tmin", "0.1", "--tmax", "inf", "--npoints", "3", "--mode", mode]) == 2
 
 
 class TestCompare:

@@ -28,6 +28,10 @@ class TestGeometricGrid:
         with pytest.raises(vp.InvalidParameter, match="t_min <= t_max"):
             vp.geometric_grid(2.0, 1.0, 5)
 
+    def test_infinite_t_max_is_an_invalid_parameter(self):
+        with pytest.raises(vp.InvalidParameter, match="finite"):
+            vp.geometric_grid(0.1, np.inf, 3)
+
     def test_empty_grid_is_an_invalid_parameter(self):
         with pytest.raises(vp.InvalidParameter, match="n_points"):
             vp.geometric_grid(1.0, 2.0, 0)

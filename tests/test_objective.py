@@ -62,6 +62,11 @@ class TestAutocovarianceDirect:
         recon = sum(weights[k] * np.outer(pv[:, k], pv[:, k]) for k in range(1, 4))
         assert np.max(np.abs(recon - vp.autocovariance_direct(g, t))) <= 1e-10
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_is_an_invalid_parameter(self, t):
+        with pytest.raises(vp.InvalidParameter, match="finite"):
+            vp.autocovariance_direct(pairgraph4(), t)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             vp.autocovariance_direct(pairgraph4(), -0.1)
@@ -181,6 +186,11 @@ class TestLinearisedStability:
     def test_invalid_time(self):
         with pytest.raises(ValueError):
             vp.linearised_stability(pairgraph4(), vp.Partition.from_labels([0] * 4), 0.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_is_an_invalid_parameter(self, t):
+        with pytest.raises(vp.InvalidParameter, match="finite"):
+            vp.linearised_stability(pairgraph4(), vp.Partition.from_labels([0] * 4), t)
 
 
 class TestEquivalenceChains:

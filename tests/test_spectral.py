@@ -96,6 +96,12 @@ class TestDecomposeModularityMatrix:
         assert np.max(np.abs(U.T @ U - np.eye(g.n))) <= 1e-8
         assert np.max(np.abs(B @ U - U * basis.eigenvalues[None, :])) <= 1e-8
 
+    def test_graph_without_edges_rejected(self):
+        empty = np.empty((0, 2), dtype=np.int64)
+        lone = vp.Graph(n=1, edge_index=empty, edge_weight=np.empty(0), degrees=np.zeros(1), total_weight=0.0)
+        with pytest.raises(vp.ZeroDegree):
+            vp.decompose_modularity_matrix(lone)
+
     def test_path4_has_negative_eigenvalue(self):
         g = vp.load_edge_list("0 1\n1 2\n2 3\n")
         basis = vp.decompose_modularity_matrix(g)
@@ -111,6 +117,25 @@ class TestDecomposeModularityMatrix:
         with pytest.raises(vp.TooLarge, match="modularity"):
             vp.decompose_modularity_matrix(g, pairs=pairs)
         assert np.all(np.isfinite(vp.decompose_transition(g, pairs=pairs).eigenvalues))
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (3, 5), (10, 15)])
+    def test_dense_path_on_a_repeated_zero_eigenvalue(self, a, b):
+        # B_Q of the complete bipartite graph K_a,b has rank one: n - 1 zero
+        # eigenvalues, the ones direction among them.
+        g = vp.load_edge_list("".join(f"{i} {a + j}\n" for i in range(a) for j in range(b)))
+        n = g.n
+        basis = vp.decompose_modularity_matrix(g)
+        U, lam = basis.eigenvectors, basis.eigenvalues
+        B = g.dense_adjacency() - np.outer(g.degrees, g.degrees) / (2 * g.total_weight)
+        oracle = np.sort(np.linalg.eigvalsh(B))[::-1]
+        assert np.sum(np.abs(oracle) <= 1e-10) == n - 1
+        overlaps = np.abs(U.sum(axis=0))
+        k = int(np.argmax(overlaps))
+        assert overlaps[k] == pytest.approx(np.sqrt(n), abs=1e-12)
+        assert np.max(np.delete(overlaps, k)) / np.sqrt(n) <= 1e-12
+        assert np.max(np.abs(U.T @ U - np.eye(n))) <= 1e-10
+        assert np.max(np.abs(B @ U - U * lam[None, :])) <= 1e-10
+        assert np.max(np.abs(lam - oracle)) <= 1e-10
 
     def test_large_weights_below_the_overflow_still_decompose(self):
         g = vp.load_edge_list("0 1 1e153\n1 2 1e153\n2 3 1e153\n0 3 1e153\n")
@@ -305,6 +330,15 @@ class TestBuildEmbedding:
             vp.build_embedding(basis, "linearised", t=0.0, dim=2)
         with pytest.raises(ValueError):
             vp.build_embedding(basis, "exponential", dim=2)
+
+    @pytest.mark.parametrize("mode", ["exponential", "linearised"])
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_is_an_invalid_parameter(self, mode, t):
+        basis = vp.decompose_transition(pairgraph4())
+        with pytest.raises(vp.InvalidParameter, match="finite"):
+            vp.scaled_eigenvalues(basis, mode, t)
+        with pytest.raises(vp.InvalidParameter, match="finite"):
+            vp.build_embedding(basis, mode, t=t, dim=2)
 
     def test_modularity_embedding_excludes_ones_mode(self):
         g = random_connected_graph(11, n_range=(5, 9))
