@@ -1,5 +1,6 @@
 """Compare partitions from the optimiser's paths on bench graphs: Gram-space
-against vector-space levels, and screened against plain sweeps.
+against vector-space levels, screened against plain sweeps, and the graph's
+own quality matrix against the full-dimension spectral embedding.
 
 Usage, from the root of a checkout:
 
@@ -18,13 +19,30 @@ between two groups, the Gram and vector paths' roundoff can pick different
 ones; in linearised and modularity mode that can change a partition, with
 an objective equal to within a few parts in a million. The screen changes
 no arithmetic of a move, so screened and plain sweeps agree exactly.
+
+On the ``fulldim_stability`` graphs, the script also optimises each graph at
+full dimension in linearised mode at t = 1 and in modularity mode twice:
+from its ``QualityMatrix`` and from the spectral embedding, with the
+workload's two restarts. It counts identical partitions. For every pair
+that differs, it reruns each restart on the two level-0 Grams in lockstep
+up to the first visit where the move rule picks different targets, and
+recomputes the gains of those two targets with ``fractions.Fraction`` from
+the adjacency and the degrees. The pair is explained only when some
+restart diverges and every divergence is an exact tie; otherwise the
+script exits 1. Every BLAS library the script loads runs on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+# One BLAS thread, before numpy loads, so the spectral path's roundoff is fixed.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -41,6 +59,112 @@ JOBS = (
     ("lowdim_partition", (20, 100, 0.1, 0.004), 24, 5, (("exponential", (5.0,)), ("modularity", (None,)))),
     ("scan", (10, 100, 0.1, 0.005), 14, 5, (("exponential", tuple(np.geomspace(0.1, 100, 10))),)),
 )
+# The full-dimension runs that optimise a QualityMatrix, on the fulldim_stability graphs: (mode, t).
+GRAPH_SPACE_RUNS = (("linearised", 1.0), ("modularity", None))
+
+
+def group_nodes(members: list[np.ndarray], assignment: np.ndarray, group: int, skip: int = -1) -> np.ndarray:
+    """The nodes of the level vectors in ``group``, less vector ``skip``;
+    ``members[j]`` holds the nodes of level vector j."""
+    rows = [j for j in np.flatnonzero(assignment == group) if j != skip]
+    return np.concatenate([members[j] for j in rows]) if rows else np.array([], dtype=np.int64)
+
+
+def first_divergence(grams: list[np.ndarray], seed: int | None, tol: float):
+    """Run the level loop of ``partition_vectors`` on two level-0 Grams in
+    lockstep, with the visiting orders of ``seed``. Returns None when the two
+    runs make the same moves throughout, else the first visit where the move
+    rule picks different targets, as (level, the vector's nodes, the nodes of
+    the rest of its group, and the nodes of each run's target, None for a
+    run that stays)."""
+    states = [vp.vp.GramState(gram) for gram in grams]
+    members = [np.array([i]) for i in range(grams[0].shape[0])]
+    for level in range(vp.vp.MAX_LEVELS):
+        p = states[0].num_groups
+        order = np.arange(p, dtype=np.int64)
+        if seed is not None:
+            np.random.default_rng([seed, level]).shuffle(order)
+        moved = True
+        while moved:
+            moved = False
+            for i in order:
+                picks = []
+                for state in states:
+                    alpha = int(state.assignment[i])
+                    scores, self_score = state.scores(i)
+                    can_detach = state.group_sizes[alpha] > 1
+                    picks.append(vp.vp._choose_move(scores, alpha, self_score, can_detach, tol))
+                if picks[0] != picks[1]:
+                    assignment = states[0].assignment
+                    targets = [None if beta < 0 else group_nodes(members, assignment, beta) for beta in picks]
+                    rest = group_nodes(members, assignment, int(assignment[i]), skip=i)
+                    return level, members[i], rest, targets
+                if picks[0] >= 0:
+                    moved = True
+                    for state in states:
+                        state.apply_move(i, picks[0])
+        compacted = [state.compact() for state in states]
+        labels = compacted[0][0]
+        states = [state for _, state in compacted]
+        members = [group_nodes(members, labels, c) for c in range(labels.max() + 1)]
+        if states[0].num_groups == p:
+            return None
+    raise vp.LevelCapExceeded(f"still aggregating after {vp.vp.MAX_LEVELS} levels")
+
+
+def exact_gain(g, mode: str, t: float | None, vector: np.ndarray, rest: np.ndarray, target) -> Fraction | None:
+    """The gain of moving the nodes ``vector`` from the group whose other
+    nodes are ``rest`` to the group ``target``, in exact rational arithmetic
+    from the adjacency and the degrees; None for a run that stays. For
+    disjoint node sets S and T the quality matrix sums to t W(S, T) / 2m -
+    pi(S) pi(T) in linearised mode and to W(S, T) - d(S) d(T) / 2m in
+    modularity mode, with W the adjacency summed over S x T."""
+    if target is None:
+        return None
+    A = g.adjacency()
+    two_m = Fraction(2.0 * g.total_weight)
+
+    def quality(S: np.ndarray, T: np.ndarray) -> Fraction:
+        W = sum((Fraction(float(w)) for w in A[S][:, T].data), Fraction(0))
+        dS, dT = (sum((Fraction(float(d)) for d in g.degrees[nodes]), Fraction(0)) for nodes in (S, T))
+        if mode == "modularity":
+            return W - dS * dT / two_m
+        return Fraction(t) * W / two_m - (dS / two_m) * (dT / two_m)
+
+    return quality(vector, target) - quality(vector, rest)
+
+
+def compare_graph_space(seed: int, restarts: int) -> int:
+    """Compare one fulldim_stability graph's graph-space and spectral runs;
+    returns the number of differing partitions not shown to be exact ties."""
+    g, _ = vp.planted_partition(*JOBS[0][1], seed=seed)
+    unexplained = 0
+    for mode, t in GRAPH_SPACE_RUNS:
+        decompose = vp.decompose_modularity_matrix if mode == "modularity" else vp.decompose_transition
+        q = vp.QualityMatrix(g, mode, t)
+        emb = vp.build_embedding(decompose(g), mode, t=t)
+        p_graph, obj_graph, _ = vp.best_of_restarts(q, restarts)
+        p_spec, obj_spec, _ = vp.best_of_restarts(emb, restarts)
+        if np.array_equal(p_graph.assignment, p_spec.assignment):
+            print(f"fulldim_stability graph {seed} {mode}: graph-space and spectral partitions identical", flush=True)
+            continue
+        unit = 2.0 * g.total_weight if mode == "modularity" else 1.0
+        grams = [vp.vp._shared_gram(q), vp.vp._shared_gram(emb)]
+        ties = []
+        for run_seed in [None, *range(1, restarts)]:
+            found = first_divergence(grams, run_seed, vp.vp.GAIN_TOLERANCE * unit)
+            if found is not None:
+                level, vector, rest, targets = found
+                gains = [exact_gain(g, mode, t, vector, rest, target) for target in targets]
+                ties.append(gains[0] is not None and gains[0] == gains[1])
+                print(f"  run {run_seed or 0}: first divergent visit at level {level}, "
+                      f"exact gains {gains[0]} and {gains[1]}", flush=True)
+        explained = bool(ties) and all(ties)
+        unexplained += not explained
+        print(f"fulldim_stability graph {seed} {mode}: partitions differ, objective graph - spectral "
+              f"{obj_graph - obj_spec:.3g}; {sum(ties)} of {len(ties)} divergent runs are exact ties"
+              f"{'' if explained else ' (UNEXPLAINED)'}", flush=True)
+    return unexplained
 
 
 def main() -> int:
@@ -78,7 +202,12 @@ def main() -> int:
                       f"screened against plain sweeps: {same_plain} of {len(times)} identical", flush=True)
     print(f"{compared - differ} of {compared} partitions identical, Gram against vector levels")
     print(f"{compared - unscreened_differ} of {compared} partitions identical, screened against plain sweeps")
-    return 1 if differ or unscreened_differ else 0
+    unexplained = 0
+    if JOBS[0][0] in args.workload:
+        for seed in range(args.graphs):
+            unexplained += compare_graph_space(seed, JOBS[0][3])
+        print(f"{unexplained} graph-space partitions differ from the spectral ones other than by an exact tie")
+    return 1 if differ or unscreened_differ or unexplained else 0
 
 
 if __name__ == "__main__":

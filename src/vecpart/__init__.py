@@ -59,6 +59,7 @@ from .objective import (
 )
 from .spectral import (
     Embedding,
+    QualityMatrix,
     SpectralBasis,
     build_embedding,
     decompose_modularity_matrix,
@@ -97,6 +98,7 @@ __all__ = [
     "NonPositiveWeight",
     "ObjectiveDecreased",
     "Partition",
+    "QualityMatrix",
     "ScanRecord",
     "SelfLoop",
     "SizeMismatch",

@@ -27,11 +27,13 @@ from .graph import Graph, Partition, load_edge_list
 from .harness import ScanRecord, best_of_restarts, time_scan
 from .metrics import nmi, sankey_links, sankey_to_json, uncertainty_coefficient, variation_of_information
 from .spectral import (
+    QualityMatrix,
     build_embedding,
     decompose_modularity_matrix,
     decompose_transition,
     pairs_for_dim,
     spectral_health,
+    uses_quality_matrix,
 )
 
 
@@ -238,9 +240,14 @@ def cmd_partition(args: argparse.Namespace) -> int:
         return 2
     started = time.perf_counter()
     g = _load_graph(args.graph)
-    basis = _basis_for_mode(g, args.mode, pairs_for_dim(args.dim))
     t = None if args.mode == "modularity" else args.time
-    emb = build_embedding(basis, args.mode, t=t, dim=args.dim)
+    if uses_quality_matrix(args.mode, args.dim, g.n):
+        emb = QualityMatrix(g, args.mode, t)
+        spectral = {"solver": "graph"}
+    else:
+        basis = _basis_for_mode(g, args.mode, pairs_for_dim(args.dim))
+        emb = build_embedding(basis, args.mode, t=t, dim=args.dim)
+        spectral = spectral_health(g, basis, emb.dim)
     partition, objective, diag = best_of_restarts(emb, args.restarts, args.seed)
     record = ScanRecord(
         time=emb.time,
@@ -260,7 +267,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     }
     report = _make_report(g, params, [_record_payload(record)], started)
     report["diagnostics"] = diag.as_dict()
-    report["diagnostics"]["spectral"] = spectral_health(g, basis, emb.dim)
+    report["diagnostics"]["spectral"] = spectral
     _emit_report(report, args.output)
     if args.partition_out:
         _write_partition_file(args.partition_out, partition)

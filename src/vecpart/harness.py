@@ -2,7 +2,9 @@
 
 Each routine decomposes the graph once, for the largest dimension it
 embeds at, and reuses the basis across grid points, dimensions and
-embedding sources. All results are deterministic for fixed seeds.
+embedding sources. A full-dimension linearised scan decomposes nothing: it
+optimises the graph's ``QualityMatrix`` at each grid point. All results
+are deterministic for fixed seeds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from .errors import InvalidParameter, SizeMismatch
 from .graph import Graph, Partition
 from .metrics import nmi, uncertainty_coefficient, variation_of_information
 from .objective import modularity_score
-from .spectral import build_embedding, decompose_modularity_matrix, decompose_transition, pairs_for_dim
+from .spectral import (
+    QualityMatrix,
+    build_embedding,
+    decompose_modularity_matrix,
+    decompose_transition,
+    pairs_for_dim,
+    uses_quality_matrix,
+)
 from .vp import VPDiagnostics, _shared_gram, partition_vectors
 
 
@@ -73,7 +82,8 @@ def best_of_restarts(
 
     Restart k (k >= 1) visits the vectors in the order drawn from seed
     ``seed + k``. The highest objective wins; ties keep the earliest run.
-    All runs share one level-0 Gram when level 0 runs in Gram space.
+    ``emb`` is an ``Embedding`` or a ``QualityMatrix``. All runs share one
+    level-0 Gram when level 0 runs in Gram space.
     """
     if restarts < 1:
         raise InvalidParameter(f"restarts must be >= 1, got {restarts}")
@@ -104,7 +114,9 @@ def time_scan(
 ) -> list[ScanRecord]:
     """Optimise the partition on a geometric grid of Markov times.
 
-    One transition decomposition is shared by all grid points. Each record
+    One transition decomposition is shared by all grid points; at full
+    dimension in linearised mode there is none, and each grid point
+    optimises the graph's ``QualityMatrix`` at its time. Each record
     stores the best-of-restarts partition, its objective, the community
     count, the variation of information against the preceding optimum, and
     NMI / uncertainty against the ground truth when one is given.
@@ -114,11 +126,15 @@ def time_scan(
     if truth is not None:
         _check_truth(g, truth)
     times = geometric_grid(t_min, t_max, n_points)
-    basis = decompose_transition(g, pairs=pairs_for_dim(dim))
+    graph_space = uses_quality_matrix(mode, dim, g.n)
+    basis = None if graph_space else decompose_transition(g, pairs=pairs_for_dim(dim))
     records: list[ScanRecord] = []
     previous: Partition | None = None
     for t in times:
-        emb = build_embedding(basis, mode, t=float(t), dim=dim)
+        if graph_space:
+            emb = QualityMatrix(g, mode, float(t))
+        else:
+            emb = build_embedding(basis, mode, t=float(t), dim=dim)
         partition, objective, _ = best_of_restarts(emb, restarts, seed)
         record = ScanRecord(
             time=float(t),

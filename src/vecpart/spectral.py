@@ -211,6 +211,18 @@ def _basis(g: Graph, source: str, w: np.ndarray, V: np.ndarray) -> SpectralBasis
     return SpectralBasis(source=source, eigenvalues=w, eigenvectors=V, pi=pi, total_weight=g.total_weight)
 
 
+def _check_modularity_matrix(g: Graph) -> None:
+    """Raise ZeroDegree for a graph without edges, and TooLarge when the
+    degree products d d^T overflow: B_Q = A - d d^T / 2m needs them."""
+    if not g.total_weight > 0:
+        raise ZeroDegree("the graph has no edges: the modularity matrix is undefined")
+    d = np.asarray(g.degrees, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        dd = float(d @ d)
+    if not np.isfinite(dd):
+        raise TooLarge(f"the squared degrees sum to {dd}: the weights overflow the modularity matrix")
+
+
 def decompose_transition(g: Graph, pairs: int | None = None) -> SpectralBasis:
     """Eigendecompose the random-walk transition matrix M = D^-1 A.
 
@@ -239,18 +251,11 @@ def decompose_modularity_matrix(g: Graph, pairs: int | None = None) -> SpectralB
     exactly with eigenvalue 0, so downstream consumers can exclude it
     unambiguously. With ``pairs`` given and small against n, only the
     leading ``pairs`` - 1 eigenpairs off the ones direction are computed, by
-    ARPACK; otherwise all n - 1, by the dense solver. Raises ZeroDegree for
-    a graph without edges, and TooLarge when the degree products d d^T
-    overflow, as both solvers need them.
+    ARPACK; otherwise all n - 1, by the dense solver. Raises as
+    ``_check_modularity_matrix`` does.
     """
-    if not g.total_weight > 0:
-        raise ZeroDegree("the graph has no edges: the modularity matrix is undefined")
+    _check_modularity_matrix(g)
     n = g.n
-    d = np.asarray(g.degrees, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        dd = float(d @ d)
-    if not np.isfinite(dd):
-        raise TooLarge(f"the squared degrees sum to {dd}: the weights overflow the modularity matrix")
     beta, U = _eigenpairs(g, "modularity", pairs - 1 if _use_truncated(n, pairs) else None)
     ones = np.full((n, 1), 1.0 / np.sqrt(n))
     return _basis(g, "modularity", np.append(beta, 0.0), np.concatenate([U, ones], axis=1))
@@ -357,6 +362,71 @@ def build_embedding(
         signature=signature,
         total_weight=basis.total_weight,
     )
+
+
+def uses_quality_matrix(mode: str, dim: int | None, n: int) -> bool:
+    """Whether a run in ``mode`` at dimension ``dim`` on n nodes optimises a
+    ``QualityMatrix`` instead of an embedding: linearised and modularity mode
+    at full dimension, ``dim`` None or n - 1. The one place this is chosen.
+    """
+    return mode in ("linearised", "modularity") and dim in (None, n - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class QualityMatrix:
+    """A graph's partition-quality matrix, in place of a full-dimension embedding.
+
+    At full dimension n - 1, the signed Gram of a linearised embedding at
+    time t is (1 - t) Pi + t A / 2m - pi pi^T, and that of a modularity
+    embedding is B_Q = A - d d^T / 2m. ``gram()`` forms that matrix from the
+    graph in O(n^2) elementwise work, with no eigendecomposition and no
+    vectors. ``dim`` is the dimension of the embedding it stands in for.
+    A modularity matrix takes no time, and raises as
+    ``_check_modularity_matrix`` does.
+    """
+
+    graph: Graph
+    mode: str  # "linearised" | "modularity"
+    time: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode == "linearised":
+            if self.time is None or not 0 < self.time < math.inf:
+                raise InvalidParameter(f"linearised mode needs a finite t > 0, got {self.time}")
+        elif self.mode == "modularity":
+            if self.time is not None:
+                raise InvalidParameter(f"modularity mode takes no time, got {self.time}")
+            _check_modularity_matrix(self.graph)
+        else:
+            raise InvalidParameter(f"a quality matrix is linearised or modularity, got {self.mode!r}")
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def dim(self) -> int:
+        return self.graph.n - 1
+
+    @property
+    def total_weight(self) -> float:
+        return self.graph.total_weight
+
+    def gram(self) -> np.ndarray:
+        """The dense n x n matrix: the adjacency scaled, a diagonal added and a
+        rank-one term subtracted, entry by entry."""
+        g = self.graph
+        d = np.asarray(g.degrees, dtype=np.float64)
+        two_m = 2.0 * g.total_weight
+        G = g.dense_adjacency()
+        if self.mode == "modularity":
+            G -= np.multiply.outer(d, d) / two_m
+            return G
+        pi = d / two_m
+        G *= self.time / two_m
+        G -= np.multiply.outer(pi, pi)
+        G.flat[:: g.n + 1] += (1.0 - self.time) * pi
+        return G
 
 
 def _max_residual(g: Graph, basis: SpectralBasis) -> float:

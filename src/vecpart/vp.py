@@ -9,6 +9,7 @@ A level with no more vectors than their dimension plus one runs on the
 signed Gram of its vectors instead, where every score is a sum of Gram
 entries over a group. In vector space, every sweep of a level after its
 first visits only the vectors that a vectorised screen finds may move.
+A ``QualityMatrix`` enters at a Gram level on the graph's own matrix.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from scipy import sparse
 
 from .errors import InvalidParameter, LevelCapExceeded, ObjectiveDecreased, TooLarge
 from .graph import Partition, canonical_labels
-from .objective import stability
-from .spectral import Embedding
+from .objective import linearised_stability, modularity_score, stability
+from .spectral import Embedding, QualityMatrix
 
 # A move is made only when its gain exceeds GAIN_TOLERANCE, in the units of
 # the reported objective (modularity Q in modularity mode).
@@ -355,19 +356,38 @@ def _run_level(
         moved, visits = later_sweep(state, order, tol)
 
 
-def _shared_gram(emb: Embedding) -> np.ndarray | None:
+def _first_state(emb: Embedding | QualityMatrix) -> VPState | GramState:
+    """Level 0 of ``partition_vectors(emb)``: a Gram level on a quality
+    matrix's ``gram()``, else the state ``_level_state`` picks."""
+    if isinstance(emb, QualityMatrix):
+        return GramState(emb.gram())
+    return _level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
+
+
+def _shared_gram(emb: Embedding | QualityMatrix) -> np.ndarray | None:
     """The signed Gram that level 0 of ``partition_vectors(emb)`` runs on,
     read-only, or None when level 0 runs in vector space. Runs on one
     embedding can share it through ``partition_vectors(emb, _gram=...)``."""
-    state = _level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
+    state = _first_state(emb)
     if not isinstance(state, GramState):
         return None
     state.gram.setflags(write=False)
     return state.gram
 
 
+def _reported_objective(emb: Embedding | QualityMatrix, partition: Partition) -> float:
+    """``stability`` over an embedding; over a quality matrix, its oracle
+    straight from the graph, which equals the stability of the embedding it
+    stands in for."""
+    if isinstance(emb, Embedding):
+        return stability(emb, partition)
+    if emb.mode == "modularity":
+        return modularity_score(emb.graph, partition)
+    return linearised_stability(emb.graph, partition, emb.time)
+
+
 def partition_vectors(
-    emb: Embedding, seed: int | None = None, *, _gram: np.ndarray | None = None
+    emb: Embedding | QualityMatrix, seed: int | None = None, *, _gram: np.ndarray | None = None
 ) -> tuple[Partition, float, VPDiagnostics]:
     """Optimise the max-sum vector partition of an embedding.
 
@@ -379,16 +399,15 @@ def partition_vectors(
 
     Vectors are visited in index order when ``seed`` is None, and otherwise
     in one permutation per level drawn from ``default_rng([seed, level])``.
-    Each level runs in the state ``_level_state`` picks by shape.
-    Deterministic for a fixed seed. ``_gram`` is ``_shared_gram(emb)``,
-    formed once for many runs; it does not change the result.
+    Each level runs in the state ``_level_state`` picks by shape; given a
+    ``QualityMatrix``, every level runs in Gram space, from the graph's own
+    matrix. Deterministic for a fixed seed. ``_gram`` is
+    ``_shared_gram(emb)``, formed once for many runs; it does not change the
+    result.
     """
     if emb.n < 1:
         raise InvalidParameter("embedding has no vectors")
-    if _gram is None:
-        state = _level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
-    else:
-        state = GramState(_gram)
+    state = _first_state(emb) if _gram is None else GramState(_gram)
     node_to_group = np.arange(emb.n, dtype=np.int64)
     diag = VPDiagnostics()
     # The raw objective is the reported one times 2m in modularity mode, and
@@ -407,7 +426,7 @@ def partition_vectors(
         node_to_group = labels[node_to_group]
         if state.num_groups == p:  # every vector stayed in its own group
             partition = Partition.from_labels(node_to_group)
-            return partition, stability(emb, partition), diag
+            return partition, _reported_objective(emb, partition), diag
     raise LevelCapExceeded(f"still aggregating after {MAX_LEVELS} levels")
 
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +196,70 @@ class TestPartition:
         validate_report(report)
 
 
+class TestGraphSpace:
+    """Full-dimension linearised and modularity runs optimise the graph's quality matrix."""
+
+    @staticmethod
+    def planted_file(tmp_path, seed=0):
+        g, _ = vp.planted_partition(4, 25, 0.3, 0.02, seed=seed)
+        path = tmp_path / "g.txt"
+        path.write_text(g.to_edge_list_text())
+        return g, str(path)
+
+    @pytest.mark.parametrize(
+        "mode, extra", [("linearised", ["--time", "0.8"]), ("modularity", []), ("linearised", ["--dim", "99"])]
+    )
+    def test_report_names_the_graph_solver_and_is_valid(self, tmp_path, mode, extra):
+        g, path = self.planted_file(tmp_path)
+        out = tmp_path / "report.json"
+        assert main(["partition", path, "--mode", mode, *extra, "--restarts", "2", "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        validate_report(report)
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.Draft7Validator(json.loads(cli._SCHEMA_PATH.read_text(encoding="utf-8"))).validate(report)
+        assert report["diagnostics"]["spectral"] == {"solver": "graph"}
+        assert set(report["diagnostics"]["paths_per_level"]) == {"gram"}
+        record = report["records"][0]
+        assert record["dim"] == g.n - 1
+        partition = vp.Partition.from_labels(record["partition"])
+        if mode == "modularity":
+            assert record["objective"] == vp.modularity_score(g, partition)
+        else:
+            assert record["objective"] == vp.linearised_stability(g, partition, record["time"])
+
+    @pytest.mark.parametrize("mode", ["linearised", "modularity"])
+    def test_decomposes_nothing(self, tmp_path, monkeypatch, mode):
+        def fail(*args, **kwargs):
+            raise AssertionError("decomposed on the graph-space path")
+
+        monkeypatch.setattr(cli, "decompose_transition", fail)
+        monkeypatch.setattr(cli, "decompose_modularity_matrix", fail)
+        _, path = self.planted_file(tmp_path)
+        assert main(["partition", path, "--mode", mode, "--restarts", "1", "--output", str(tmp_path / "r.json")]) == 0
+
+    def test_other_runs_keep_the_eigensolver(self, tmp_path):
+        _, path = self.planted_file(tmp_path)
+        for args in (["--mode", "exponential"], ["--mode", "linearised", "--dim", "98"]):
+            out = tmp_path / "report.json"
+            assert main(["partition", path, *args, "--restarts", "1", "--output", str(out)]) == 0
+            assert json.loads(out.read_text())["diagnostics"]["spectral"]["solver"] == "eigh"
+
+    def test_scan_records_equal_partition_runs(self, tmp_path):
+        _, path = self.planted_file(tmp_path, seed=2)
+        scan = tmp_path / "scan.json"
+        common = ["--mode", "linearised", "--restarts", "3", "--seed", "4"]
+        assert main(["scan", path, "--tmin", "0.2", "--tmax", "6", "--npoints", "5", *common, "--output", str(scan)]) == 0
+        records = json.loads(scan.read_text())["records"]
+        assert len({r["num_communities"] for r in records}) > 1
+        for record in records:
+            out = tmp_path / "partition.json"
+            assert main(["partition", path, "--time", repr(record["time"]), *common, "--output", str(out)]) == 0
+            single = json.loads(out.read_text())["records"][0]
+            assert single["partition"] == record["partition"]
+            assert single["objective"] == record["objective"]
+            assert single["dim"] == record["dim"]
+
+
 class TestHugeWeights:
     """Weights whose squared degrees overflow: only modularity mode needs d d^T."""
 
@@ -359,6 +427,30 @@ class TestDeterminism:
         assert main(args + ["--output", str(out1)]) == 0
         assert main(args + ["--output", str(out2)]) == 0
         assert strip_timing(out1) == strip_timing(out2)
+
+
+    @pytest.mark.parametrize("mode", ["linearised", "modularity"])
+    def test_graph_space_reports_do_not_depend_on_blas_threads(self, tmp_path, mode):
+        # On this graph the spectral path's partitions differ between one and
+        # two BLAS threads, in both modes: exact gain ties decided by roundoff.
+        g, _ = vp.planted_partition(8, 50, 0.15, 0.01, seed=2)
+        path = tmp_path / "g.txt"
+        path.write_text(g.to_edge_list_text())
+        src = str(Path(vp.__file__).resolve().parents[1])
+        texts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"report{threads}.json"
+            env = dict(os.environ, PYTHONPATH=src)
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "vecpart.cli", "partition", str(path), "--mode", mode,
+                 "--time", "1", "--restarts", "2", "--output", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            text, masked = re.subn(r'"timing_ms": [^,\n]+', '"timing_ms": 0', out.read_text())
+            assert masked == 1
+            texts.append(text)
+        assert texts[0] == texts[1]
 
 
 class TestReportSchema:

@@ -117,6 +117,21 @@ class TestTimeScan:
         assert calls == [vp.pairs_for_dim(4)] == [6]
         assert [r.dim for r in records] == [4] * 4
 
+    @pytest.mark.parametrize("dim", [None, 9])
+    def test_full_dimension_linearised_scan_decomposes_nothing(self, monkeypatch, dim):
+        def fail(*args, **kwargs):
+            raise AssertionError("decomposed at full dimension in linearised mode")
+
+        monkeypatch.setattr(vp.harness, "decompose_transition", fail)
+        g, _ = vp.planted_partition(2, 5, 0.9, 0.1, seed=2)
+        records = vp.time_scan(g, 0.5, 4.0, 5, mode="linearised", dim=dim, restarts=2)
+        for rec in records:
+            assert rec.dim == g.n - 1
+            assert rec.objective == vp.linearised_stability(g, rec.partition, rec.time)
+            q = vp.QualityMatrix(g, "linearised", rec.time)
+            partition, value, _ = vp.best_of_restarts(q, 2)
+            assert np.array_equal(partition.assignment, rec.partition.assignment) and value == rec.objective
+
     def test_wrong_truth_size_rejected(self):
         g = pairgraph4()
         truth = vp.Partition.from_labels([0, 0, 1])

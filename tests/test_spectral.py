@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vecpart as vp
-from helpers import CYCLE4_TEXT, TRIANGLE_TEXT, pairgraph4, random_connected_graph
+from helpers import CYCLE4_TEXT, TRIANGLE_TEXT, linearised_autocov, pairgraph4, random_connected_graph
 
 
 def dense_transition_eigenvalues(g):
@@ -508,3 +508,59 @@ class TestSpectralHealth:
             total_weight=basis.total_weight,
         )
         assert vp.spectral.spectral_health(g, shifted, 1)["max_residual"] == pytest.approx(0.1, abs=1e-12)
+
+
+def quality_graphs():
+    yield "planted200", vp.planted_partition(4, 50, 0.2, 0.02, seed=0)[0]
+    yield "weighted", random_connected_graph(3, n=30, p=0.3, weighted=True)
+
+
+class TestQualityMatrix:
+    @pytest.mark.parametrize("name, g", list(quality_graphs()))
+    @pytest.mark.parametrize("mode, t", [("linearised", 0.3), ("linearised", 1.0), ("linearised", 3.0), ("modularity", None)])
+    def test_gram_is_the_full_dimension_spectral_gram(self, name, g, mode, t):
+        decompose = vp.decompose_modularity_matrix if mode == "modularity" else vp.decompose_transition
+        emb = vp.build_embedding(decompose(g), mode, t=t)
+        spectral = vp.vp._shared_gram(emb)
+        graph = vp.QualityMatrix(g, mode, t).gram()
+        assert graph.shape == spectral.shape == (g.n, g.n)
+        assert np.max(np.abs(graph - spectral)) <= 1e-12 * np.max(np.abs(graph))
+        if (name, t) == ("planted200", 3.0):  # 1 - 3 (1 - lam) changes sign inside the spectrum
+            assert set(emb.signature.tolist()) == {-1, 1}
+
+    def test_gram_against_the_matrix_form_oracle(self):
+        g = random_connected_graph(4, n=12, weighted=True)
+        assert vp.QualityMatrix(g, "linearised", 0.7).gram() == pytest.approx(linearised_autocov(g, 0.7), abs=1e-15)
+        d = g.degrees
+        B = g.dense_adjacency() - np.outer(d, d) / (2.0 * g.total_weight)
+        assert vp.QualityMatrix(g, "modularity").gram() == pytest.approx(B, abs=1e-13)
+
+    def test_stands_in_for_a_full_dimension_embedding(self):
+        g = pairgraph4()
+        q = vp.QualityMatrix(g, "linearised", 2.0)
+        assert (q.n, q.dim, q.total_weight, q.time) == (4, 3, 24.0, 2.0)
+        assert vp.QualityMatrix(g, "modularity").time is None
+
+    @pytest.mark.parametrize(
+        "mode, t",
+        [("linearised", None), ("linearised", 0.0), ("linearised", np.inf), ("linearised", np.nan),
+         ("modularity", 1.0), ("exponential", 1.0), ("markov", None)],
+    )
+    def test_outside_its_domain_is_an_invalid_parameter(self, mode, t):
+        with pytest.raises(vp.InvalidParameter):
+            vp.QualityMatrix(pairgraph4(), mode, t)
+
+    def test_modularity_checks_the_degree_products(self):
+        g = vp.load_edge_list("0 1 1e200\n1 2 1e200\n2 3 1e200\n0 3 1e200\n")
+        with pytest.raises(vp.TooLarge):
+            vp.QualityMatrix(g, "modularity")
+        assert np.isfinite(vp.QualityMatrix(g, "linearised", 1.0).gram()).all()
+
+    @pytest.mark.parametrize(
+        "mode, dim, expected",
+        [("linearised", None, True), ("modularity", None, True), ("linearised", 9, True),
+         ("modularity", 9, True), ("linearised", 8, False), ("modularity", 3, False),
+         ("exponential", None, False), ("exponential", 9, False), ("linearised", 10, False)],
+    )
+    def test_chosen_from_mode_and_dimension_alone(self, mode, dim, expected):
+        assert vp.spectral.uses_quality_matrix(mode, dim, 10) is expected

@@ -288,6 +288,35 @@ class TestGramPath:
             assert v_gram == v_vec
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mode, t", [("linearised", 0.5), ("linearised", 2.0), ("modularity", None)])
+    def test_a_quality_matrix_runs_as_its_full_dimension_embedding(self, seed, mode, t):
+        # Random weights leave no exact gain ties, so roundoff decides no move.
+        g = random_connected_graph(seed, n=24, p=0.3, weighted=True)
+        decompose = vp.decompose_modularity_matrix if mode == "modularity" else vp.decompose_transition
+        emb = vp.build_embedding(decompose(g), mode, t=t)
+        q = vp.QualityMatrix(g, mode, t)
+        for order in (None, 5):
+            p_graph, v_graph, diag = vp.partition_vectors(q, order)
+            p_spec, v_spec, _ = vp.partition_vectors(emb, order)
+            assert set(diag.paths_per_level) == {"gram"}
+            assert np.array_equal(p_graph.assignment, p_spec.assignment)
+            assert v_graph == pytest.approx(v_spec, abs=1e-10)
+            if mode == "modularity":
+                assert v_graph == vp.modularity_score(g, p_graph)
+            else:
+                assert v_graph == vp.linearised_stability(g, p_graph, t)
+
+    def test_a_quality_matrix_shares_its_gram_read_only(self):
+        q = vp.QualityMatrix(pairgraph4(), "linearised", 1.0)
+        gram = vp.vp._shared_gram(q)
+        assert not gram.flags.writeable
+        assert np.array_equal(gram, q.gram())
+        shared = vp.partition_vectors(q, 3, _gram=gram)
+        own = vp.partition_vectors(q, 3)
+        assert np.array_equal(shared[0].assignment, own[0].assignment) and shared[1] == own[1]
+
+
 class TestExhaustivePartition:
     def test_single_vector(self):
         emb = make_embedding(np.array([[2.0, 1.0]]))
