@@ -29,6 +29,7 @@ from .metrics import nmi, sankey_links, sankey_to_json, uncertainty_coefficient,
 from .spectral import (
     QualityMatrix,
     build_embedding,
+    check_dim,
     decompose_modularity_matrix,
     decompose_transition,
     pairs_for_dim,
@@ -240,6 +241,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         return 2
     started = time.perf_counter()
     g = _load_graph(args.graph)
+    check_dim(args.dim, g.n)
     t = None if args.mode == "modularity" else args.time
     if uses_quality_matrix(args.mode, args.dim, g.n):
         emb = QualityMatrix(g, args.mode, t)

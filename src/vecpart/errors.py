@@ -119,9 +119,9 @@ class LevelCapExceeded(VecpartError):
 
 
 class TooLarge(VecpartError):
-    """Input too large to handle: beyond the exhaustive enumeration limit, or
-    weights whose degree sums, or degree products in the modularity matrix,
-    overflow the floating-point range."""
+    """Input too large to handle: beyond the exhaustive enumeration limit or
+    the scan grid limit, or weights whose degree sums, or degree products in
+    the modularity matrix, overflow the floating-point range."""
 
     exit_code = 28
 

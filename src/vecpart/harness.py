@@ -14,19 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, SizeMismatch
+from .errors import InvalidParameter, SizeMismatch, TooLarge
 from .graph import Graph, Partition
 from .metrics import nmi, uncertainty_coefficient, variation_of_information
 from .objective import modularity_score
 from .spectral import (
     QualityMatrix,
     build_embedding,
+    check_dim,
     decompose_modularity_matrix,
     decompose_transition,
     pairs_for_dim,
     uses_quality_matrix,
 )
 from .vp import VPDiagnostics, _shared_gram, partition_vectors
+
+# Each grid point is one best-of-restarts run and one report record of n
+# labels: 10,000 points at n = 1000 already report ten million labels. The
+# check runs before np.geomspace allocates a grid sized by a typo.
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass
@@ -72,6 +78,8 @@ def geometric_grid(t_min: float, t_max: float, n_points: int) -> np.ndarray:
         raise InvalidParameter(f"need finite 0 < t_min <= t_max, got {t_min}, {t_max}")
     if n_points < 1:
         raise InvalidParameter(f"n_points must be >= 1, got {n_points}")
+    if n_points > MAX_GRID_POINTS:
+        raise TooLarge(f"{n_points} grid points exceeds the limit of {MAX_GRID_POINTS}")
     return np.geomspace(t_min, t_max, n_points)
 
 
@@ -126,6 +134,7 @@ def time_scan(
     if truth is not None:
         _check_truth(g, truth)
     times = geometric_grid(t_min, t_max, n_points)
+    check_dim(dim, g.n)
     graph_space = uses_quality_matrix(mode, dim, g.n)
     basis = None if graph_space else decompose_transition(g, pairs=pairs_for_dim(dim))
     records: list[ScanRecord] = []
@@ -165,6 +174,8 @@ def dim_sweep(
 ) -> list[DimSweepRow]:
     """Optimise at a fixed time across embedding dimensions, scoring vs truth."""
     _check_truth(g, truth)
+    for dim in dims:
+        check_dim(dim, g.n)
     pairs = pairs_for_dim(max(dims)) if dims else None
     if mode == "modularity":
         basis = decompose_modularity_matrix(g, pairs=pairs)
@@ -201,6 +212,8 @@ def embedding_comparison(
     partition, the community count, and the uncertainty coefficient vs truth.
     """
     _check_truth(g, truth)
+    for dim in dims:
+        check_dim(dim, g.n)
     pairs = pairs_for_dim(max(dims)) if dims else None
     basis_t = decompose_transition(g, pairs=pairs)
     basis_q = decompose_modularity_matrix(g, pairs=pairs)

@@ -109,6 +109,13 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
+def check_dim(dim: int | None, n: int) -> None:
+    """Raise DimOutOfRange unless an embedding of n nodes can have dimension
+    ``dim``; None is the full n - 1. Runs before any decomposition."""
+    if dim is not None and not 1 <= dim <= n - 1:
+        raise DimOutOfRange(f"dim must be in [1, {n - 1}], got {dim}")
+
+
 def pairs_for_dim(dim: int | None) -> int | None:
     """Eigenpairs to compute for an embedding of dimension ``dim``.
 

@@ -117,12 +117,18 @@ class VPState(_LevelState):
 
     path = "vector"
     screened = True
-    __slots__ = ("vectors", "signature", "group_sums")
+    __slots__ = ("vectors", "signature", "group_sums", "signed", "self_scores", "roundoff")
 
     def __init__(self, vectors: np.ndarray, signature: np.ndarray) -> None:
         self.vectors = np.asarray(vectors, dtype=np.float64)
         self.signature = signature
         self.group_sums = self.vectors.copy()
+        # Constants for screened sweeps. No group sum is longer than sum|x|, so
+        # (dim + 1) eps |x| sum|x| bounds the roundoff of every score <x, S y>.
+        self.signed = self.vectors * signature
+        self.self_scores = np.einsum("ij,ij->i", self.signed, self.vectors)
+        norms = np.linalg.norm(self.vectors, axis=1)
+        self.roundoff = (self.vectors.shape[1] + 1) * np.finfo(np.float64).eps * norms * norms.sum()
         super().__init__(self.vectors.shape[0])
 
     def scores(self, i: int) -> tuple[np.ndarray, float]:
@@ -131,23 +137,9 @@ class VPState(_LevelState):
         sx = self.signature * x
         return self.group_sums @ sx, float(sx @ x)
 
-    def block_scores(self, rows: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The scores of the vectors ``rows`` against the groups ``live``, the
-        rows' own signed Gram, and per row a bound on the roundoff of any of
-        its scores, also after up to len(rows) moves among these rows.
-
-        A dot product of length dim errs by at most dim eps |x| |y|, each of
-        up to len(rows) later updates of a score or a group sum adds at most
-        eps |x| |y|, and no group sum outgrows the largest one now by more
-        than the norms of the rows that may join it.
-        """
-        X = self.vectors[rows]
-        SX = X * self.signature
-        Y = self.group_sums[live]
-        norms = np.linalg.norm(X, axis=1)
-        reach = np.linalg.norm(Y, axis=1).max() + norms.sum()
-        roundoff = (X.shape[1] + rows.size) * np.finfo(np.float64).eps * norms * reach
-        return SX @ Y.T, SX @ X.T, roundoff
+    def block_scores(self, rows: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """<x_r, S y_g> for the vectors ``rows`` against the groups ``live``."""
+        return self.signed[rows] @ self.group_sums[live].T
 
     def apply_move(self, i: int, beta: int) -> None:
         x = self.vectors[i]
@@ -282,57 +274,35 @@ def _screened_sweep(state: VPState, order: np.ndarray, tol: float) -> tuple[int,
     """``_sweep`` without the visits that cannot move; returns the number of
     accepted moves and of visits that ran the move rule.
 
-    Walks ``order`` in blocks of SCREEN_BLOCK vectors. ``state.block_scores``
-    gives the block's scores Z against the non-empty groups in ascending
-    order, its signed Gram P and a roundoff bound per row. One vectorised
-    step estimates from Z the best gain of every row not yet visited,
-    counting the move to a fresh or empty group, and the rows whose estimate
-    exceeds ``tol`` less a margin are visited in order, as ``_sweep`` visits
-    them. After a move of block row h from group a to b, column a of Z loses
-    P[:, h], column b gains it, and the rest of the block is estimated again;
-    a move into a group without a column starts a new block at the next row.
-    The margin exceeds the estimates' roundoff, so every move ``_sweep``
-    would make is visited, and the moves are the same.
+    Walks ``order`` in blocks of up to SCREEN_BLOCK vectors. One vectorised
+    step estimates every row's best gain from ``state.block_scores``, and
+    only the rows whose estimate exceeds ``tol`` less a margin, which
+    exceeds the roundoff, are visited, in order. A block ends at its first
+    move, so every estimate is made on the state its row is visited in, and
+    the moves are those of ``_sweep``.
     """
-    moved = visits = 0
-    start = 0
+    moved = visits = start = 0
     while start < order.size:
         rows = order[start : start + SCREEN_BLOCK]
         start += rows.size
         live = np.flatnonzero(state.group_sizes)
-        Z, P, roundoff = state.block_scores(rows, live)
-        self_scores = P.diagonal()
+        groups = state.assignment[rows]
+        Z = state.block_scores(rows, live)
+        own = (np.arange(rows.size), np.searchsorted(live, groups))
+        base = Z[own] - state.self_scores[rows]
+        Z[own] = -np.inf
+        # A move to a fresh or empty group gains -base: 0 up to roundoff when alone.
+        free = state.group_sizes[groups] > 1
+        best = np.maximum(Z.max(axis=1), np.where(free, 0.0, -np.inf))
         # The margin below tol: half of tol, plus the roundoff of the three
         # scores in a gain, both here and in the move rule's fresh scores.
-        threshold = tol / 2 - 8.0 * roundoff
-        column = np.full(state.num_groups, -1)
-        column[live] = np.arange(live.size)
-        groups = state.assignment[rows]  # a row keeps its group until its visit
-        own = (np.arange(rows.size), column[groups])
-        others = np.zeros_like(Z)
-        others[own] = -np.inf
-        k = 0
-        while k < rows.size:
-            base = Z[own][k:] - self_scores[k:]
-            # A move to the fresh group, or to an empty one, gains -base. For a
-            # vector alone in its group that is 0 up to roundoff.
-            free = state.group_sizes[groups[k:]] > 1
-            best = np.maximum((Z[k:] + others[k:]).max(axis=1), np.where(free, 0.0, -np.inf))
-            for h in k + np.flatnonzero(best - base > threshold[k:]):
-                alpha = int(groups[h])
-                beta = _visit(state, int(rows[h]), tol)
-                visits += 1
-                if beta >= 0:
-                    break
-            else:
+        threshold = tol / 2 - 8.0 * state.roundoff[rows]
+        for h in np.flatnonzero(best - base > threshold):
+            visits += 1
+            if _visit(state, int(rows[h]), tol) >= 0:
+                moved += 1
+                start -= rows.size - h - 1
                 break
-            moved += 1
-            k = h + 1
-            if beta >= column.size or column[beta] < 0:
-                start -= rows.size - k
-                break
-            Z[:, column[alpha]] -= P[:, h]
-            Z[:, column[beta]] += P[:, h]
     return moved, visits
 
 

@@ -190,6 +190,25 @@ class TestPartition:
     def test_dim_zero_is_flag_error(self, graph_file):
         assert main(["partition", graph_file, "--dim", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["partition", "--mode", "exponential"],
+            ["partition", "--mode", "linearised"],
+            ["partition", "--mode", "modularity"],
+            ["scan", "--tmin", "1", "--tmax", "2", "--npoints", "2", "--mode", "exponential"],
+            ["scan", "--tmin", "1", "--tmax", "2", "--npoints", "2", "--mode", "linearised"],
+        ],
+    )
+    @pytest.mark.parametrize("dim", ["4", "5000"])
+    def test_dim_of_n_or_more_fails_before_any_decomposition(self, graph_file, monkeypatch, capsys, args, dim):
+        def no_decomposition(*_args, **_kwargs):
+            raise AssertionError("decomposed before checking --dim")
+
+        monkeypatch.setattr(vp.spectral, "_eigenpairs", no_decomposition)
+        assert main([args[0], graph_file, *args[1:], "--dim", dim]) == vp.DimOutOfRange.exit_code
+        assert f"DimOutOfRange: dim must be in [1, 3], got {dim}" in capsys.readouterr().err
+
     def test_stdout_when_no_output_flag(self, graph_file, capsys):
         assert main(["partition", graph_file, "--mode", "exponential", "--time", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -341,6 +360,13 @@ class TestScan:
         code = main(["scan", graph_file, "--tmin", "0.5", "--tmax", "5", "--npoints", "2", "--truth", truth])
         assert code == vp.SizeMismatch.exit_code
         assert "SizeMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("npoints", [10**12, 2**62, 10**20])
+    def test_absurd_npoints_is_too_large(self, graph_file, capsys, npoints):
+        args = ["scan", graph_file, "--tmin", "0.1", "--tmax", "10", "--npoints", str(npoints)]
+        assert main(args) == vp.TooLarge.exit_code
+        err = capsys.readouterr().err
+        assert f"TooLarge: {npoints} grid points" in err and "Traceback" not in err
 
     def test_bad_grid_is_usage_error(self, graph_file):
         assert main(["scan", graph_file, "--tmin", "0", "--tmax", "1", "--npoints", "3"]) == 2

@@ -32,6 +32,12 @@ class TestGeometricGrid:
         with pytest.raises(vp.InvalidParameter, match="finite"):
             vp.geometric_grid(0.1, np.inf, 3)
 
+    def test_grid_above_the_cap_is_too_large(self):
+        cap = vp.harness.MAX_GRID_POINTS
+        assert vp.geometric_grid(1.0, 2.0, cap).size == cap
+        with pytest.raises(vp.TooLarge, match="grid points"):
+            vp.geometric_grid(1.0, 2.0, cap + 1)
+
     def test_empty_grid_is_an_invalid_parameter(self):
         with pytest.raises(vp.InvalidParameter, match="n_points"):
             vp.geometric_grid(1.0, 2.0, 0)
@@ -243,6 +249,25 @@ class TestLargestDimension:
         calls.clear()
         vp.embedding_comparison(g, truth, [4, 2], restarts=1)
         assert calls == [vp.pairs_for_dim(4)] * 2
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda g, truth: vp.time_scan(g, 1.0, 2.0, 2, dim=g.n),
+            lambda g, truth: vp.time_scan(g, 1.0, 2.0, 2, mode="linearised", dim=g.n),
+            lambda g, truth: vp.dim_sweep(g, truth, 1.0, "linearised", [2, g.n], restarts=1),
+            lambda g, truth: vp.embedding_comparison(g, truth, [g.n + 7, 2], restarts=1),
+        ],
+        ids=["scan", "linearised-scan", "dim-sweep", "comparison"],
+    )
+    def test_dim_of_n_or_more_fails_before_any_decomposition(self, monkeypatch, run):
+        def no_decomposition(*_args, **_kwargs):
+            raise AssertionError("decomposed before checking the dimension")
+
+        monkeypatch.setattr(vp.spectral, "_eigenpairs", no_decomposition)
+        g, truth = vp.planted_partition(2, 4, 0.9, 0.1, seed=1)
+        with pytest.raises(vp.DimOutOfRange, match=r"\[1, 7\]"):
+            run(g, truth)
 
 
 class TestEmbeddingComparison:

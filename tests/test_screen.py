@@ -137,7 +137,8 @@ def near_tol_state(gain: float):
     return vp_state(special, [6, 6, 7, 7], scale=s)
 
 
-# p >= 304 rows make a full first block and a last block shorter than B.
+# p >= 304 rows: position 120 falls in the first block of B rows, and
+# B + 10 in a later one.
 POSITIONS = pytest.mark.parametrize("position", [120, B + 10], ids=["first-block", "short-last-block"])
 
 
@@ -182,8 +183,9 @@ def test_moves_into_a_fresh_or_emptied_group(position, with_empty):
     p, groups = state.assignment.size, state.num_groups
     a, d, e, r, z = range(first, first + 5)
     # r goes first, as it would join A once d has left, and a last, as it
-    # would leave A while d is there. In the first block, z's group keeps
-    # its column of Z when it empties; in the short last block it has none.
+    # would leave A while d is there. Each move ends its block, so d is
+    # screened after z has emptied its group, which then counts only through
+    # the move to a fresh or empty group, and e is screened after d's move.
     placed = {r: 0, d: position, e: position + 30, a: p - 1}
     if with_empty:
         placed[z] = 40
@@ -194,3 +196,24 @@ def test_moves_into_a_fresh_or_emptied_group(position, with_empty):
         assert swept.assignment[z] == 0  # into the e2 cluster
     assert moved == 2 + with_empty
     assert visits < p
+
+
+def fresh_only_state():
+    """Rows u = e0 - 0.01 (e2 + ... + e7) and w = -e0 / 10 share a group: u
+    gains 1/10 by detaching, and loses 4/10 by joining any other group."""
+    special = np.zeros((2, DIM))
+    special[0, 0], special[0, 2:] = 1.0, -0.01
+    special[1, 0] = -0.1
+    return vp_state(special, [6, 6])
+
+
+@POSITIONS
+def test_move_only_to_a_fresh_group_is_visited(position):
+    state, first = fresh_only_state()
+    u, w = first, first + 1
+    p, groups = state.assignment.size, state.num_groups
+    # w goes last: visited before u, it would join a cluster and leave u alone.
+    order = visit_order(p, {u: position, w: p - 1})
+    swept, moved, visits = sweep_both(lambda: fresh_only_state()[0], order)
+    assert moved == 1 and swept.assignment[u] == groups
+    assert visits == 1
