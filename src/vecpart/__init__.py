@@ -19,7 +19,6 @@ from .errors import (
     MalformedLine,
     MissingCommunityLabel,
     ModeBasisMismatch,
-    NonEuclideanEmbedding,
     NonFiniteWeight,
     NonPositiveWeight,
     ObjectiveDecreased,
@@ -50,11 +49,8 @@ from .metrics import (
 )
 from .objective import (
     autocovariance_direct,
-    group_sum_vectors,
-    kmeans_objective,
     linearised_stability,
     modularity_score,
-    signed_inner,
     stability,
 )
 from .spectral import (
@@ -93,7 +89,6 @@ __all__ = [
     "MalformedLine",
     "MissingCommunityLabel",
     "ModeBasisMismatch",
-    "NonEuclideanEmbedding",
     "NonFiniteWeight",
     "NonPositiveWeight",
     "ObjectiveDecreased",
@@ -117,8 +112,6 @@ __all__ = [
     "embedding_comparison",
     "exhaustive_partition",
     "geometric_grid",
-    "group_sum_vectors",
-    "kmeans_objective",
     "linearised_stability",
     "load_edge_list",
     "load_lfr",
@@ -130,7 +123,6 @@ __all__ = [
     "sankey_links",
     "sankey_to_json",
     "scaled_eigenvalues",
-    "signed_inner",
     "stability",
     "time_scan",
     "uncertainty_coefficient",

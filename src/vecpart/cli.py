@@ -22,14 +22,15 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import MalformedLine, VecpartError
-from .graph import Graph, Partition, load_edge_list
+from .errors import InvalidParameter, MalformedLine, VecpartError
+from .graph import Graph, Partition, load_edge_list, read_lines
 from .harness import ScanRecord, best_of_restarts, time_scan
 from .metrics import nmi, sankey_links, sankey_to_json, uncertainty_coefficient, variation_of_information
 from .spectral import (
     QualityMatrix,
     build_embedding,
     check_dim,
+    check_time,
     decompose_modularity_matrix,
     decompose_transition,
     pairs_for_dim,
@@ -47,18 +48,7 @@ def _load_partition_file(path: str) -> Partition:
     """Read "node_id group_id" lines (0-based, one per node) into a Partition."""
     pairs: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise MalformedLine(f"{path} line {lineno}: expected 'node group', got {line!r}")
-            try:
-                node = int(parts[0])
-                grp = int(parts[1])
-            except ValueError:
-                raise MalformedLine(f"{path} line {lineno}: non-integer field in {line!r}") from None
+        for lineno, node, grp, _ in read_lines(fh, f"{path} line", "'node group'"):
             if node in pairs:
                 raise MalformedLine(f"{path} line {lineno}: node {node} listed twice")
             pairs[node] = grp
@@ -233,12 +223,12 @@ def cmd_partition(args: argparse.Namespace) -> int:
     if not math.isfinite(args.time):
         print(f"error: usage: --time must be finite, got {args.time}", file=sys.stderr)
         return 2
-    if args.mode == "exponential" and not args.time >= 0:
-        print(f"error: usage: exponential mode needs --time >= 0, got {args.time}", file=sys.stderr)
-        return 2
-    if args.mode == "linearised" and not args.time > 0:
-        print(f"error: usage: linearised mode needs --time > 0, got {args.time}", file=sys.stderr)
-        return 2
+    if args.mode != "modularity":
+        try:
+            check_time(args.mode, args.time)
+        except InvalidParameter as exc:
+            print(f"error: usage: --time: {exc}", file=sys.stderr)
+            return 2
     started = time.perf_counter()
     g = _load_graph(args.graph)
     check_dim(args.dim, g.n)

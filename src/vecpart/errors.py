@@ -102,11 +102,8 @@ class SizeMismatch(VecpartError):
     exit_code = 24
 
 
-class NonEuclideanEmbedding(VecpartError):
-    """Operation requires a Euclidean (all-positive signature) embedding."""
-
-    exit_code = 25
-
+# Exit code 25 is retired: it belonged to an error of a k-means helper that
+# the package no longer has. Do not reuse it.
 
 # Exit code 26 is retired: it belonged to an error of a move-gain helper that
 # the package no longer has. Do not reuse it.
@@ -120,8 +117,9 @@ class LevelCapExceeded(VecpartError):
 
 class TooLarge(VecpartError):
     """Input too large to handle: beyond the exhaustive enumeration limit or
-    the scan grid limit, or weights whose degree sums, or degree products in
-    the modularity matrix, overflow the floating-point range."""
+    the scan grid limit, a graph whose dense n x n matrix would exceed the
+    machine's physical memory, or weights whose degree sums, or degree
+    products in the modularity matrix, overflow the floating-point range."""
 
     exit_code = 28
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -27,6 +28,20 @@ from .errors import (
 )
 
 INDEXING = ("zero-based", "one-based")
+
+# No dense n x n float64 array may exceed the machine's physical memory.
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_dense(n: int) -> None:
+    """Raise TooLarge when one dense n x n float64 array would not fit in the
+    machine's physical memory. Runs before every such allocation."""
+    size = 8 * n * n
+    if size > PHYSICAL_MEMORY:
+        raise TooLarge(
+            f"a dense {n} x {n} matrix needs {size / 2**30:.1f} GiB, "
+            f"more than the {PHYSICAL_MEMORY / 2**30:.1f} GiB of physical memory"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +81,7 @@ class Graph:
         return sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     def dense_adjacency(self) -> np.ndarray:
+        check_dense(self.n)
         A = np.zeros((self.n, self.n))
         i = self.edge_index[:, 0]
         j = self.edge_index[:, 1]
@@ -179,10 +195,30 @@ def _build_graph(n: int, edges: dict[tuple[int, int], float]) -> Graph:
     )
 
 
-def _iter_lines(stream: IO[str] | str) -> Iterable[str]:
-    if isinstance(stream, str):
-        return stream.splitlines()
-    return stream
+def read_lines(
+    stream: IO[str] | str, prefix: str, form: str, extra: int = 0
+) -> Iterator[tuple[int, int, int, list[str]]]:
+    """Yield (line number, first id, second id, the fields after them) for
+    each line of ``stream`` that is neither blank nor a '#' comment.
+
+    ``stream`` is either an open text stream or the raw text itself. A line
+    holds two integer ids and up to ``extra`` more fields; otherwise
+    MalformedLine names ``prefix``, the line number and the expected
+    ``form``.
+    """
+    lines = stream.splitlines() if isinstance(stream, str) else stream
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if not 2 <= len(fields) <= 2 + extra:
+            raise MalformedLine(f"{prefix} {lineno}: expected {form}, got {line!r}")
+        try:
+            i, j = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise MalformedLine(f"{prefix} {lineno}: non-integer field in {line!r}") from None
+        yield lineno, i, j, fields[2:]
 
 
 def load_edge_list(stream: IO[str] | str, indexing: str = "zero-based") -> Graph:
@@ -199,25 +235,11 @@ def load_edge_list(stream: IO[str] | str, indexing: str = "zero-based") -> Graph
     offset = 0 if indexing == "zero-based" else 1
     edges: dict[tuple[int, int], float] = {}
     max_node = -1
-    for lineno, raw in enumerate(_iter_lines(stream), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise MalformedLine(f"line {lineno}: expected 'i j [w]', got {line!r}")
+    for lineno, i, j, rest in read_lines(stream, "line", "'i j [w]'", extra=1):
         try:
-            i = int(parts[0])
-            j = int(parts[1])
+            w = float(rest[0]) if rest else 1.0
         except ValueError:
-            raise MalformedLine(f"line {lineno}: non-integer node id in {line!r}") from None
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise MalformedLine(f"line {lineno}: non-numeric weight in {line!r}") from None
-        else:
-            w = 1.0
+            raise MalformedLine(f"line {lineno}: non-numeric weight {rest[0]!r}") from None
         i -= offset
         j -= offset
         if i < 0 or j < 0:
@@ -249,18 +271,7 @@ def load_lfr(network: IO[str] | str, community: IO[str] | str) -> tuple[Graph, P
     by tabs or spaces.
     """
     labels: dict[int, int] = {}
-    for lineno, raw in enumerate(_iter_lines(community), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedLine(f"community line {lineno}: expected 'node label', got {line!r}")
-        try:
-            node = int(parts[0])
-            lab = int(parts[1])
-        except ValueError:
-            raise MalformedLine(f"community line {lineno}: non-integer field in {line!r}") from None
+    for lineno, node, lab, _ in read_lines(community, "community line", "'node label'"):
         if node < 1:
             raise MalformedLine(f"community line {lineno}: node ids are one-based, got {node}")
         if node in labels and labels[node] != lab:
@@ -276,18 +287,7 @@ def load_lfr(network: IO[str] | str, community: IO[str] | str) -> tuple[Graph, P
         raise MissingCommunityLabel(f"{missing} node(s) have no community label: {first}{more}")
 
     oriented: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(_iter_lines(network), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedLine(f"network line {lineno}: expected 'i j', got {line!r}")
-        try:
-            i = int(parts[0])
-            j = int(parts[1])
-        except ValueError:
-            raise MalformedLine(f"network line {lineno}: non-integer node id in {line!r}") from None
+    for lineno, i, j, _ in read_lines(network, "network line", "'i j'"):
         if i == j:
             raise SelfLoop(f"network line {lineno}: self-loop at node {i}")
         if i > n or j > n or i < 1 or j < 1:

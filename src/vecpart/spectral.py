@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import DimOutOfRange, EigensolverFailure, InvalidParameter, ModeBasisMismatch, TooLarge, ZeroDegree
-from .graph import Graph
+from .graph import Graph, check_dense
 
 MODES = ("exponential", "linearised", "modularity")
 
@@ -116,6 +116,14 @@ def check_dim(dim: int | None, n: int) -> None:
         raise DimOutOfRange(f"dim must be in [1, {n - 1}], got {dim}")
 
 
+def check_time(mode: str, t: float | None) -> None:
+    """Raise InvalidParameter unless ``t`` is a Markov time of ``mode``:
+    finite and >= 0 in exponential mode, finite and > 0 in linearised mode."""
+    exponential = mode == "exponential"
+    if t is None or not (0 <= t if exponential else 0 < t) or t == math.inf:
+        raise InvalidParameter(f"{mode} mode needs a finite t {'>=' if exponential else '>'} 0, got {t}")
+
+
 def pairs_for_dim(dim: int | None) -> int | None:
     """Eigenpairs to compute for an embedding of dimension ``dim``.
 
@@ -200,6 +208,7 @@ def _eigenpairs(g: Graph, source: str, k: int | None) -> tuple[np.ndarray, np.nd
             return eigsh(op, k=k, which="LA", v0=v0, tol=0, **_EIGSH_RESTART_SEED)
         except ArpackError as exc:
             raise EigensolverFailure(f"{source} truncated eigendecomposition failed: {exc}") from exc
+    check_dense(g.n)
     try:
         w, U = scipy.linalg.eigh(op.toarray() if source == "transition" else op @ np.eye(g.n))
     except scipy.linalg.LinAlgError as exc:
@@ -277,16 +286,11 @@ def scaled_eigenvalues(basis: SpectralBasis, mode: str, t: float) -> np.ndarray:
     """
     if basis.source != "transition":
         raise ModeBasisMismatch(f"scaled eigenvalues need a transition basis, got {basis.source!r}")
+    if mode not in ("exponential", "linearised"):
+        raise ModeBasisMismatch(f"no eigenvalue scaling for mode {mode!r}")
+    check_time(mode, t)
     lam = basis.eigenvalues
-    if mode == "exponential":
-        if not 0 <= t < math.inf:
-            raise InvalidParameter(f"exponential mode needs a finite t >= 0, got {t}")
-        return np.exp(-t * (1.0 - lam))
-    if mode == "linearised":
-        if not 0 < t < math.inf:
-            raise InvalidParameter(f"linearised mode needs a finite t > 0, got {t}")
-        return 1.0 - t * (1.0 - lam)
-    raise ModeBasisMismatch(f"no eigenvalue scaling for mode {mode!r}")
+    return np.exp(-t * (1.0 - lam)) if mode == "exponential" else 1.0 - t * (1.0 - lam)
 
 
 def _ones_mode_index(U: np.ndarray) -> int:
@@ -349,8 +353,6 @@ def build_embedding(
     else:
         if basis.source != "transition":
             raise ModeBasisMismatch(f"{mode} mode needs a transition basis")
-        if t is None:
-            raise InvalidParameter(f"{mode} mode needs a time value")
         weights = scaled_eigenvalues(basis, mode, t)[keep]
         X = basis.pi[:, None] * basis.eigenvectors[:, keep] * np.sqrt(np.abs(weights))[None, :]
         time_field = float(t)
@@ -398,8 +400,7 @@ class QualityMatrix:
 
     def __post_init__(self) -> None:
         if self.mode == "linearised":
-            if self.time is None or not 0 < self.time < math.inf:
-                raise InvalidParameter(f"linearised mode needs a finite t > 0, got {self.time}")
+            check_time(self.mode, self.time)
         elif self.mode == "modularity":
             if self.time is not None:
                 raise InvalidParameter(f"modularity mode takes no time, got {self.time}")
@@ -421,7 +422,8 @@ class QualityMatrix:
 
     def gram(self) -> np.ndarray:
         """The dense n x n matrix: the adjacency scaled, a diagonal added and a
-        rank-one term subtracted, entry by entry."""
+        rank-one term subtracted, entry by entry. Raises TooLarge as
+        ``Graph.dense_adjacency`` does, before any allocation."""
         g = self.graph
         d = np.asarray(g.degrees, dtype=np.float64)
         two_m = 2.0 * g.total_weight

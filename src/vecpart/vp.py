@@ -21,7 +21,7 @@ from scipy import sparse
 
 from .errors import InvalidParameter, LevelCapExceeded, ObjectiveDecreased, TooLarge
 from .graph import Partition, canonical_labels
-from .objective import linearised_stability, modularity_score, stability
+from .objective import group_sums, linearised_stability, modularity_score, stability
 from .spectral import Embedding, QualityMatrix
 
 # A move is made only when its gain exceeds GAIN_TOLERANCE, in the units of
@@ -123,7 +123,8 @@ class VPState(_LevelState):
         self.vectors = np.asarray(vectors, dtype=np.float64)
         self.signature = signature
         self.group_sums = self.vectors.copy()
-        # Constants for screened sweeps. No group sum is longer than sum|x|, so
+        # The signed rows S x, which every score reads, and constants for
+        # screened sweeps. No group sum is longer than sum|x|, so
         # (dim + 1) eps |x| sum|x| bounds the roundoff of every score <x, S y>.
         self.signed = self.vectors * signature
         self.self_scores = np.einsum("ij,ij->i", self.signed, self.vectors)
@@ -133,9 +134,8 @@ class VPState(_LevelState):
 
     def scores(self, i: int) -> tuple[np.ndarray, float]:
         """<x_i, S y_g> for every group g, and <x_i, S x_i>."""
-        x = self.vectors[i]
-        sx = self.signature * x
-        return self.group_sums @ sx, float(sx @ x)
+        sx = self.signed[i]
+        return self.group_sums @ sx, float(sx @ self.vectors[i])
 
     def block_scores(self, rows: np.ndarray, live: np.ndarray) -> np.ndarray:
         """<x_r, S y_g> for the vectors ``rows`` against the groups ``live``."""
@@ -151,8 +151,7 @@ class VPState(_LevelState):
 
     def revalidate(self) -> None:
         """Recompute group sums from members and check incremental drift."""
-        fresh = np.zeros_like(self.group_sums)
-        np.add.at(fresh, self.assignment, self.vectors)
+        fresh = group_sums(self.vectors, self.assignment, self.num_groups)
         drift = float(np.max(np.abs(fresh - self.group_sums))) if fresh.size else 0.0
         if drift > 1e-9:
             raise RuntimeError(f"group sums drifted by {drift} from their members")
@@ -167,9 +166,7 @@ class VPState(_LevelState):
         """Drop empty groups; returns the first-appearance labels and the
         next level's state over the recomputed group sum vectors."""
         labels, c = canonical_labels(self.assignment)
-        sums = np.zeros((c, self.vectors.shape[1]))
-        np.add.at(sums, labels, self.vectors)
-        return labels, _level_state(sums, self.signature)
+        return labels, _level_state(group_sums(self.vectors, labels, c), self.signature)
 
 
 class GramState(_LevelState):

@@ -124,6 +124,28 @@ def group_sums(vectors: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return sums
 
 
+def kmeans_objective(emb: vp.Embedding, p: vp.Partition) -> tuple[float, float]:
+    """k-means distortion and the normalised score F it is equivalent to.
+
+    Returns (distortion, F) where distortion is the within-group squared
+    distance to the group centroids and F sums ||y_s||^2 / |g_s|. The two are
+    linked by distortion = sum_i ||x_i||^2 - F. Meaningful for Euclidean
+    (exponential-mode) embeddings only.
+    """
+    Y = group_sums(emb.vectors, p.assignment)
+    sizes = p.group_sizes().astype(np.float64)
+    F = float(((Y * Y).sum(axis=1) / sizes).sum())
+    centroids = Y / sizes[:, None]
+    diff = emb.vectors - centroids[p.assignment]
+    distortion = float((diff * diff).sum())
+    return distortion, F
+
+
+def signed_inner(emb: vp.Embedding, a: np.ndarray, b: np.ndarray) -> float:
+    """Signature-weighted inner product sum_k sigma_k a_k b_k."""
+    return float(np.dot(emb.signature * np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
+
+
 def vector_path_partition(emb: vp.Embedding, seed: int | None = None) -> tuple[vp.Partition, float]:
     """``partition_vectors`` with every level a ``VPState``.
 

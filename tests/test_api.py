@@ -30,8 +30,8 @@ def test_every_error_has_its_own_exit_code():
     for cls in error_classes():
         assert cls.exit_code not in codes, f"{cls.__name__} reuses exit code {cls.exit_code} of {codes.get(cls.exit_code)}"
         codes[cls.exit_code] = cls.__name__
-    # 2 and 3 are the CLI's usage and IO codes; 26 is retired.
-    assert not {2, 3, 26} & set(codes)
+    # 2 and 3 are the CLI's usage and IO codes; 25 and 26 are retired.
+    assert not {2, 3, 25, 26} & set(codes)
 
 
 def test_invalid_parameter_is_also_a_value_error():

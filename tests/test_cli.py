@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -309,6 +310,41 @@ class TestHugeWeights:
             records.append(report["records"][0])
         assert records[0]["partition"] == records[1]["partition"]
         assert records[0]["objective"] == pytest.approx(records[1]["objective"], abs=1e-12)
+
+
+class TestDenseMemoryGuard:
+    """A dense n x n array larger than the machine's physical memory is
+    refused with TooLarge before it is allocated."""
+
+    # Each job runs in a process whose address space is capped at half the
+    # physical memory, so that a missing guard fails with MemoryError instead
+    # of exhausting the machine.
+    ADDRESS_SPACE = vp.graph.PHYSICAL_MEMORY // 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [["partition", "--mode", "exponential"], ["partition", "--mode", "linearised"], ["decompose"]],
+        ids=["partition-exponential", "partition-linearised", "decompose"],
+    )
+    def test_path_graph_too_large_for_a_dense_matrix(self, tmp_path, args):
+        n = math.isqrt(vp.graph.PHYSICAL_MEMORY // 8) + 1  # one n x n float64 array exceeds it
+        path = tmp_path / "path.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+
+        def cap() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (self.ADDRESS_SPACE, self.ADDRESS_SPACE))
+
+        src = str(Path(vp.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "vecpart.cli", args[0], str(path), *args[1:]],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert result.returncode == vp.TooLarge.exit_code, result.stderr
+        assert result.stderr.startswith("error: TooLarge: a dense") and "Traceback" not in result.stderr
 
 
 class TestScan:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vecpart as vp
+from vecpart.cli import _load_partition_file
 from helpers import (
     PAIRGRAPH4_TEXT,
     TRIANGLE_TEXT,
@@ -182,6 +183,48 @@ class TestLoadLfr:
     def test_disconnected_rejected(self):
         with pytest.raises(vp.Disconnected):
             vp.load_lfr("1\t2\n2\t1\n3\t4\n4\t3\n", self.COMMUNITY)
+
+
+class TestLineReader:
+    """The four readers of id lines share one line loop: blank and '#' lines
+    are skipped, and a bad line raises MalformedLine naming the reader's
+    prefix and the line number."""
+
+    READERS = ("edge list", "LFR network", "LFR community", "partition file")
+    VALID = {
+        "edge list": "0 1\n1 2\n",
+        "LFR network": "1 2\n2 1\n2 3\n3 2\n",
+        "LFR community": "1 1\n2 1\n3 2\n",
+        "partition file": "0 0\n1 0\n2 1\n",
+    }
+
+    def parse(self, reader, text, tmp_path):
+        """What ``reader`` reads from ``text``, and the prefix of its messages."""
+        if reader == "edge list":
+            return vp.load_edge_list(text).edges, "line"
+        if reader == "LFR network":
+            return vp.load_lfr(text, self.VALID["LFR community"])[0].edges, "network line"
+        if reader == "LFR community":
+            return vp.load_lfr(self.VALID["LFR network"], text)[1].assignment.tolist(), "community line"
+        path = tmp_path / "partition.txt"
+        path.write_text(text)
+        return _load_partition_file(str(path)).assignment.tolist(), f"{path} line"
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_blank_and_comment_lines_skipped(self, reader, tmp_path):
+        first, *rest = self.VALID[reader].splitlines(keepends=True)
+        padded = "# header\n\n" + first + "   \n# 1 2\n" + "".join(rest)
+        assert self.parse(reader, padded, tmp_path)[0] == self.parse(reader, self.VALID[reader], tmp_path)[0]
+
+    @pytest.mark.parametrize(
+        "bad, message", [("1", "expected"), ("1 2 3 4", "expected"), ("a 1", "non-integer"), ("1 b", "non-integer")]
+    )
+    @pytest.mark.parametrize("reader", READERS)
+    def test_bad_line_names_the_prefix_and_line(self, reader, bad, message, tmp_path):
+        _, prefix = self.parse(reader, self.VALID[reader], tmp_path)
+        with pytest.raises(vp.MalformedLine) as info:
+            self.parse(reader, f"# header\n\n{bad}\n{self.VALID[reader]}", tmp_path)
+        assert str(info.value).startswith(f"{prefix} 3: {message}")
 
 
 class TestPlantedPartition:
