@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .errors import InvalidParameter, MalformedLine, VecpartError
 from .graph import Graph, Partition, load_edge_list, read_lines
-from .harness import ScanRecord, best_of_restarts, time_scan
+from .harness import ScanRecord, best_of_restarts, geometric_grid, time_scan
 from .metrics import nmi, sankey_links, sankey_to_json, uncertainty_coefficient, variation_of_information
 from .spectral import (
     QualityMatrix,
@@ -267,8 +267,10 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if not 0 < args.tmin <= args.tmax < math.inf:
-        print(f"error: usage: need finite 0 < tmin <= tmax, got {args.tmin}, {args.tmax}", file=sys.stderr)
+    try:
+        geometric_grid(args.tmin, args.tmax, args.npoints)
+    except InvalidParameter as exc:
+        print(f"error: usage: {exc}", file=sys.stderr)
         return 2
     started = time.perf_counter()
     g = _load_graph(args.graph)

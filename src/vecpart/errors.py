@@ -65,8 +65,8 @@ class InvalidParameter(VecpartError, ValueError):
     """A library call got a parameter outside its domain: an unknown mode, an
     empty, reversed or infinite time grid, no restarts, a missing, negative
     or non-finite Markov time, fewer than 2 eigenpairs, labels that do not
-    form a partition, an unknown edge-list indexing, out-of-range
-    planted-partition parameters, or an embedding with no vectors."""
+    form a partition, out-of-range planted-partition parameters, or an
+    embedding with no vectors."""
 
     exit_code = 19
 

@@ -27,8 +27,6 @@ from .errors import (
     TooLarge,
 )
 
-INDEXING = ("zero-based", "one-based")
-
 # No dense n x n float64 array may exceed the machine's physical memory.
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -66,10 +64,7 @@ class Graph:
 
     @property
     def edges(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(i), int(j), float(w))
-            for (i, j), w in zip(self.edge_index, self.edge_weight)
-        ]
+        return list(zip(*self.edge_index.T.tolist(), self.edge_weight.tolist()))
 
     def adjacency(self) -> sparse.csr_matrix:
         """Symmetric sparse adjacency lookup."""
@@ -165,15 +160,21 @@ def _is_connected(n: int, edge_index: np.ndarray) -> bool:
     return count == 1
 
 
-def _build_graph(n: int, edges: dict[tuple[int, int], float]) -> Graph:
-    """Assemble and validate a Graph from deduplicated (i, j) -> w with i < j."""
-    if n < 1:
-        raise MalformedLine("graph has no nodes")
-    if len(edges) < n - 1:  # before anything sized by the largest node id
-        raise Disconnected(f"graph with {n} nodes has only {len(edges)} edges and is not connected")
+def _edge_arrays(edges: dict[tuple[int, int], float]) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) -> w entries with i < j as _build_graph's sorted arrays."""
     items = sorted(edges.items())
     edge_index = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, 2)
-    edge_weight = np.array([w for _, w in items], dtype=np.float64)
+    return edge_index, np.array([w for _, w in items], dtype=np.float64)
+
+
+def _build_graph(n: int, edge_index: np.ndarray, edge_weight: np.ndarray) -> Graph:
+    """Assemble and validate a Graph from distinct (i, j) rows with i < j in
+    row-major order and their weights; the arrays are kept, made read-only."""
+    if n < 1:
+        raise MalformedLine("graph has no nodes")
+    num_edges = edge_index.shape[0]
+    if num_edges < n - 1:  # before anything sized by the largest node id
+        raise Disconnected(f"graph with {n} nodes has only {num_edges} edges and is not connected")
     if not _is_connected(n, edge_index):
         raise Disconnected(f"graph with {n} nodes is not connected")
     degrees = np.zeros(n, dtype=np.float64)
@@ -221,18 +222,14 @@ def read_lines(
         yield lineno, i, j, fields[2:]
 
 
-def load_edge_list(stream: IO[str] | str, indexing: str = "zero-based") -> Graph:
-    """Parse "i j [w]" lines into a validated Graph.
+def load_edge_list(stream: IO[str] | str) -> Graph:
+    """Parse "i j [w]" lines with zero-based node ids into a validated Graph.
 
     ``stream`` is either an open text stream or the raw text itself. Blank
     lines and lines starting with '#' are skipped; the weight defaults to 1.
     Duplicate (i, j) / (j, i) lines are tolerated when their weights agree
-    exactly and rejected otherwise. Node ids may be zero- or one-based per
-    ``indexing``; they are stored zero-based.
+    exactly and rejected otherwise.
     """
-    if indexing not in INDEXING:
-        raise InvalidParameter(f"indexing must be one of {INDEXING}, got {indexing!r}")
-    offset = 0 if indexing == "zero-based" else 1
     edges: dict[tuple[int, int], float] = {}
     max_node = -1
     for lineno, i, j, rest in read_lines(stream, "line", "'i j [w]'", extra=1):
@@ -240,12 +237,10 @@ def load_edge_list(stream: IO[str] | str, indexing: str = "zero-based") -> Graph
             w = float(rest[0]) if rest else 1.0
         except ValueError:
             raise MalformedLine(f"line {lineno}: non-numeric weight {rest[0]!r}") from None
-        i -= offset
-        j -= offset
         if i < 0 or j < 0:
-            raise MalformedLine(f"line {lineno}: node id below the {indexing} base")
+            raise MalformedLine(f"line {lineno}: negative node id in {i} {j}")
         if i == j:
-            raise SelfLoop(f"line {lineno}: self-loop at node {i + offset}")
+            raise SelfLoop(f"line {lineno}: self-loop at node {i}")
         if not w > 0:
             raise NonPositiveWeight(f"line {lineno}: weight {w} on edge ({i}, {j})")
         if w == np.inf:
@@ -259,7 +254,7 @@ def load_edge_list(stream: IO[str] | str, indexing: str = "zero-based") -> Graph
         max_node = max(max_node, i, j)
     if not edges:
         raise MalformedLine("no edges found in input")
-    return _build_graph(max_node + 1, edges)
+    return _build_graph(max_node + 1, *_edge_arrays(edges))
 
 
 def load_lfr(network: IO[str] | str, community: IO[str] | str) -> tuple[Graph, Partition]:
@@ -298,10 +293,10 @@ def load_lfr(network: IO[str] | str, community: IO[str] | str) -> tuple[Graph, P
     for i, j in sorted(oriented):
         if (j, i) not in oriented:
             raise AsymmetricEdgeList(f"edge ({i}, {j}) is listed in one orientation only")
-    edges = {(min(i, j) - 1, max(i, j) - 1): 1.0 for i, j in oriented}
+    edges = {(i - 1, j - 1): 1.0 for i, j in oriented if i < j}
     if not edges:
         raise MalformedLine("network file has no edges")
-    g = _build_graph(n, edges)
+    g = _build_graph(n, *_edge_arrays(edges))
     return g, Partition.from_labels([labels[v] for v in range(1, n + 1)])
 
 
@@ -331,10 +326,11 @@ def planted_partition(
         rng = np.random.default_rng([seed, attempt])
         keep = rng.random(iu.size) < p_pair
         edge_index = np.stack([iu[keep], ju[keep]], axis=1)
-        if edge_index.shape[0] > 0 and _is_connected(n, edge_index):
-            edges = {(int(i), int(j)): 1.0 for i, j in edge_index}
-            g = _build_graph(n, edges)
-            return g, Partition.from_labels(group)
+        try:
+            g = _build_graph(n, edge_index, np.ones(edge_index.shape[0]))
+        except Disconnected:
+            continue
+        return g, Partition.from_labels(group)
     raise GenerationFailed(
         f"no connected sample in 100 attempts "
         f"(k={k}, size={size}, p_in={p_in}, p_out={p_out}, seed={seed})"

@@ -70,15 +70,6 @@ def _within_group_weight(g: Graph, p: Partition) -> np.ndarray:
     return W
 
 
-def modularity_score(g: Graph, p: Partition) -> float:
-    """Newman modularity Q, straight from adjacency, degrees and m."""
-    _check_nodes(g.n, p)
-    two_m = 2.0 * g.total_weight
-    W = _within_group_weight(g, p)
-    deg = np.bincount(p.assignment, weights=g.degrees, minlength=p.num_groups)
-    return float((W / two_m - (deg / two_m) ** 2).sum())
-
-
 def linearised_stability(g: Graph, p: Partition, t: float) -> float:
     """Linearised Markov stability at resolution t, straight from A, d, m.
 
@@ -93,3 +84,7 @@ def linearised_stability(g: Graph, p: Partition, t: float) -> float:
     P_s = np.bincount(p.assignment, weights=g.degrees, minlength=p.num_groups) / two_m
     return float(((1.0 - t) * P_s + t * W / two_m - P_s**2).sum())
 
+
+def modularity_score(g: Graph, p: Partition) -> float:
+    """Newman modularity Q: linearised stability at t = 1."""
+    return linearised_stability(g, p, 1.0)

@@ -351,8 +351,6 @@ def build_embedding(
         X = basis.eigenvectors[:, keep] * np.sqrt(np.abs(weights))[None, :]
         time_field: float | None = None
     else:
-        if basis.source != "transition":
-            raise ModeBasisMismatch(f"{mode} mode needs a transition basis")
         weights = scaled_eigenvalues(basis, mode, t)[keep]
         X = basis.pi[:, None] * basis.eigenvectors[:, keep] * np.sqrt(np.abs(weights))[None, :]
         time_field = float(t)

@@ -68,7 +68,6 @@ OUT_OF_DOMAIN = {
     "partition over no nodes": lambda: vp.Partition(assignment=np.array([], dtype=np.int64), num_groups=1),
     "partition with too many groups": lambda: vp.Partition(assignment=np.array([0, 1]), num_groups=3),
     "partition with a label gap": lambda: vp.Partition(assignment=np.array([0, 2]), num_groups=2),
-    "unknown edge list indexing": lambda: vp.load_edge_list("0 1\n", indexing="two-based"),
     "planted partition k < 1": lambda: vp.planted_partition(0, 4, 0.9, 0.1, seed=0),
     "planted partition size < 2": lambda: vp.planted_partition(2, 1, 0.9, 0.1, seed=0),
     "planted partition p_out > p_in": lambda: vp.planted_partition(2, 4, 0.5, 0.9, seed=0),

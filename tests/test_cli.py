@@ -410,6 +410,12 @@ class TestScan:
         for mode in ("exponential", "linearised"):
             assert main(["scan", graph_file, "--tmin", "0.1", "--tmax", "inf", "--npoints", "3", "--mode", mode]) == 2
 
+    def test_grid_checked_before_the_graph_loads(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        assert main(["scan", missing, "--tmin", "5", "--tmax", "1", "--npoints", "3"]) == 2
+        assert "error: usage: need finite 0 < t_min <= t_max" in capsys.readouterr().err
+        assert main(["scan", missing, "--tmin", "0.1", "--tmax", "10", "--npoints", str(10**12)]) == vp.TooLarge.exit_code
+
 
 class TestCompare:
     def test_identical_partitions(self, tmp_path, capsys):

@@ -36,6 +36,8 @@ class TestLoadEdgeList:
     def test_self_loop_rejected(self):
         with pytest.raises(vp.SelfLoop, match="line 1"):
             vp.load_edge_list("0 0 1")
+        with pytest.raises(vp.SelfLoop, match="^line 2: self-loop at node 3$"):
+            vp.load_edge_list("0 1\n3 3\n")
 
     def test_zero_weight_rejected(self):
         with pytest.raises(vp.NonPositiveWeight):
@@ -93,22 +95,16 @@ class TestLoadEdgeList:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_one_based_indexing(self):
-        g = vp.load_edge_list("1 2\n2 3\n1 3\n", indexing="one-based")
-        assert g.n == 3
-        assert g.edges == [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
-
     def test_index_below_base(self):
-        with pytest.raises(vp.MalformedLine):
-            vp.load_edge_list("0 1\n", indexing="one-based")
+        # ids are zero-based, so -1 is the first id below the base
+        with pytest.raises(vp.MalformedLine, match="^line 1: negative node id"):
+            vp.load_edge_list("-1 0\n")
+        with pytest.raises(vp.MalformedLine, match="^line 2: negative node id"):
+            vp.load_edge_list("0 1\n1 -3\n")
 
     def test_comments_and_blank_lines_skipped(self):
         g = vp.load_edge_list("# header\n\n0 1\n  \n1 2\n0 2\n")
         assert g.n == 3 and g.num_edges == 3
-
-    def test_unknown_indexing_flag(self):
-        with pytest.raises(ValueError):
-            vp.load_edge_list("0 1\n", indexing="two-based")
 
 
 class TestGraphInvariants:
@@ -125,6 +121,20 @@ class TestGraphInvariants:
         assert np.array_equal(g2.edge_index, g.edge_index)
         assert np.array_equal(g2.edge_weight, g.edge_weight)
         assert g2.sha256() == g.sha256()
+
+    def test_planted_serialisation_pinned(self):
+        g, _ = vp.planted_partition(3, 10, 0.9, 0.05, seed=7)
+        text = g.to_edge_list_text()
+        assert g.num_edges == 139 and len(text) == 1296
+        assert text.startswith("0 1 1.0\n0 2 1.0\n0 3 1.0\n")
+        assert g.sha256() == "bdc8c0384f3cd49aa9a52e836e17b82559445de569cc0d68b99bf24aba0abc92"
+
+    def test_weighted_serialisation_pinned(self):
+        g = vp.load_edge_list("0 1 0.1\n1 2 2.5e-07\n2 3 3\n0 3 1e-300\n1 3 7.25\n")
+        assert g.to_edge_list_text() == "0 1 0.1\n0 3 1e-300\n1 2 2.5e-07\n1 3 7.25\n2 3 3.0\n"
+        assert g.sha256() == "11aa64ba68091d26126861ef5c42687a6d97aec4ca554e52984bc3829fdfbda9"
+        assert g.edges == [(0, 1, 0.1), (0, 3, 1e-300), (1, 2, 2.5e-07), (1, 3, 7.25), (2, 3, 3.0)]
+        assert all(type(v) is t for e in g.edges for v, t in zip(e, (int, int, float)))
 
     def test_adjacency_symmetric(self):
         g = pairgraph4()
@@ -256,6 +266,34 @@ class TestPlantedPartition:
             if np.array_equal(expected, g.edge_index):
                 return
         pytest.fail("no attempt reproduced the returned edge set")
+
+    @staticmethod
+    def count_connectivity_checks(monkeypatch) -> list:
+        calls = []
+        check = vp.graph._is_connected
+        monkeypatch.setattr(vp.graph, "_is_connected", lambda n, e: calls.append(n) or check(n, e))
+        return calls
+
+    def test_connected_first_sample_is_checked_once(self, monkeypatch):
+        calls = self.count_connectivity_checks(monkeypatch)
+        vp.planted_partition(3, 10, 0.9, 0.05, seed=7)
+        assert calls == [30]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_check_per_attempt(self, monkeypatch, seed):
+        # Two complete groups of 5 connect iff some cross pair is kept;
+        # replay the sampling contract to find the first such attempt.
+        group = np.arange(10) // 5
+        iu, ju = np.triu_indices(10, k=1)
+        cross = group[iu] != group[ju]
+        p_pair = np.where(cross, 0.02, 1.0)
+        attempts = next(
+            a + 1 for a in range(100) if (cross & (np.random.default_rng([seed, a]).random(iu.size) < p_pair)).any()
+        )
+        calls = self.count_connectivity_checks(monkeypatch)
+        g, _ = vp.planted_partition(2, 5, 1.0, 0.02, seed)
+        assert calls == [10] * attempts
+        assert g.num_edges > 2 * 10  # both groups' 10 pairs and a cross pair
 
     def test_generation_failed_when_groups_cannot_connect(self):
         with pytest.raises(vp.GenerationFailed):
