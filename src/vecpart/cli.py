@@ -33,10 +33,19 @@ from .spectral import (
     check_time,
     decompose_modularity_matrix,
     decompose_transition,
+    load_solvers,
     pairs_for_dim,
     spectral_health,
     uses_quality_matrix,
 )
+
+
+def _load_solvers_if_decomposing(mode: str, dim: int | None) -> None:
+    """Call ``load_solvers`` when a job in ``mode`` at ``dim`` may decompose,
+    before its graph is read. Only a linearised or modularity job at full
+    dimension may not (see ``uses_quality_matrix``); it runs without SciPy."""
+    if mode == "exponential" or dim is not None:
+        load_solvers()
 
 
 def _load_graph(path: str) -> Graph:
@@ -203,6 +212,7 @@ def _emit_report(report: dict, output: str | None) -> None:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    load_solvers()
     g = _load_graph(args.graph)
     if args.source == "transition":
         basis = decompose_transition(g)
@@ -230,6 +240,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
             print(f"error: usage: --time: {exc}", file=sys.stderr)
             return 2
     started = time.perf_counter()
+    _load_solvers_if_decomposing(args.mode, args.dim)
     g = _load_graph(args.graph)
     check_dim(args.dim, g.n)
     t = None if args.mode == "modularity" else args.time
@@ -273,6 +284,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
     started = time.perf_counter()
+    _load_solvers_if_decomposing(args.mode, args.dim)
     g = _load_graph(args.graph)
     truth = _load_partition_file(args.truth) if args.truth else None
     records = time_scan(

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import (
     AsymmetricEdgeList,
@@ -27,17 +25,20 @@ from .errors import (
     TooLarge,
 )
 
-# No dense n x n float64 array may exceed the machine's physical memory.
+# The dense n x n float64 arrays a step holds at once may not exceed the
+# machine's physical memory.
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_dense(n: int) -> None:
-    """Raise TooLarge when one dense n x n float64 array would not fit in the
-    machine's physical memory. Runs before every such allocation."""
-    size = 8 * n * n
+def check_dense(n: int, arrays: int = 1) -> None:
+    """Raise TooLarge when ``arrays`` dense n x n float64 arrays, the most
+    the caller holds at once, would not fit in the machine's physical
+    memory. Runs before the first such allocation."""
+    size = arrays * 8 * n * n
     if size > PHYSICAL_MEMORY:
+        held = "matrix needs" if arrays == 1 else f"step holds {arrays} such matrices,"
         raise TooLarge(
-            f"a dense {n} x {n} matrix needs {size / 2**30:.1f} GiB, "
+            f"a dense {n} x {n} {held} {size / 2**30:.1f} GiB, "
             f"more than the {PHYSICAL_MEMORY / 2**30:.1f} GiB of physical memory"
         )
 
@@ -66,8 +67,10 @@ class Graph:
     def edges(self) -> list[tuple[int, int, float]]:
         return list(zip(*self.edge_index.T.tolist(), self.edge_weight.tolist()))
 
-    def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric sparse adjacency lookup."""
+    def adjacency(self):
+        """Symmetric sparse adjacency lookup, a SciPy CSR matrix."""
+        from scipy import sparse
+
         i = self.edge_index[:, 0]
         j = self.edge_index[:, 1]
         rows = np.concatenate([i, j])
@@ -150,14 +153,28 @@ class Partition:
 
 
 def _is_connected(n: int, edge_index: np.ndarray) -> bool:
-    if n <= 1:
-        return True
-    adj = sparse.coo_matrix(
-        (np.ones(edge_index.shape[0], dtype=np.int8), (edge_index[:, 0], edge_index[:, 1])),
-        shape=(n, n),
-    )
-    count, _ = csgraph.connected_components(adj, directed=False)
-    return count == 1
+    """Whether the n nodes form one component, by hook-and-compress.
+
+    Every node points at the root of its tree, the smallest id in it. A
+    round hooks each root to the smallest root it shares an edge with, then
+    pointer-jumps every node to its new root. A root that hooks to none is
+    hooked to by a neighbour, so each round at least halves the trees of
+    every component: at most ceil(log2 n) + 1 rounds, whatever the diameter.
+    """
+    parent = np.arange(n)
+    i, j = edge_index[:, 0], edge_index[:, 1]
+    while True:
+        ri, rj = parent[i], parent[j]
+        cross = ri != rj  # an edge inside one tree stays inside it
+        if not cross.any():
+            return bool((parent == 0).all())
+        i, j, ri, rj = i[cross], j[cross], ri[cross], rj[cross]
+        np.minimum.at(parent, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
 def _edge_arrays(edges: dict[tuple[int, int], float]) -> tuple[np.ndarray, np.ndarray]:

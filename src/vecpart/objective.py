@@ -10,7 +10,6 @@ is tested against.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SizeMismatch
 from .graph import Graph, Partition
@@ -51,6 +50,8 @@ def autocovariance_direct(g: Graph, t: float) -> np.ndarray:
     Computed with a dense matrix exponential, independent of any spectral
     decomposition; rows sum to zero because exp(-t (I - M)) is row-stochastic.
     """
+    import scipy.linalg
+
     check_time("exponential", t)
     d = np.asarray(g.degrees, dtype=np.float64)
     pi = d / (2.0 * g.total_weight)

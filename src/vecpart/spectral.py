@@ -10,14 +10,12 @@ vector partitioning.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy import sparse
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import DimOutOfRange, EigensolverFailure, InvalidParameter, ModeBasisMismatch, TooLarge, ZeroDegree
 from .graph import Graph, check_dense
@@ -41,11 +39,46 @@ ZERO_WEIGHT_TOL = 1e-12
 TRUNCATED_MIN_N = 300
 TRUNCATED_MAX_FRACTION = 10
 
-# When the Krylov space breaks down, as on a spectrum with few distinct
-# eigenvalues, ARPACK restarts from a random vector. SciPy releases whose
-# eigsh takes ``rng`` draw it from that generator, seeded from the operating
-# system unless given one; older releases use a fixed internal seed.
-_EIGSH_RESTART_SEED = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
+# A dense decomposition holds at most this many n x n float64 arrays at once:
+# its peak traced allocation (tracemalloc, planted-partition graphs) was 4.02
+# arrays for the transition and 4.04 for the modularity source, at n = 1000
+# and at n = 2000. The rest is O(n).
+DENSE_EIGH_ARRAYS = 4
+
+
+def load_solvers() -> None:
+    """Import SciPy's eigensolvers. Nothing else in the package needs SciPy,
+    so a job that optimises a ``QualityMatrix`` never loads it. A job that
+    may decompose calls this before it reads its graph: loaded after the
+    read, SciPy raised the peak RSS of a full-dimension exponential
+    ``partition`` at n = 1000 from 103 to 109 MB. Both solvers' modules
+    are loaded: with the dense solver's alone, that job's peak RSS was
+    100.1-100.4 MB on 22 of 23 graphs but 107.9 MB on the other."""
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+
+
+def __getattr__(name: str):
+    """Import ``eigsh`` on first access (PEP 562) and keep it as a module
+    attribute, which the truncated solve reads at call time."""
+    if name != "eigsh":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.sparse.linalg import eigsh
+
+    globals()["eigsh"] = eigsh
+    return eigsh
+
+
+@functools.cache
+def _eigsh_restart_seed() -> dict:
+    """When the Krylov space breaks down, as on a spectrum with few distinct
+    eigenvalues, ARPACK restarts from a random vector. SciPy releases whose
+    eigsh takes ``rng`` draw it from that generator, seeded from the
+    operating system unless given one; older releases use a fixed internal
+    seed. Read at the first truncated solve."""
+    from scipy.sparse.linalg import eigsh
+
+    return {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +175,10 @@ def _use_truncated(n: int, pairs: int | None) -> bool:
     return n >= TRUNCATED_MIN_N and pairs * TRUNCATED_MAX_FRACTION <= n
 
 
-def _similar_transition(g: Graph) -> sparse.csr_matrix:
-    """Sparse S = D^-1/2 A D^-1/2, exactly symmetric."""
+def _similar_transition(g: Graph):
+    """Sparse S = D^-1/2 A D^-1/2, exactly symmetric, a SciPy CSR matrix."""
+    from scipy import sparse
+
     inv_sqrt_d = 1.0 / np.sqrt(np.asarray(g.degrees, dtype=np.float64))
     A = g.adjacency().tocoo()
     data = A.data * (inv_sqrt_d[A.row] * inv_sqrt_d[A.col])
@@ -177,6 +212,8 @@ def _operator(g: Graph, source: str):
     """
     if source == "transition":
         return _similar_transition(g)
+    from scipy.sparse.linalg import LinearOperator
+
     n = g.n
     d = np.asarray(g.degrees, dtype=np.float64)
     e = np.full(n, 1.0 / np.sqrt(n))
@@ -201,14 +238,18 @@ def _eigenpairs(g: Graph, source: str, k: int | None) -> tuple[np.ndarray, np.nd
     dense solver on the densified operator, less the modularity operator's
     lowest pair: its shifted ones direction.
     """
+    import scipy.linalg
+    from scipy.sparse.linalg import ArpackError
+
     op = _operator(g, source)
     if k is not None:
         v0 = np.random.default_rng(0).standard_normal(g.n)
+        eigsh = globals().get("eigsh") or __getattr__("eigsh")
         try:
-            return eigsh(op, k=k, which="LA", v0=v0, tol=0, **_EIGSH_RESTART_SEED)
+            return eigsh(op, k=k, which="LA", v0=v0, tol=0, **_eigsh_restart_seed())
         except ArpackError as exc:
             raise EigensolverFailure(f"{source} truncated eigendecomposition failed: {exc}") from exc
-    check_dense(g.n)
+    check_dense(g.n, DENSE_EIGH_ARRAYS)
     try:
         w, U = scipy.linalg.eigh(op.toarray() if source == "transition" else op @ np.eye(g.n))
     except scipy.linalg.LinAlgError as exc:

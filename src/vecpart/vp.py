@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InvalidParameter, LevelCapExceeded, ObjectiveDecreased, TooLarge
 from .graph import Partition, canonical_labels
@@ -201,12 +200,34 @@ class GramState(_LevelState):
     def compact(self) -> tuple[np.ndarray, GramState]:
         """Drop empty groups; returns the first-appearance labels and the
         next level's state over the group Gram H^T G H, with H the p x c
-        one-hot group matrix."""
+        one-hot group matrix.
+
+        Both products sum rows per group: each group's members are added one
+        at a time, in index order, to zeros. That is the order, and so the
+        bits, of a sparse one-hot product. Layer k adds the k-th member of
+        every group that has one; with the groups ranked by size, largest
+        first, those groups are a leading block of the accumulator.
+        """
         labels, c = canonical_labels(self.assignment)
-        p = labels.size
-        onehot = sparse.csr_array((np.ones(p), (labels, np.arange(p))), shape=(c, p))
-        partial = onehot @ self.gram  # H^T G
-        return labels, GramState(np.ascontiguousarray((onehot @ partial.T).T))
+        sizes = np.bincount(labels, minlength=c)
+        by_group = np.argsort(labels, kind="stable")
+        member_rank = np.empty_like(labels)  # position in its group, by index
+        member_rank[by_group] = np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        slot = np.empty(c, dtype=np.int64)  # accumulator row of each group
+        slot[np.argsort(-sizes, kind="stable")] = np.arange(c)
+        rows = np.argsort(member_rank * c + slot[labels])  # layer by layer
+        widths = np.bincount(member_rank).tolist()
+
+        def group_rows(M: np.ndarray) -> np.ndarray:
+            acc = np.zeros((c, M.shape[1]))
+            start = 0
+            for w in widths:
+                acc[:w] += M[rows[start : start + w]]
+                start += w
+            return acc[slot]
+
+        partial = group_rows(self.gram)  # H^T G
+        return labels, GramState(np.ascontiguousarray(group_rows(partial.T).T))
 
 
 def _level_state(vectors: np.ndarray, signature: np.ndarray) -> VPState | GramState:

@@ -331,6 +331,89 @@ class TestConnectivity:
         reference.add_edges_from(map(tuple, edge_index))
         assert _is_connected(n, edge_index) == nx.is_connected(reference)
 
+    @staticmethod
+    def oracle(n, edge_index):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        ones = np.ones(edge_index.shape[0], dtype=np.int8)
+        adj = coo_matrix((ones, (edge_index[:, 0], edge_index[:, 1])), shape=(n, n))
+        return connected_components(adj, directed=False)[0] == 1
+
+    @staticmethod
+    def edges(pairs):
+        """Rows (i, j) with i < j, distinct and in row-major order, as _build_graph takes them."""
+        e = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+        return np.unique(e[e[:, 0] != e[:, 1]], axis=0)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_agrees_with_csgraph_on_random_graphs(self, seed):
+        from vecpart.graph import _is_connected
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        # A random spanning tree plus random chords is connected; cutting the
+        # nodes into two sets and dropping every edge across them is not.
+        parent = rng.integers(0, np.arange(1, n))
+        tree = np.stack([np.arange(1, n), parent], axis=1)
+        chords = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+        relabel = rng.permutation(n)
+        connected = self.edges(relabel[np.concatenate([tree, chords])])
+        side = np.zeros(n, dtype=bool)
+        side[rng.permutation(n)[: rng.integers(1, n)]] = True
+        split = connected[side[connected[:, 0]] == side[connected[:, 1]]]
+        for edge_index, expected in ((connected, True), (split, False)):
+            assert self.oracle(n, edge_index) == expected
+            assert _is_connected(n, edge_index) == expected
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_csgraph_on_sparse_random_graphs(self, seed):
+        from vecpart.graph import _is_connected
+
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 500))
+        edge_index = self.edges(rng.integers(0, n, size=(int(n * rng.uniform(0.5, 1.5)), 2)))
+        assert _is_connected(n, edge_index) == self.oracle(n, edge_index)
+
+    def test_isolated_top_id(self):
+        from vecpart.graph import _build_graph, _is_connected
+
+        # nodes 0..8 carry n - 1 = 9 edges, so only the component check can
+        # see that node 9 has none
+        edge_index = self.edges([(k, k + 1) for k in range(8)] + [(0, 2)])
+        assert not self.oracle(10, edge_index)
+        assert not _is_connected(10, edge_index)
+        assert _is_connected(9, edge_index)
+        with pytest.raises(vp.Disconnected, match="10 nodes is not connected"):
+            _build_graph(10, edge_index, np.ones(edge_index.shape[0]))
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_path_with_one_edge_removed(self, shuffled):
+        from vecpart.graph import _is_connected
+
+        n = 64
+        label = np.random.default_rng(5).permutation(n) if shuffled else np.arange(n)
+        path = np.stack([label[:-1], label[1:]], axis=1)
+        assert _is_connected(n, self.edges(path))
+        for cut in range(n - 1):
+            edge_index = self.edges(np.delete(path, cut, axis=0))
+            assert not self.oracle(n, edge_index)
+            assert not _is_connected(n, edge_index)
+
+    def test_long_path_with_shuffled_labels(self):
+        # a diameter of n - 1; each round at least halves the trees, so the
+        # rounds grow with log n, not with the diameter
+        from vecpart.graph import _is_connected
+
+        n = 200_000
+        label = np.random.default_rng(7).permutation(n)
+        path = self.edges(np.stack([label[:-1], label[1:]], axis=1))
+        assert self.oracle(n, path)
+        assert _is_connected(n, path)
+        cut = np.delete(path, n // 3, axis=0)
+        assert not self.oracle(n, cut)
+        assert not _is_connected(n, cut)
+
 
 class TestCanonicalLabels:
     @pytest.mark.parametrize("seed", range(5))

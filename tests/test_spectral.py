@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -474,6 +476,25 @@ class TestTruncatedEigensolver:
         monkeypatch.setattr(vp.spectral, "eigsh", no_convergence)
         with pytest.raises(vp.EigensolverFailure, match="truncated"):
             bases(planted400, source)
+
+
+class TestDenseBudget:
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_an_n_that_fits_one_array_but_not_four_is_refused_before_allocating(self, source, monkeypatch):
+        g = vp.load_edge_list("".join(f"{i} {i + 1}\n" for i in range(399)))
+        one = 8 * g.n * g.n
+        monkeypatch.setattr(vp.graph, "PHYSICAL_MEMORY", 3 * one)
+        vp.graph.check_dense(g.n)  # one array fits
+        decompose = vp.decompose_transition if source == "transition" else vp.decompose_modularity_matrix
+        vp.spectral.load_solvers()  # so the trace holds no import
+        tracemalloc.start()
+        try:
+            with pytest.raises(vp.TooLarge, match="^a dense 400 x 400 step holds 4 such matrices"):
+                decompose(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one / 4
 
 
 class TestSpectralHealth:

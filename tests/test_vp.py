@@ -263,6 +263,34 @@ class TestGramPath:
         assert gram == pytest.approx((sums * signature) @ sums.T, abs=1e-12)
         assert state.objective() == pytest.approx(np.trace(gram), abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("groups", ["one", "singletons", "mixed"])
+    def test_compact_is_the_sparse_one_hot_product_bitwise(self, seed, groups):
+        from scipy import sparse
+
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 150))
+        X = rng.normal(size=(p, p)) * 10.0 ** rng.uniform(-8, 8, size=(p, 1))
+        gram = X + X.T
+        gram[rng.random((p, p)) < 0.05] = -0.0
+        gram = np.maximum(gram, gram.T)  # symmetric, with its signed zeros
+        if groups == "one":
+            assignment = np.full(p, int(rng.integers(p)))
+        elif groups == "singletons":
+            assignment = rng.permutation(p)
+        else:  # sizes from 1 to about p / 2, with empty groups between them
+            assignment = rng.permutation(p)[np.minimum(rng.geometric(0.15, size=p), p) - 1]
+        state = vp.vp.GramState(gram)
+        state.assignment = assignment.copy()
+        state.group_sizes = np.bincount(assignment, minlength=p)
+        labels, next_state = state.compact()
+        c = int(labels.max()) + 1
+        assert c == {"one": 1, "singletons": p}.get(groups, c)
+        onehot = sparse.csr_array((np.ones(p), (labels, np.arange(p))), shape=(c, p))
+        expected = np.ascontiguousarray((onehot @ (onehot @ gram).T).T)
+        assert next_state.gram.flags.c_contiguous
+        assert next_state.gram.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("t", [1.0, 5.0])
     def test_gram_levels_match_vector_levels_on_planted_graphs(self, seed, t):
