@@ -24,6 +24,16 @@ differ at all, or if Gram and vector levels differ other than by exact
 ties. The screen changes no arithmetic of a move, so screened and plain
 sweeps agree exactly.
 
+Which ties split the two paths depends on the vector path's summation
+order. ``VPState`` stores its group sums column-major, so at dim 999 the
+reference loop's scores round differently from row-major sums. With
+``--graphs 2`` the Gram and vector partitions differ on
+``fulldim_stability`` graphs 0 and 1 in linearised mode, 26 of 28
+identical; the first divergence of graph 0 is an exact tie at gain
+795/11683778 for both targets. The partitions ``partition_vectors``
+returns do not depend on this loop: its full-dimension levels run in Gram
+space.
+
 On the ``fulldim_stability`` graphs, the script also optimises each graph at
 full dimension in linearised mode at t = 1 and in modularity mode twice:
 from its ``QualityMatrix`` and from the spectral embedding, with the

@@ -462,18 +462,27 @@ class QualityMatrix:
     def gram(self) -> np.ndarray:
         """The dense n x n matrix: the adjacency scaled, a diagonal added and a
         rank-one term subtracted, entry by entry. Raises TooLarge as
-        ``Graph.dense_adjacency`` does, before any allocation."""
+        ``Graph.dense_adjacency`` does, before any allocation.
+
+        The rank-one term is formed and subtracted a block of rows at a time,
+        so the step holds one n x n array and a temporary of at most a
+        sixteenth of one."""
         g = self.graph
         d = np.asarray(g.degrees, dtype=np.float64)
         two_m = 2.0 * g.total_weight
         G = g.dense_adjacency()
         if self.mode == "modularity":
-            G -= np.multiply.outer(d, d) / two_m
-            return G
-        pi = d / two_m
-        G *= self.time / two_m
-        G -= np.multiply.outer(pi, pi)
-        G.flat[:: g.n + 1] += (1.0 - self.time) * pi
+            u, scale = d, two_m  # G = A - d d^T / 2m
+        else:
+            u, scale = d / two_m, 1.0  # G = t A / 2m - pi pi^T + (1 - t) Pi; x / 1.0 == x
+            G *= self.time / two_m
+        step = max(1, g.n // 16)
+        for start in range(0, g.n, step):
+            outer = np.multiply.outer(u[start : start + step], u)
+            outer /= scale
+            G[start : start + step] -= outer
+        if self.mode == "linearised":
+            G.flat[:: g.n + 1] += (1.0 - self.time) * u
         return G
 
 

@@ -95,9 +95,9 @@ class _LevelState:
 
     def apply_move(self, i: int, beta: int) -> None:
         """Move vector i to group beta; beta == num_groups opens a new group."""
-        if beta == self.num_groups:
+        if beta == self.group_sizes.size:
             self.group_sizes = np.append(self.group_sizes, 0)
-        self.group_sizes[self.assignment[i]] -= 1
+        self.group_sizes[self.assignment.item(i)] -= 1
         self.group_sizes[beta] += 1
         self.assignment[i] = beta
 
@@ -112,6 +112,8 @@ class VPState(_LevelState):
     """One aggregation level of the optimiser in vector space.
 
     ``group_sums`` holds one sum vector per group, updated incrementally.
+    It is stored column-major, a copy of the input vectors: a visit's
+    product ``group_sums @ S x_i`` then runs BLAS's column kernel.
     """
 
     path = "vector"
@@ -121,20 +123,21 @@ class VPState(_LevelState):
     def __init__(self, vectors: np.ndarray, signature: np.ndarray) -> None:
         self.vectors = np.asarray(vectors, dtype=np.float64)
         self.signature = signature
-        self.group_sums = self.vectors.copy()
-        # The signed rows S x, which every score reads, and constants for
-        # screened sweeps. No group sum is longer than sum|x|, so
-        # (dim + 1) eps |x| sum|x| bounds the roundoff of every score <x, S y>.
+        self.group_sums = np.array(self.vectors, order="F")
+        # The signed rows S x and self scores <x, S x>, which every score
+        # reads, and the per-row roundoff bound of screened sweeps. Each self
+        # score is the product a visit would form, bit for bit. No group sum
+        # is longer than sum|x|, so (dim + 1) eps |x| sum|x| bounds the
+        # roundoff of every score <x, S y>.
         self.signed = self.vectors * signature
-        self.self_scores = np.einsum("ij,ij->i", self.signed, self.vectors)
+        self.self_scores = np.matmul(self.signed[:, None, :], self.vectors[:, :, None])[:, 0, 0]
         norms = np.linalg.norm(self.vectors, axis=1)
         self.roundoff = (self.vectors.shape[1] + 1) * np.finfo(np.float64).eps * norms * norms.sum()
         super().__init__(self.vectors.shape[0])
 
     def scores(self, i: int) -> tuple[np.ndarray, float]:
         """<x_i, S y_g> for every group g, and <x_i, S x_i>."""
-        sx = self.signed[i]
-        return self.group_sums @ sx, float(sx @ self.vectors[i])
+        return self.group_sums @ self.signed[i], self.self_scores.item(i)
 
     def block_scores(self, rows: np.ndarray, live: np.ndarray) -> np.ndarray:
         """<x_r, S y_g> for the vectors ``rows`` against the groups ``live``."""
@@ -142,11 +145,17 @@ class VPState(_LevelState):
 
     def apply_move(self, i: int, beta: int) -> None:
         x = self.vectors[i]
-        if beta == self.num_groups:
-            self.group_sums = np.vstack([self.group_sums, np.zeros((1, x.size))])
-        self.group_sums[self.assignment[i]] -= x
+        alpha = self.assignment.item(i)
+        if beta == self.group_sizes.size:  # a fresh group
+            self.group_sizes = np.append(self.group_sizes, 0)
+            grown = np.zeros((beta + 1, x.size), order="F")
+            grown[:beta] = self.group_sums
+            self.group_sums = grown
+        self.group_sums[alpha] -= x
         self.group_sums[beta] += x
-        super().apply_move(i, beta)
+        self.group_sizes[alpha] -= 1
+        self.group_sizes[beta] += 1
+        self.assignment[i] = beta
 
     def revalidate(self) -> None:
         """Recompute group sums from members and check incremental drift."""
@@ -155,11 +164,13 @@ class VPState(_LevelState):
         if drift > 1e-9:
             raise RuntimeError(f"group sums drifted by {drift} from their members")
         super().revalidate()
-        self.group_sums = fresh
+        self.group_sums = np.asfortranarray(fresh)
 
     def objective(self) -> float:
-        """Raw objective: the total signed squared length of the group sums."""
-        return float((self.group_sums * (self.group_sums * self.signature)).sum())
+        """Raw objective: the total signed squared length of the group sums,
+        summed over a row-major copy, in the order of ``stability``."""
+        Y = np.ascontiguousarray(self.group_sums)
+        return float((Y * (Y * self.signature)).sum())
 
     def compact(self) -> tuple[np.ndarray, VPState | GramState]:
         """Drop empty groups; returns the first-appearance labels and the
@@ -256,11 +267,11 @@ def _choose_move(
     group index, and a fresh group only when strictly better; a move is made
     only when its gain exceeds ``tol``.
     """
-    base = float(scores[alpha]) - self_score  # <x_i, y_alpha - x_i>
+    base = scores.item(alpha) - self_score  # <x_i, y_alpha - x_i>
     gains = scores - base
     gains[alpha] = -np.inf
     beta = int(gains.argmax())  # ties resolve to the lowest group index
-    best = float(gains[beta])
+    best = gains.item(beta)
     if can_detach and -base > best:
         beta = scores.size
         best = -base
@@ -271,9 +282,9 @@ def _visit(state: VPState | GramState, i: int, tol: float) -> int:
     """Visit vector i: make the move rule's move, if any; returns its target
     group, or -1 when the vector stays. It may detach into a fresh group
     unless it is alone."""
-    alpha = int(state.assignment[i])
+    alpha = state.assignment.item(i)
     scores, self_score = state.scores(i)
-    beta = _choose_move(scores, alpha, self_score, state.group_sizes[alpha] > 1, tol)
+    beta = _choose_move(scores, alpha, self_score, state.group_sizes.item(alpha) > 1, tol)
     if beta >= 0:
         state.apply_move(i, beta)
     return beta
@@ -284,7 +295,7 @@ def _sweep(state: VPState | GramState, order: np.ndarray, tol: float) -> tuple[i
 
     A move is accepted when its gain exceeds ``tol``, in raw objective units.
     """
-    moved = sum(_visit(state, int(i), tol) >= 0 for i in order)
+    moved = sum(_visit(state, i, tol) >= 0 for i in order.tolist())
     return moved, order.size
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,56 @@ class TestAutocovarianceDirect:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             vp.autocovariance_direct(pairgraph4(), -0.1)
+
+    def test_an_n_that_fits_its_peak_but_not_its_budget_is_refused_before_allocating(self, monkeypatch):
+        g = vp.load_edge_list("".join(f"{i} {i + 1}\n" for i in range(399)))
+        one = 8 * g.n * g.n
+        monkeypatch.setattr(vp.graph, "PHYSICAL_MEMORY", (vp.objective.AUTOCOVARIANCE_ARRAYS - 1) * one)
+        tracemalloc.start()
+        try:
+            with pytest.raises(vp.TooLarge, match="^a dense 400 x 400 step holds 11 such matrices"):
+                vp.autocovariance_direct(g, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one / 4
+
+    @pytest.mark.parametrize("t", [1.0, 100.0])
+    def test_its_peak_is_within_its_budget(self, t):
+        import scipy.linalg  # noqa: F401  so the trace holds no import
+
+        g, _ = vp.planted_partition(4, 100, 0.1, 0.01, seed=1)
+        tracemalloc.start()
+        try:
+            vp.autocovariance_direct(g, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= vp.objective.AUTOCOVARIANCE_ARRAYS * 8 * g.n * g.n
+
+
+class TestGroupSums:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("groups", ["one", "all", "some"])
+    def test_bitwise_the_sequential_scatter_add(self, seed, groups):
+        # np.add.at into zeros adds each group's members in index order, as
+        # the per-column bincount must; -0.0 entries and wide magnitudes show
+        # any other order or a different starting value.
+        rng = np.random.default_rng(seed)
+        p, dim = int(rng.integers(1, 40)), int(rng.integers(1, 16))
+        c = {"one": 1, "all": p, "some": int(rng.integers(1, p + 1))}[groups]
+        labels = rng.permutation(p) % c if groups == "all" else rng.integers(0, c, size=p)
+        vectors = rng.standard_normal((p, dim)) * 10.0 ** rng.integers(-5, 300, size=(p, dim))
+        vectors[rng.random((p, dim)) < 0.25] = -0.0
+        expected = np.zeros((c, dim))
+        np.add.at(expected, labels, vectors)
+        sums = vp.objective.group_sums(vectors, labels, c)
+        assert sums.tobytes() == expected.tobytes()
+        assert sums.flags.c_contiguous
+
+    def test_an_all_negative_zero_group_sums_to_positive_zero(self):
+        sums = vp.objective.group_sums(np.full((3, 2), -0.0), np.array([0, 0, 1]), 2)
+        assert sums.tobytes() == np.zeros((2, 2)).tobytes()
 
 
 class TestStability:

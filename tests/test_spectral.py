@@ -497,6 +497,44 @@ class TestDenseBudget:
         assert peak < one / 4
 
 
+def rank_one_gram(q: vp.QualityMatrix) -> np.ndarray:
+    """``QualityMatrix.gram()`` with its rank-one term formed whole: the
+    per-entry formula the row-block form must reproduce bit for bit."""
+    g = q.graph
+    d = np.asarray(g.degrees, dtype=np.float64)
+    two_m = 2.0 * g.total_weight
+    G = g.dense_adjacency()
+    if q.mode == "modularity":
+        G -= np.multiply.outer(d, d) / two_m
+        return G
+    pi = d / two_m
+    G *= q.time / two_m
+    G -= np.multiply.outer(pi, pi)
+    G.flat[:: g.n + 1] += (1.0 - q.time) * pi
+    return G
+
+
+class TestQualityMatrixMemory:
+    @pytest.mark.parametrize("mode, t", [("linearised", 0.3), ("linearised", 1.0), ("modularity", None)])
+    def test_gram_holds_one_dense_array_and_keeps_its_bits(self, mode, t):
+        g, _ = vp.planted_partition(10, 100, 0.1, 0.005, seed=1)
+        q = vp.QualityMatrix(g, mode, t)
+        tracemalloc.start()
+        try:
+            G = q.gram()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * g.n * g.n
+        assert G.tobytes() == rank_one_gram(q).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 18, 34])
+    def test_every_row_block_is_subtracted(self, n):
+        g = vp.load_edge_list("".join(f"{i} {i + 1} {1 + i % 3}\n" for i in range(n - 1)))
+        for q in (vp.QualityMatrix(g, "linearised", 0.7), vp.QualityMatrix(g, "modularity")):
+            assert q.gram().tobytes() == rank_one_gram(q).tobytes()
+
+
 class TestSpectralHealth:
     @pytest.mark.parametrize("source", SOURCES)
     def test_both_solvers(self, planted400, source):

@@ -122,6 +122,60 @@ class TestMoveGain:
             assert gram_self_score == pytest.approx(float(sx @ vectors[i]), abs=1e-12)
 
 
+def input_layouts():
+    """Vector arrays a level may be handed that it must not write into."""
+    rng = np.random.default_rng(7)
+    yield "f_contiguous", np.asfortranarray(rng.normal(size=(9, 3)))
+    yield "single_column", rng.normal(size=(9, 1))
+    read_only = rng.normal(size=(9, 3))
+    read_only.setflags(write=False)
+    yield "read_only", read_only
+
+
+class TestColumnMajorSums:
+    @pytest.mark.parametrize("name, vectors", list(input_layouts()))
+    def test_moves_never_write_into_the_input_vectors(self, name, vectors):
+        before = vectors.tobytes()
+        state = vp.VPState(vectors, np.ones(vectors.shape[1]))
+        assert not np.shares_memory(state.group_sums, vectors)
+        state.apply_move(0, 1)
+        state.apply_move(2, 1)
+        state.apply_move(0, state.num_groups)  # a fresh group
+        vp.vp._sweep(state, np.arange(9), 1e-12)
+        state.revalidate()
+        assert vectors.tobytes() == before
+
+    def test_group_sums_stay_column_major(self):
+        rng = np.random.default_rng(3)
+        state = vp.VPState(rng.normal(size=(12, 4)), rng.choice([1.0, -1.0], size=4))
+        assert state.group_sums.flags.f_contiguous
+        state.apply_move(0, 1)
+        state.apply_move(0, state.num_groups)  # a fresh group grows the sums
+        assert state.group_sums.shape == (13, 4) and state.group_sums.flags.f_contiguous
+        state.revalidate()
+        assert state.group_sums.flags.f_contiguous
+        assert np.array_equal(state.group_sums, group_sums(state.vectors, state.assignment))
+
+    @pytest.mark.parametrize("dim", [14, 24])
+    def test_self_scores_are_the_visit_products_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        vectors = rng.normal(size=(500, dim)) * rng.uniform(1e-3, 1e3, size=(500, 1))
+        signature = rng.choice([1.0, -1.0], size=dim)
+        state = vp.VPState(vectors, signature)
+        for i in range(500):
+            expected = float((signature * vectors[i]) @ vectors[i])
+            assert np.float64(state.scores(i)[1]).tobytes() == np.float64(expected).tobytes()
+            assert state.self_scores[i].tobytes() == np.float64(expected).tobytes()
+
+    def test_objective_is_summed_in_row_major_order(self):
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(size=(40, 24)) * 10.0 ** rng.integers(-8, 8, size=(40, 24))
+        signature = rng.choice([1.0, -1.0], size=24)
+        state = vp.VPState(vectors, signature)
+        Y = group_sums(vectors, state.assignment)
+        assert state.objective() == float((Y * (Y * signature)).sum())
+
+
 class TestPartitionVectors:
     def test_pairgraph4_large_time_finds_bipartition(self):
         g = pairgraph4()
