@@ -53,7 +53,7 @@ def main() -> int:
             for mode, times in modes:
                 decompose = vp.decompose_modularity_matrix if mode == "modularity" else vp.decompose_transition
                 dense = decompose(g)
-                truncated = decompose(g, pairs=vp.pairs_for_dim(dim))
+                truncated = decompose(g, dim=dim)
                 same = 0
                 for t in times:
                     p_dense, obj_dense = solve(dense, mode, t, dim)

@@ -162,10 +162,10 @@ def divergent_ties(g, mode: str, t: float | None, level0, restarts: int) -> list
     """Rerun each restart of ``best_of_restarts`` on the two level-0 states
     ``level0()`` returns, up to its first divergent visit. Returns one entry
     per restart that diverges: whether the two targets' exact gains tie."""
-    unit = 2.0 * g.total_weight if mode == "modularity" else 1.0
+    tol, _ = vp.vp.tolerances(mode, g.total_weight)
     ties = []
     for run_seed in [None, *range(1, restarts)]:
-        found = first_divergence(level0(), run_seed, vp.vp.GAIN_TOLERANCE * unit)
+        found = first_divergence(level0(), run_seed, tol)
         if found is not None:
             level, vector, rest, targets = found
             gains = [exact_gain(g, mode, t, vector, rest, target) for target in targets]
@@ -224,7 +224,7 @@ def main() -> int:
             g, _ = vp.planted_partition(*family, seed=seed)
             for mode, times in modes:
                 decompose = vp.decompose_modularity_matrix if mode == "modularity" else vp.decompose_transition
-                basis = decompose(g, pairs=vp.pairs_for_dim(dim))
+                basis = decompose(g, dim=dim)
                 same = same_plain = 0
                 gaps = []
                 for t in times:

@@ -24,6 +24,7 @@ from .errors import (
     ObjectiveDecreased,
     SelfLoop,
     SizeMismatch,
+    StateDrift,
     TooLarge,
     VecpartError,
     ZeroDegree,
@@ -60,7 +61,6 @@ from .spectral import (
     build_embedding,
     decompose_modularity_matrix,
     decompose_transition,
-    pairs_for_dim,
     scaled_eigenvalues,
 )
 from .vp import (
@@ -98,6 +98,7 @@ __all__ = [
     "SelfLoop",
     "SizeMismatch",
     "SpectralBasis",
+    "StateDrift",
     "TooLarge",
     "VPDiagnostics",
     "VPState",
@@ -117,7 +118,6 @@ __all__ = [
     "load_lfr",
     "modularity_score",
     "nmi",
-    "pairs_for_dim",
     "partition_vectors",
     "planted_partition",
     "sankey_links",

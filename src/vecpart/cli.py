@@ -29,12 +29,10 @@ from .metrics import nmi, sankey_links, sankey_to_json, uncertainty_coefficient,
 from .spectral import (
     QualityMatrix,
     build_embedding,
-    check_dim,
     check_time,
     decompose_modularity_matrix,
     decompose_transition,
     load_solvers,
-    pairs_for_dim,
     spectral_health,
     uses_quality_matrix,
 )
@@ -223,10 +221,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _basis_for_mode(g: Graph, mode: str, pairs: int | None):
+def _basis_for_mode(g: Graph, mode: str, dim: int | None):
     if mode == "modularity":
-        return decompose_modularity_matrix(g, pairs=pairs)
-    return decompose_transition(g, pairs=pairs)
+        return decompose_modularity_matrix(g, dim=dim)
+    return decompose_transition(g, dim=dim)
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
@@ -242,13 +240,12 @@ def cmd_partition(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     _load_solvers_if_decomposing(args.mode, args.dim)
     g = _load_graph(args.graph)
-    check_dim(args.dim, g.n)
     t = None if args.mode == "modularity" else args.time
     if uses_quality_matrix(args.mode, args.dim, g.n):
         emb = QualityMatrix(g, args.mode, t)
         spectral = {"solver": "graph"}
     else:
-        basis = _basis_for_mode(g, args.mode, pairs_for_dim(args.dim))
+        basis = _basis_for_mode(g, args.mode, args.dim)
         emb = build_embedding(basis, args.mode, t=t, dim=args.dim)
         spectral = spectral_health(g, basis, emb.dim)
     partition, objective, diag = best_of_restarts(emb, args.restarts, args.seed)

@@ -64,9 +64,9 @@ class NonFiniteWeight(VecpartError):
 class InvalidParameter(VecpartError, ValueError):
     """A library call got a parameter outside its domain: an unknown mode, an
     empty, reversed or infinite time grid, no restarts, a missing, negative
-    or non-finite Markov time, fewer than 2 eigenpairs, labels that do not
-    form a partition, out-of-range planted-partition parameters, or an
-    embedding with no vectors."""
+    or non-finite Markov time, labels that do not form a partition,
+    out-of-range planted-partition parameters, or an embedding with no
+    vectors."""
 
     exit_code = 19
 
@@ -118,8 +118,9 @@ class LevelCapExceeded(VecpartError):
 class TooLarge(VecpartError):
     """Input too large to handle: beyond the exhaustive enumeration limit or
     the scan grid limit, a graph whose dense n x n matrix would exceed the
-    machine's physical memory, or weights whose degree sums, or degree
-    products in the modularity matrix, overflow the floating-point range."""
+    machine's physical memory, or weights whose degree sums, reciprocal
+    degrees, or degree products in the modularity matrix, overflow the
+    floating-point range."""
 
     exit_code = 28
 
@@ -128,3 +129,10 @@ class ObjectiveDecreased(VecpartError):
     """The optimiser's objective fell across a sweep or became non-finite."""
 
     exit_code = 29
+
+
+class StateDrift(VecpartError):
+    """The optimiser's incrementally kept group sums or group sizes disagree
+    with a recount from the group members."""
+
+    exit_code = 30

@@ -199,8 +199,14 @@ def _build_graph(n: int, edge_index: np.ndarray, edge_weight: np.ndarray) -> Gra
         np.add.at(degrees, edge_index[:, 0], edge_weight)
         np.add.at(degrees, edge_index[:, 1], edge_weight)
         two_m = float(degrees.sum())
+        # Every degree is positive; below about 5.6e-309 its reciprocal,
+        # which D^-1/2 and d d^T / 2m need, overflows.
+        tiny = np.flatnonzero(~np.isfinite(1.0 / degrees))
     if not np.isfinite(two_m):
         raise TooLarge(f"the weighted degrees sum to {two_m}: the weights overflow float64")
+    if tiny.size:
+        bad = int(tiny[0])
+        raise TooLarge(f"node {bad} has degree {float(degrees[bad])!r}: its reciprocal overflows float64")
     total_weight = two_m / 2.0
     for arr in (edge_index, edge_weight, degrees):
         arr.setflags(write=False)

@@ -24,7 +24,6 @@ from .spectral import (
     check_dim,
     decompose_modularity_matrix,
     decompose_transition,
-    pairs_for_dim,
     uses_quality_matrix,
 )
 from .vp import VPDiagnostics, _shared_gram, partition_vectors
@@ -134,9 +133,8 @@ def time_scan(
     if truth is not None:
         _check_truth(g, truth)
     times = geometric_grid(t_min, t_max, n_points)
-    check_dim(dim, g.n)
     graph_space = uses_quality_matrix(mode, dim, g.n)
-    basis = None if graph_space else decompose_transition(g, pairs=pairs_for_dim(dim))
+    basis = None if graph_space else decompose_transition(g, dim=dim)
     records: list[ScanRecord] = []
     previous: Partition | None = None
     for t in times:
@@ -176,11 +174,11 @@ def dim_sweep(
     _check_truth(g, truth)
     for dim in dims:
         check_dim(dim, g.n)
-    pairs = pairs_for_dim(max(dims)) if dims else None
+    largest = max(dims, default=None)
     if mode == "modularity":
-        basis = decompose_modularity_matrix(g, pairs=pairs)
+        basis = decompose_modularity_matrix(g, dim=largest)
     else:
-        basis = decompose_transition(g, pairs=pairs)
+        basis = decompose_transition(g, dim=largest)
     rows: list[DimSweepRow] = []
     for dim in dims:
         emb = build_embedding(basis, mode, t=t, dim=dim)
@@ -214,9 +212,9 @@ def embedding_comparison(
     _check_truth(g, truth)
     for dim in dims:
         check_dim(dim, g.n)
-    pairs = pairs_for_dim(max(dims)) if dims else None
-    basis_t = decompose_transition(g, pairs=pairs)
-    basis_q = decompose_modularity_matrix(g, pairs=pairs)
+    largest = max(dims, default=None)
+    basis_t = decompose_transition(g, dim=largest)
+    basis_q = decompose_modularity_matrix(g, dim=largest)
     rows: list[ComparisonRow] = []
     for dim in dims:
         results = []

@@ -28,7 +28,8 @@ MODES = ("exponential", "linearised", "modularity")
 ZERO_WEIGHT_TOL = 1e-12
 
 # The truncated eigensolver (ARPACK) runs where it was measured faster than
-# the dense one: n >= TRUNCATED_MIN_N and pairs <= n / TRUNCATED_MAX_FRACTION.
+# the dense one: n >= TRUNCATED_MIN_N and pairs <= n / TRUNCATED_MAX_FRACTION,
+# where an embedding of dimension dim reads pairs = dim + 2.
 # Time ratio truncated / dense for both decompositions (transition,
 # modularity) on planted_partition(n // 50, 50, 0.2, 4 / n), 2-CPU x86_64,
 # OpenBLAS with 2 threads:
@@ -56,17 +57,6 @@ def load_solvers() -> None:
     100.1-100.4 MB on 22 of 23 graphs but 107.9 MB on the other."""
     import scipy.linalg  # noqa: F401
     import scipy.sparse.linalg  # noqa: F401
-
-
-def __getattr__(name: str):
-    """Import ``eigsh`` on first access (PEP 562) and keep it as a module
-    attribute, which the truncated solve reads at call time."""
-    if name != "eigsh":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.sparse.linalg import eigsh
-
-    globals()["eigsh"] = eigsh
-    return eigsh
 
 
 @functools.cache
@@ -157,24 +147,6 @@ def check_time(mode: str, t: float | None) -> None:
         raise InvalidParameter(f"{mode} mode needs a finite t {'>=' if exponential else '>'} 0, got {t}")
 
 
-def pairs_for_dim(dim: int | None) -> int | None:
-    """Eigenpairs to compute for an embedding of dimension ``dim``.
-
-    The embedding reads the leading dim + 1 pairs (the stationary or all-ones
-    mode and dim components). One more pair is kept so the eigenvalue gap at
-    the cut is known. None, the default full dimension, asks for all pairs.
-    """
-    return None if dim is None else dim + 2
-
-
-def _use_truncated(n: int, pairs: int | None) -> bool:
-    if pairs is None:
-        return False
-    if pairs < 2:
-        raise InvalidParameter(f"pairs counts the stationary or ones mode and must be >= 2, got {pairs}")
-    return n >= TRUNCATED_MIN_N and pairs * TRUNCATED_MAX_FRACTION <= n
-
-
 def _similar_transition(g: Graph):
     """Sparse S = D^-1/2 A D^-1/2, exactly symmetric, a SciPy CSR matrix."""
     from scipy import sparse
@@ -229,22 +201,27 @@ def _operator(g: Graph, source: str):
     return LinearOperator((n, n), matvec=apply, matmat=apply, dtype=np.float64)
 
 
-def _eigenpairs(g: Graph, source: str, k: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of ``_operator(g, source)`` in ascending order.
+def _eigenpairs(g: Graph, source: str, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of ``_operator(g, source)`` in ascending order, for an
+    embedding of dimension ``dim``, None for the full n - 1.
 
-    With ``k`` given, the k algebraically largest, by ARPACK: the fixed start
-    vector, the fixed restart seed and tol=0 (machine precision) make the
-    result deterministic for a given operator. Otherwise every pair, by the
-    dense solver on the densified operator, less the modularity operator's
-    lowest pair: its shifted ones direction.
+    The embedding reads the leading dim + 1 pairs of its basis (the
+    stationary or all-ones mode and dim components); one more pair is kept
+    so the eigenvalue gap at the cut is known. Where those dim + 2 pairs are
+    few against n, ARPACK computes the algebraically largest, less the
+    modularity source's ones mode: the fixed start vector, the fixed restart
+    seed and tol=0 (machine precision) make the result deterministic for a
+    given operator. Otherwise every pair, by the dense solver on the
+    densified operator, less the modularity operator's lowest pair: its
+    shifted ones direction.
     """
     import scipy.linalg
-    from scipy.sparse.linalg import ArpackError
+    from scipy.sparse.linalg import ArpackError, eigsh
 
     op = _operator(g, source)
-    if k is not None:
+    if dim is not None and g.n >= TRUNCATED_MIN_N and (dim + 2) * TRUNCATED_MAX_FRACTION <= g.n:
         v0 = np.random.default_rng(0).standard_normal(g.n)
-        eigsh = globals().get("eigsh") or __getattr__("eigsh")
+        k = dim + 2 if source == "transition" else dim + 1
         try:
             return eigsh(op, k=k, which="LA", v0=v0, tol=0, **_eigsh_restart_seed())
         except ArpackError as exc:
@@ -280,40 +257,45 @@ def _check_modularity_matrix(g: Graph) -> None:
         raise TooLarge(f"the squared degrees sum to {dd}: the weights overflow the modularity matrix")
 
 
-def decompose_transition(g: Graph, pairs: int | None = None) -> SpectralBasis:
-    """Eigendecompose the random-walk transition matrix M = D^-1 A.
+def decompose_transition(g: Graph, dim: int | None = None) -> SpectralBasis:
+    """Eigendecompose the random-walk transition matrix M = D^-1 A for an
+    embedding of dimension ``dim``, by default the full n - 1.
 
     The eigenproblem is solved on the symmetric similar matrix
     S = D^-1/2 A D^-1/2, whose eigenpairs (lam, u) map to eigenpairs
-    (lam, sqrt(2m) D^-1/2 u) of M normalised against diag(pi). With
-    ``pairs`` given and small against n, only the leading ``pairs``
-    eigenpairs are computed, by ARPACK; otherwise all n, by the dense
-    solver. Both solve the same sparse S.
+    (lam, sqrt(2m) D^-1/2 u) of M normalised against diag(pi). With ``dim``
+    small against n, only the leading dim + 2 eigenpairs are computed, by
+    ARPACK; otherwise all n, by the dense solver. Both solve the same
+    sparse S. Raises DimOutOfRange, as ``check_dim`` does, before any other
+    check.
     """
+    check_dim(dim, g.n)
     d = np.asarray(g.degrees, dtype=np.float64)
     if np.any(d <= 0):
         bad = int(np.argmin(d))
         raise ZeroDegree(f"node {bad} has zero degree")
-    w, U = _eigenpairs(g, "transition", pairs if _use_truncated(g.n, pairs) else None)
+    w, U = _eigenpairs(g, "transition", dim)
     inv_sqrt_d = 1.0 / np.sqrt(d)
     return _basis(g, "transition", w, np.sqrt(2.0 * g.total_weight) * inv_sqrt_d[:, None] * U)
 
 
-def decompose_modularity_matrix(g: Graph, pairs: int | None = None) -> SpectralBasis:
-    """Eigendecompose the modularity matrix B_Q = A - d d^T / 2m.
+def decompose_modularity_matrix(g: Graph, dim: int | None = None) -> SpectralBasis:
+    """Eigendecompose the modularity matrix B_Q = A - d d^T / 2m for an
+    embedding of dimension ``dim``, by default the full n - 1.
 
     The all-ones direction is an exact zero mode of B_Q. Both solvers work
     on an operator that shifts it below the spectrum (see ``_operator``), so
     the pairs they return lie off the ones vector, which is then re-inserted
     exactly with eigenvalue 0, so downstream consumers can exclude it
-    unambiguously. With ``pairs`` given and small against n, only the
-    leading ``pairs`` - 1 eigenpairs off the ones direction are computed, by
-    ARPACK; otherwise all n - 1, by the dense solver. Raises as
-    ``_check_modularity_matrix`` does.
+    unambiguously. With ``dim`` small against n, only the leading dim + 1
+    eigenpairs off the ones direction are computed, by ARPACK; otherwise all
+    n - 1, by the dense solver. Raises DimOutOfRange, as ``check_dim``
+    does, before any other check, then as ``_check_modularity_matrix`` does.
     """
+    check_dim(dim, g.n)
     _check_modularity_matrix(g)
     n = g.n
-    beta, U = _eigenpairs(g, "modularity", pairs - 1 if _use_truncated(n, pairs) else None)
+    beta, U = _eigenpairs(g, "modularity", dim)
     ones = np.full((n, 1), 1.0 / np.sqrt(n))
     return _basis(g, "modularity", np.append(beta, 0.0), np.concatenate([U, ones], axis=1))
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameter, LevelCapExceeded, ObjectiveDecreased, TooLarge
+from .errors import InvalidParameter, LevelCapExceeded, ObjectiveDecreased, StateDrift, TooLarge
 from .graph import Partition, canonical_labels
 from .objective import group_sums, linearised_stability, modularity_score, stability
 from .spectral import Embedding, QualityMatrix
@@ -105,7 +105,7 @@ class _LevelState:
         """Check the group sizes against the assignment."""
         sizes = np.bincount(self.assignment, minlength=self.group_sizes.size)
         if not np.array_equal(sizes, self.group_sizes):
-            raise RuntimeError("group sizes out of sync with assignment")
+            raise StateDrift("group sizes out of sync with assignment")
 
 
 class VPState(_LevelState):
@@ -162,7 +162,7 @@ class VPState(_LevelState):
         fresh = group_sums(self.vectors, self.assignment, self.num_groups)
         drift = float(np.max(np.abs(fresh - self.group_sums))) if fresh.size else 0.0
         if drift > 1e-9:
-            raise RuntimeError(f"group sums drifted by {drift} from their members")
+            raise StateDrift(f"group sums drifted by {drift} from their members")
         super().revalidate()
         self.group_sums = np.asfortranarray(fresh)
 
@@ -239,6 +239,20 @@ class GramState(_LevelState):
 
         partial = group_rows(self.gram)  # H^T G
         return labels, GramState(np.ascontiguousarray(group_rows(partial.T).T))
+
+
+def tolerances(mode: str, total_weight: float) -> tuple[float, float]:
+    """The gain a move must exceed and the fall of the objective a sweep may
+    show, both in raw objective units, for a run in ``mode`` on a graph of
+    total weight m.
+
+    The raw objective is the reported one times 2m in modularity mode, and
+    its roundoff scales with it. Tolerances stay in reported units: in raw
+    units, two vectors can swap forever on roundoff gains, and one ulp of
+    drift can read as a decrease.
+    """
+    unit = 2.0 * total_weight if mode == "modularity" else 1.0
+    return GAIN_TOLERANCE * unit, 1e-9 * unit
 
 
 def _level_state(vectors: np.ndarray, signature: np.ndarray) -> VPState | GramState:
@@ -409,13 +423,7 @@ def partition_vectors(
     state = _first_state(emb) if _gram is None else GramState(_gram)
     node_to_group = np.arange(emb.n, dtype=np.int64)
     diag = VPDiagnostics()
-    # The raw objective is the reported one times 2m in modularity mode, and
-    # its roundoff scales with it. Tolerances stay in reported units: in raw
-    # units, two vectors can swap forever on roundoff gains, and one ulp of
-    # drift can read as a decrease.
-    unit = 2.0 * emb.total_weight if emb.mode == "modularity" else 1.0
-    tol = GAIN_TOLERANCE * unit
-    slack = 1e-9 * unit
+    tol, slack = tolerances(emb.mode, emb.total_weight)
     for level in range(MAX_LEVELS):
         p = state.num_groups
         order = np.arange(p, dtype=np.int64)

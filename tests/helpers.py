@@ -141,6 +141,15 @@ def kmeans_objective(emb: vp.Embedding, p: vp.Partition) -> tuple[float, float]:
     return distortion, F
 
 
+def scaled_weight_graph(k: int) -> vp.Graph:
+    """A 200-node planted-partition graph with weights uniform in 0.5-2,
+    times 4**k: an exact power of two, so every derived quantity scales
+    exactly and no partition should move."""
+    g, _ = vp.planted_partition(4, 50, 0.2, 0.02, seed=1)
+    weights = (np.random.default_rng(0).uniform(0.5, 2.0, g.num_edges) * 4.0**k).tolist()
+    return vp.load_edge_list("".join(f"{i} {j} {w!r}\n" for (i, j), w in zip(g.edge_index.tolist(), weights)))
+
+
 def signed_inner(emb: vp.Embedding, a: np.ndarray, b: np.ndarray) -> float:
     """Signature-weighted inner product sum_k sigma_k a_k b_k."""
     return float(np.dot(emb.signature * np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
@@ -154,7 +163,7 @@ def vector_path_partition(emb: vp.Embedding, seed: int | None = None) -> tuple[v
     """
     signature = emb.signature.astype(np.float64)
     vectors = np.asarray(emb.vectors, dtype=np.float64)
-    unit = 2.0 * emb.total_weight if emb.mode == "modularity" else 1.0
+    tol, slack = vp.vp.tolerances(emb.mode, emb.total_weight)
     node_to_group = np.arange(emb.n)
     diag = vp.VPDiagnostics()
     for level in range(vp.vp.MAX_LEVELS):
@@ -162,9 +171,7 @@ def vector_path_partition(emb: vp.Embedding, seed: int | None = None) -> tuple[v
         order = np.arange(p, dtype=np.int64)
         if seed is not None:
             np.random.default_rng([seed, level]).shuffle(order)
-        labels, _ = vp.vp._run_level(
-            vp.VPState(vectors, signature), order, vp.vp.GAIN_TOLERANCE * unit, diag, 1e-9 * unit
-        )
+        labels, _ = vp.vp._run_level(vp.VPState(vectors, signature), order, tol, diag, slack)
         node_to_group = labels[node_to_group]
         vectors = group_sums(vectors, labels)
         if vectors.shape[0] == p:
@@ -192,8 +199,7 @@ def plain_sweep_partition(
     ``partition_vectors`` and of ``_run_level``, with the same states, but
     visits every vector in every sweep.
     """
-    unit = 2.0 * emb.total_weight if emb.mode == "modularity" else 1.0
-    tol, slack = vp.vp.GAIN_TOLERANCE * unit, 1e-9 * unit
+    tol, slack = vp.vp.tolerances(emb.mode, emb.total_weight)
     state = vp.vp._level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
     node_to_group = np.arange(emb.n)
     diag = vp.VPDiagnostics()

@@ -56,8 +56,6 @@ def transition():
 
 # One call per parameter check in the library, each outside its domain.
 OUT_OF_DOMAIN = {
-    "transition pairs < 2": lambda: vp.decompose_transition(pairgraph4(), pairs=1),
-    "modularity pairs < 2": lambda: vp.decompose_modularity_matrix(pairgraph4(), pairs=1),
     "negative exponential time": lambda: vp.scaled_eigenvalues(transition(), "exponential", -1.0),
     "zero linearised time": lambda: vp.scaled_eigenvalues(transition(), "linearised", 0.0),
     "embedding without a time": lambda: vp.build_embedding(transition(), "exponential", dim=2),
@@ -81,20 +79,22 @@ def test_out_of_domain_parameter_is_an_invalid_parameter(case):
         OUT_OF_DOMAIN[case]()
 
 
-def value_error_raisers() -> list:
-    """Top-level definitions in the package that raise a bare ValueError."""
+def bare_raisers(name: str) -> list:
+    """Top-level definitions in the package that raise the builtin ``name``."""
     found = []
     for path in sorted(Path(vp.__file__).resolve().parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Raise) and node.exc is not None:
                     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                    if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    if isinstance(exc, ast.Name) and exc.id == name:
                         found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     return found
 
 
-def test_only_the_report_validator_raises_a_bare_value_error():
+@pytest.mark.parametrize("name, allowed", [("ValueError", ["cli._fail"]), ("RuntimeError", [])])
+def test_only_the_report_validator_raises_a_bare_value_error(name, allowed):
     # The report validator's contract is a plain ValueError; every other
-    # parameter check raises a named VecpartError.
-    assert value_error_raisers() == ["cli._fail"]
+    # parameter check, and the optimiser's drift check, raises a named
+    # VecpartError.
+    assert bare_raisers(name) == allowed

@@ -12,7 +12,7 @@ import pytest
 import vecpart as vp
 from vecpart import cli
 from vecpart.cli import _emit_report, main, validate_report
-from helpers import PAIRGRAPH4_TEXT, random_connected_graph
+from helpers import PAIRGRAPH4_TEXT, random_connected_graph, scaled_weight_graph
 
 
 @pytest.fixture()
@@ -281,7 +281,9 @@ class TestGraphSpace:
 
 
 class TestHugeWeights:
-    """Weights whose squared degrees overflow: only modularity mode needs d d^T."""
+    """Weights at the ends of the float64 range. Squared degrees that
+    overflow fail modularity mode alone, which needs d d^T; degrees whose
+    reciprocals overflow fail at load."""
 
     @staticmethod
     def cycle4(tmp_path, weight):
@@ -310,6 +312,24 @@ class TestHugeWeights:
             records.append(report["records"][0])
         assert records[0]["partition"] == records[1]["partition"]
         assert records[0]["objective"] == pytest.approx(records[1]["objective"], abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exponential", "linearised", "modularity"])
+    @pytest.mark.parametrize("dim", [["--dim", "14"], []], ids=["dim14", "full"])
+    def test_subnormal_weights_fail_at_load(self, tmp_path, capsys, mode, dim):
+        g, _ = vp.planted_partition(4, 25, 0.3, 0.02, seed=0)
+        path = tmp_path / "g.txt"
+        weights = (5e-324 * (1 + e % 3) for e in range(g.num_edges))  # subnormal, cycled by edge index
+        path.write_text("".join(f"{i} {j} {w!r}\n" for (i, j), w in zip(g.edge_index.tolist(), weights)))
+        assert main(["partition", str(path), "--mode", mode, *dim]) == vp.TooLarge.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith("error: TooLarge: node ") and "reciprocal" in err
+
+    def test_group_sum_drift_is_named_error(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text(scaled_weight_graph(20).to_edge_list_text())
+        args = ["partition", str(path), "--mode", "modularity", "--dim", "14", "--restarts", "3"]
+        assert main(args) == vp.StateDrift.exit_code == 30
+        assert capsys.readouterr().err.startswith("error: StateDrift: group sums drifted by ")
 
 
 class TestDenseMemoryGuard:

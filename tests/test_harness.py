@@ -113,14 +113,15 @@ class TestTimeScan:
         calls = []
         real = vp.harness.decompose_transition
 
-        def counting(g, pairs=None):
-            calls.append(pairs)
-            return real(g, pairs=pairs)
+        def counting(g, dim=None):
+            basis = real(g, dim=dim)
+            calls.append((dim, basis.pairs))
+            return basis
 
         monkeypatch.setattr(vp.harness, "decompose_transition", counting)
         g, _ = vp.planted_partition(6, 50, 0.3, 0.01, seed=0)
         records = vp.time_scan(g, 0.5, 5.0, 4, dim=4, restarts=1)
-        assert calls == [vp.pairs_for_dim(4)] == [6]
+        assert calls == [(4, 6)]
         assert [r.dim for r in records] == [4] * 4
 
     @pytest.mark.parametrize("dim", [None, 9])
@@ -237,18 +238,18 @@ class TestLargestDimension:
         for name in ("decompose_transition", "decompose_modularity_matrix"):
             real = getattr(vp.harness, name)
 
-            def counting(g, pairs=None, real=real):
-                calls.append(pairs)
-                return real(g, pairs=pairs)
+            def counting(g, dim=None, real=real):
+                calls.append(dim)
+                return real(g, dim=dim)
 
             monkeypatch.setattr(vp.harness, name, counting)
         g, truth = vp.planted_partition(6, 50, 0.3, 0.01, seed=0)
         rows = vp.dim_sweep(g, truth, t, mode, [2, 5, 3], restarts=1)
         assert [row.dim for row in rows] == [2, 5, 3]
-        assert calls == [vp.pairs_for_dim(5)]
+        assert calls == [5]
         calls.clear()
         vp.embedding_comparison(g, truth, [4, 2], restarts=1)
-        assert calls == [vp.pairs_for_dim(4)] * 2
+        assert calls == [4, 4]
 
     @pytest.mark.parametrize(
         "run",

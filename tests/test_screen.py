@@ -29,7 +29,7 @@ def exercised_screen(diag) -> bool:
 @pytest.fixture(scope="module")
 def scan_basis():
     g, _ = vp.planted_partition(10, 100, 0.1, 0.005, seed=0)
-    return vp.decompose_transition(g, pairs=vp.pairs_for_dim(14))
+    return vp.decompose_transition(g, dim=14)
 
 
 @pytest.mark.parametrize("mode, t_min, t_max", [("exponential", 0.1, 100.0), ("linearised", 0.01, 10.0)])
@@ -50,7 +50,7 @@ def test_scan_grid_matches_plain_sweeps(scan_basis, mode, t_min, t_max):
 def test_dim24_n2000_matches_plain_sweeps(mode):
     g, _ = vp.planted_partition(20, 100, 0.1, 0.004, seed=0)
     decompose = vp.decompose_modularity_matrix if mode == "modularity" else vp.decompose_transition
-    emb = vp.build_embedding(decompose(g, pairs=vp.pairs_for_dim(24)), mode, t=None if mode == "modularity" else 5.0, dim=24)
+    emb = vp.build_embedding(decompose(g, dim=24), mode, t=None if mode == "modularity" else 5.0, dim=24)
     screened = vp.best_of_restarts(emb, 2)
     assert exercised_screen(screened[2])
     assert_same_run(screened, plain_sweep_best_of_restarts(emb, 2))

@@ -112,13 +112,13 @@ class TestDecomposeModularityMatrix:
         assert np.allclose(basis.eigenvalues, oracle, atol=1e-10)
         assert basis.eigenvalues.min() < -1e-6
 
-    @pytest.mark.parametrize("n, pairs", [(4, None), (300, 4)])  # the dense and the truncated path
-    def test_overflowing_degree_products_are_named_error(self, n, pairs):
+    @pytest.mark.parametrize("n, dim", [(4, None), (300, 2)])  # the dense and the truncated path
+    def test_overflowing_degree_products_are_named_error(self, n, dim):
         # Each degree is 2e200: the degree sum is finite, d @ d is not.
         g = vp.load_edge_list("".join(f"{i} {(i + 1) % n} 1e200\n" for i in range(n)))
         with pytest.raises(vp.TooLarge, match="modularity"):
-            vp.decompose_modularity_matrix(g, pairs=pairs)
-        assert np.all(np.isfinite(vp.decompose_transition(g, pairs=pairs).eigenvalues))
+            vp.decompose_modularity_matrix(g, dim=dim)
+        assert np.all(np.isfinite(vp.decompose_transition(g, dim=dim).eigenvalues))
 
     @pytest.mark.parametrize("a, b", [(2, 3), (3, 5), (10, 15)])
     def test_dense_path_on_a_repeated_zero_eigenvalue(self, a, b):
@@ -366,7 +366,7 @@ def planted400():
 
 def bases(g, source, dim=TRUNCATED_DIM):
     decompose = vp.decompose_transition if source == "transition" else vp.decompose_modularity_matrix
-    return decompose(g), decompose(g, pairs=vp.pairs_for_dim(dim))
+    return decompose(g), decompose(g, dim=dim)
 
 
 def component_eigenvalues(basis):
@@ -467,13 +467,34 @@ class TestTruncatedEigensolver:
         assert bases(planted400, source, dim=100)[1].pairs == 400
 
     @pytest.mark.parametrize("source", SOURCES)
+    def test_crossover_at_a_tenth_of_n(self, planted400, source):
+        # dim + 2 pairs: 40 of 400 is truncated, 41 is dense.
+        decompose = vp.decompose_transition if source == "transition" else vp.decompose_modularity_matrix
+        assert decompose(planted400, dim=38).pairs == 40
+        assert decompose(planted400, dim=39).pairs == 400
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("dim", [0, 4])
+    def test_dim_out_of_range_fails_before_any_other_check(self, source, dim, monkeypatch):
+        def no_decomposition(*_args, **_kwargs):
+            raise AssertionError("decomposed before checking the dimension")
+
+        monkeypatch.setattr(vp.spectral, "_eigenpairs", no_decomposition)
+        # Squared degrees 4e400 overflow: the modularity check would raise TooLarge.
+        g = vp.load_edge_list(CYCLE4_TEXT.replace("\n", " 1e200\n"))
+        decompose = vp.decompose_transition if source == "transition" else vp.decompose_modularity_matrix
+        with pytest.raises(vp.DimOutOfRange, match=rf"^dim must be in \[1, 3\], got {dim}$"):
+            decompose(g, dim=dim)
+
+    @pytest.mark.parametrize("source", SOURCES)
     def test_arpack_failure_is_eigensolver_failure(self, planted400, source, monkeypatch):
         from scipy.sparse.linalg import ArpackNoConvergence
 
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-        monkeypatch.setattr(vp.spectral, "eigsh", no_convergence)
+        vp.spectral._eigsh_restart_seed()  # read from the real eigsh, before the patch
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
         with pytest.raises(vp.EigensolverFailure, match="truncated"):
             bases(planted400, source)
 

@@ -8,6 +8,7 @@ from helpers import (
     move_gain,
     pairgraph4,
     random_connected_graph,
+    scaled_weight_graph,
     set_partitions,
     vector_path_best_of_restarts,
     vector_path_partition,
@@ -79,7 +80,7 @@ class TestMoveGain:
     def test_state_revalidate_catches_drift(self):
         state = vp.VPState(np.array([[1.0], [2.0]]), np.ones(1))
         state.group_sums[0] += 1.0
-        with pytest.raises(RuntimeError):
+        with pytest.raises(vp.StateDrift, match="group sums drifted"):
             state.revalidate()
 
 
@@ -299,7 +300,7 @@ class TestGramPath:
         state.apply_move(0, 1)
         state.revalidate()
         state.group_sizes[2] += 1
-        with pytest.raises(RuntimeError, match="group sizes"):
+        with pytest.raises(vp.StateDrift, match="group sizes"):
             state.revalidate()
 
     def test_compact_aggregates_the_gram(self):
@@ -505,3 +506,37 @@ class TestHeuristicAgainstOracle:
         partition, _ = vp.exhaustive_partition(emb)
         fiedler = vp.Partition.from_labels((basis.eigenvectors[:, 1] < 0).astype(int))
         assert partition.canonical_key() == fiedler.canonical_key()
+
+
+# The five mode and dimension combinations, each a graph -> embedding or quality matrix.
+SCALING_RUNS = {
+    "modularity-dim14": lambda g: vp.build_embedding(vp.decompose_modularity_matrix(g, dim=14), "modularity", dim=14),
+    "modularity-full": lambda g: vp.QualityMatrix(g, "modularity"),
+    "exponential-dim14": lambda g: vp.build_embedding(vp.decompose_transition(g, dim=14), "exponential", t=5.0, dim=14),
+    "exponential-full": lambda g: vp.build_embedding(vp.decompose_transition(g), "exponential", t=5.0),
+    "linearised-full": lambda g: vp.QualityMatrix(g, "linearised", 1.0),
+}
+
+
+class TestWeightScaling:
+    @pytest.fixture(scope="class")
+    def unscaled(self):
+        g = scaled_weight_graph(0)
+        runs = {}
+        for name, make in SCALING_RUNS.items():
+            partition, objective, _ = vp.best_of_restarts(make(g), 3)
+            runs[name] = (partition.canonical_key(), objective)
+        return runs
+
+    @pytest.mark.parametrize("run", sorted(SCALING_RUNS))
+    @pytest.mark.parametrize("k", [-20, -8, 8, 20])
+    def test_weights_times_a_power_of_four_give_the_same_run(self, unscaled, k, run):
+        emb = SCALING_RUNS[run](scaled_weight_graph(k))
+        if (k, run) == (20, "modularity-dim14"):
+            # The drift check's bound is absolute, while modularity-mode
+            # group sums grow like the square root of the weights.
+            with pytest.raises(vp.StateDrift, match="group sums drifted"):
+                vp.best_of_restarts(emb, 3)
+            return
+        partition, objective, _ = vp.best_of_restarts(emb, 3)
+        assert (partition.canonical_key(), objective) == unscaled[run]
