@@ -9,8 +9,10 @@ For each of the first ``--graphs`` graphs of the ``lowdim_partition`` and
 decomposes the graph twice, once with all n eigenpairs (dense ``eigh``) and
 once with only the pairs the embedding reads (ARPACK ``eigsh``), then runs
 the same optimiser on both embeddings with the jobs' settings. Both solvers
-work on the same symmetric operator of each source (``spectral._operator``),
-so a difference comes from the solver alone. It prints
+solve the same symmetric matrix of each source: ``numpy.linalg.eigh`` the
+dense one numpy builds (``spectral._dense_operator``), ARPACK the operator
+that applies it (``spectral._operator``). A difference comes from the
+solver, and from roundoff in how the matrix is formed. It prints
 one line per graph and job, and exits 1 if any partition or objective
 differs.
 """

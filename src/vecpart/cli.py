@@ -38,11 +38,12 @@ from .spectral import (
 )
 
 
-def _load_solvers_if_decomposing(mode: str, dim: int | None) -> None:
-    """Call ``load_solvers`` when a job in ``mode`` at ``dim`` may decompose,
-    before its graph is read. Only a linearised or modularity job at full
-    dimension may not (see ``uses_quality_matrix``); it runs without SciPy."""
-    if mode == "exponential" or dim is not None:
+def _load_solvers_if_decomposing(dim: int | None) -> None:
+    """Call ``load_solvers`` before the graph is read when a job at ``dim``
+    may take the truncated eigensolver path: only a ``--dim`` job can. Every
+    other job decomposes with numpy alone, or not at all (see
+    ``uses_quality_matrix``), and runs without SciPy."""
+    if dim is not None:
         load_solvers()
 
 
@@ -210,7 +211,6 @@ def _emit_report(report: dict, output: str | None) -> None:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    load_solvers()
     g = _load_graph(args.graph)
     if args.source == "transition":
         basis = decompose_transition(g)
@@ -238,7 +238,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
             print(f"error: usage: --time: {exc}", file=sys.stderr)
             return 2
     started = time.perf_counter()
-    _load_solvers_if_decomposing(args.mode, args.dim)
+    _load_solvers_if_decomposing(args.dim)
     g = _load_graph(args.graph)
     t = None if args.mode == "modularity" else args.time
     if uses_quality_matrix(args.mode, args.dim, g.n):
@@ -281,7 +281,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
     started = time.perf_counter()
-    _load_solvers_if_decomposing(args.mode, args.dim)
+    _load_solvers_if_decomposing(args.dim)
     g = _load_graph(args.graph)
     truth = _load_partition_file(args.truth) if args.truth else None
     records = time_scan(

@@ -32,30 +32,31 @@ ZERO_WEIGHT_TOL = 1e-12
 # where an embedding of dimension dim reads pairs = dim + 2.
 # Time ratio truncated / dense for both decompositions (transition,
 # modularity) on planted_partition(n // 50, 50, 0.2, 4 / n), 2-CPU x86_64,
-# OpenBLAS with 2 threads:
+# OpenBLAS with 2 threads, measured against SciPy's dense eigh (LAPACK syevr):
 #   n = 100:  1.6-4.1 for every pairs in 4..50 (dense takes 2-4 ms)
 #   n = 300:  pairs 26: 0.84, 0.53; pairs 50: 1.51, 0.85
 #   n = 400:  pairs 50: 0.90, 0.70; pairs 100: 2.2, 1.4
 #   n = 1000: pairs 100: 0.69, 0.41; pairs 200: 2.6, 1.6
+# Against numpy's eigh (syevd), which takes 0.20 s for either source at
+# n = 1000 where syevr took 0.29 and 0.46 s, the ratios there are
+# pairs 100: 1.08-1.15, 0.92-1.31; pairs 200: 4.5-4.8, 4.1-4.5. The
+# thresholds were left as they are: they choose the bases of every --dim run.
 TRUNCATED_MIN_N = 300
 TRUNCATED_MAX_FRACTION = 10
 
-# A dense decomposition holds at most this many n x n float64 arrays at once:
-# its peak traced allocation (tracemalloc, planted-partition graphs) was 4.02
-# arrays for the transition and 4.04 for the modularity source, at n = 1000
-# and at n = 2000. The rest is O(n).
-DENSE_EIGH_ARRAYS = 4
+# A dense decomposition holds at most this many n x n float64 arrays at once.
+# Its peak is inside numpy.linalg.eigh, which holds the input, LAPACK's copy
+# of it, syevd's workspace of 2 n^2 + 6 n floats and the eigenvectors. At
+# n = 1000 and 2000, for either source on planted-partition graphs, the peak
+# traced allocation (tracemalloc, which does not see LAPACK's workspace) was
+# 4.01 arrays and the peak-RSS delta in a fresh process 5.2-5.6 arrays.
+DENSE_EIGH_ARRAYS = 6
 
 
 def load_solvers() -> None:
-    """Import SciPy's eigensolvers. Nothing else in the package needs SciPy,
-    so a job that optimises a ``QualityMatrix`` never loads it. A job that
-    may decompose calls this before it reads its graph: loaded after the
-    read, SciPy raised the peak RSS of a full-dimension exponential
-    ``partition`` at n = 1000 from 103 to 109 MB. Both solvers' modules
-    are loaded: with the dense solver's alone, that job's peak RSS was
-    100.1-100.4 MB on 22 of 23 graphs but 107.9 MB on the other."""
-    import scipy.linalg  # noqa: F401
+    """Import ARPACK, SciPy's truncated eigensolver. The dense solver is
+    numpy's, so only a job that may take the truncated path, one given a
+    ``dim``, calls this, before it reads its graph."""
     import scipy.sparse.linalg  # noqa: F401
 
 
@@ -157,12 +158,16 @@ def _similar_transition(g: Graph):
     return sparse.csr_matrix((data, (A.row, A.col)), shape=A.shape)
 
 
-def _product(g: Graph, source: str):
+def _product(g: Graph, source: str, dense: bool = False):
     """X -> S X for the transition source, X -> B_Q X for the modularity one.
 
+    Dense, the matrix is formed once, in one n x n array. Otherwise
     B_Q X = A X - d (d^T X) / 2m is applied as sparse plus rank one, so
     neither matrix is formed densely.
     """
+    if dense:
+        M = _dense_operator(g, source) if source == "transition" else QualityMatrix(g, "modularity").gram()
+        return lambda X: M @ X
     if source == "transition":
         S = _similar_transition(g)
         return lambda X: S @ X
@@ -172,24 +177,28 @@ def _product(g: Graph, source: str):
     return lambda X: A @ X - np.multiply.outer(d, d @ X) / two_m
 
 
+def _ones_shift(g: Graph) -> float:
+    """Twice a bound on the spectral norm of B_Q: max degree plus d^T d / 2m."""
+    d = np.asarray(g.degrees, dtype=np.float64)
+    return 2.0 * (float(d.max()) + float(d @ d) / (2.0 * g.total_weight))
+
+
 def _operator(g: Graph, source: str):
-    """The symmetric matrix both eigensolvers solve for ``source``.
+    """The symmetric operator the truncated eigensolver solves for ``source``.
 
     For the transition source, the sparse S = D^-1/2 A D^-1/2. For the
     modularity source, P B_Q P - s J, with P the projector off the unit ones
     vector e and J = e e^T. It agrees with B_Q off e and sends e to -s e.
-    With s twice a bound on the spectral norm of B_Q (max degree plus
-    d^T d / 2m), -s lies below every eigenvalue of B_Q, so the ones
-    direction is the lowest pair and never among the leading ones.
+    With s from ``_ones_shift``, -s lies below every eigenvalue of B_Q, so
+    the ones direction is the lowest pair and never among the leading ones.
     """
     if source == "transition":
         return _similar_transition(g)
     from scipy.sparse.linalg import LinearOperator
 
     n = g.n
-    d = np.asarray(g.degrees, dtype=np.float64)
     e = np.full(n, 1.0 / np.sqrt(n))
-    shift = 2.0 * (float(d.max()) + float(d @ d) / (2.0 * g.total_weight))
+    shift = _ones_shift(g)
     product = _product(g, "modularity")
 
     def apply(X: np.ndarray) -> np.ndarray:
@@ -199,6 +208,35 @@ def _operator(g: Graph, source: str):
         return Y - np.multiply.outer(e, e @ Y) - np.multiply.outer(e, shift * c)
 
     return LinearOperator((n, n), matvec=apply, matmat=apply, dtype=np.float64)
+
+
+def _dense_operator(g: Graph, source: str) -> np.ndarray:
+    """The dense matrix of ``_operator(g, source)``, built with numpy alone
+    and scaled or shifted a block of rows at a time, as ``QualityMatrix.gram``
+    is: one n x n array and a temporary of at most a sixteenth of one.
+
+    S holds the entries of ``_similar_transition``, bit for bit. For the
+    modularity source, P B_Q P - s J = B_Q - e b^T - b e^T + (e^T b - s) J,
+    with b = B_Q e; every entry of J is 1 / n.
+    """
+    n = g.n
+    step = max(1, n // 16)
+    if source == "transition":
+        inv_sqrt_d = 1.0 / np.sqrt(np.asarray(g.degrees, dtype=np.float64))
+        S = g.dense_adjacency()
+        for start in range(0, n, step):
+            S[start : start + step] *= np.multiply.outer(inv_sqrt_d[start : start + step], inv_sqrt_d)
+        return S
+    e = 1.0 / np.sqrt(n)
+    M = QualityMatrix(g, "modularity").gram()
+    b = M.sum(axis=1) * e
+    corner = (e * float(b.sum()) - _ones_shift(g)) / n
+    for start in range(0, n, step):
+        block = np.add.outer(b[start : start + step], b)
+        block *= e
+        block -= corner
+        M[start : start + step] -= block
+    return M
 
 
 def _eigenpairs(g: Graph, source: str, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -211,25 +249,23 @@ def _eigenpairs(g: Graph, source: str, dim: int | None) -> tuple[np.ndarray, np.
     few against n, ARPACK computes the algebraically largest, less the
     modularity source's ones mode: the fixed start vector, the fixed restart
     seed and tol=0 (machine precision) make the result deterministic for a
-    given operator. Otherwise every pair, by the dense solver on the
-    densified operator, less the modularity operator's lowest pair: its
-    shifted ones direction.
+    given operator. Otherwise every pair, by ``numpy.linalg.eigh`` (LAPACK
+    ``syevd``) on ``_dense_operator``, less the modularity matrix's lowest
+    pair: its shifted ones direction. Only the truncated path needs SciPy.
     """
-    import scipy.linalg
-    from scipy.sparse.linalg import ArpackError, eigsh
-
-    op = _operator(g, source)
     if dim is not None and g.n >= TRUNCATED_MIN_N and (dim + 2) * TRUNCATED_MAX_FRACTION <= g.n:
+        from scipy.sparse.linalg import ArpackError, eigsh
+
         v0 = np.random.default_rng(0).standard_normal(g.n)
         k = dim + 2 if source == "transition" else dim + 1
         try:
-            return eigsh(op, k=k, which="LA", v0=v0, tol=0, **_eigsh_restart_seed())
+            return eigsh(_operator(g, source), k=k, which="LA", v0=v0, tol=0, **_eigsh_restart_seed())
         except ArpackError as exc:
             raise EigensolverFailure(f"{source} truncated eigendecomposition failed: {exc}") from exc
     check_dense(g.n, DENSE_EIGH_ARRAYS)
     try:
-        w, U = scipy.linalg.eigh(op.toarray() if source == "transition" else op @ np.eye(g.n))
-    except scipy.linalg.LinAlgError as exc:
+        w, U = np.linalg.eigh(_dense_operator(g, source))
+    except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"{source} eigendecomposition failed: {exc}") from exc
     return (w, U) if source == "transition" else (w[1:], U[:, 1:])
 
@@ -265,9 +301,9 @@ def decompose_transition(g: Graph, dim: int | None = None) -> SpectralBasis:
     S = D^-1/2 A D^-1/2, whose eigenpairs (lam, u) map to eigenpairs
     (lam, sqrt(2m) D^-1/2 u) of M normalised against diag(pi). With ``dim``
     small against n, only the leading dim + 2 eigenpairs are computed, by
-    ARPACK; otherwise all n, by the dense solver. Both solve the same
-    sparse S. Raises DimOutOfRange, as ``check_dim`` does, before any other
-    check.
+    ARPACK on the sparse S; otherwise all n, by numpy on the dense S, which
+    has the same entries. Raises DimOutOfRange, as ``check_dim`` does,
+    before any other check.
     """
     check_dim(dim, g.n)
     d = np.asarray(g.degrees, dtype=np.float64)
@@ -284,13 +320,14 @@ def decompose_modularity_matrix(g: Graph, dim: int | None = None) -> SpectralBas
     embedding of dimension ``dim``, by default the full n - 1.
 
     The all-ones direction is an exact zero mode of B_Q. Both solvers work
-    on an operator that shifts it below the spectrum (see ``_operator``), so
-    the pairs they return lie off the ones vector, which is then re-inserted
-    exactly with eigenvalue 0, so downstream consumers can exclude it
-    unambiguously. With ``dim`` small against n, only the leading dim + 1
-    eigenpairs off the ones direction are computed, by ARPACK; otherwise all
-    n - 1, by the dense solver. Raises DimOutOfRange, as ``check_dim``
-    does, before any other check, then as ``_check_modularity_matrix`` does.
+    on a matrix that shifts it below the spectrum (see ``_operator`` and
+    ``_dense_operator``), so the pairs they return lie off the ones vector,
+    which is then re-inserted exactly with eigenvalue 0, so downstream
+    consumers can exclude it unambiguously. With ``dim`` small against n,
+    only the leading dim + 1 eigenpairs off the ones direction are computed,
+    by ARPACK; otherwise all n - 1, by numpy. Raises DimOutOfRange, as
+    ``check_dim`` does, before any other check, then as
+    ``_check_modularity_matrix`` does.
     """
     check_dim(dim, g.n)
     _check_modularity_matrix(g)
@@ -470,12 +507,14 @@ class QualityMatrix:
 
 def _max_residual(g: Graph, basis: SpectralBasis) -> float:
     """Largest ||S u - lam u|| over the held pairs, u a unit eigenvector of the
-    symmetric matrix solved: S = D^-1/2 A D^-1/2, or B_Q."""
-    product = _product(g, basis.source)
+    symmetric matrix solved: S = D^-1/2 A D^-1/2, or B_Q. A basis of all n
+    pairs is checked against the dense matrix, a truncated one against the
+    sparse product, which needs no n x n array."""
+    product = _product(g, basis.source, dense=basis.pairs == basis.n)
     # A transition eigenvector v is stored pi-normalised; u = sqrt(pi) v is the unit one.
     scale = np.sqrt(basis.pi)[:, None] if basis.source == "transition" else 1.0
     worst = 0.0
-    block = 256  # columns at a time, so a full basis needs no extra n x n arrays
+    block = 256  # columns at a time, so a full basis needs no further n x n array
     for start in range(0, basis.pairs, block):
         cols = slice(start, start + block)
         U = scale * basis.eigenvectors[:, cols]

@@ -1,9 +1,10 @@
-"""SciPy stays out of a job that does not decompose.
+"""SciPy stays out of a job that cannot take the truncated eigensolver path.
 
-Only the eigensolvers, the sparse adjacency and the matrix-exponential
-oracle need SciPy, and each imports it where it runs. A full-dimension
-linearised or modularity job optimises the graph's own quality matrix, so
-its process never loads SciPy.
+Only ARPACK, the sparse adjacency and the matrix-exponential oracle need
+SciPy, and each imports it where it runs. A full-dimension job decomposes
+with numpy alone, or optimises the graph's own quality matrix, so its
+process never loads SciPy; a job given ``--dim`` loads ARPACK before it
+reads its graph.
 """
 
 import ast
@@ -73,6 +74,29 @@ def test_the_check_sees_a_module_level_import(tmp_path):
     ]
 
 
+def scipy_linalg_importers(path: Path) -> list[str]:
+    """The functions of a module that import ``scipy.linalg``."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module or ""]
+            else:
+                names = []
+            if any(name == "scipy.linalg" or name.startswith("scipy.linalg.") for name in names):
+                found.append(f"{path.name} {func.name}")
+    return found
+
+
+def test_only_the_matrix_exponential_oracle_imports_scipy_linalg():
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in scipy_linalg_importers(path)]
+    assert hits == ["objective.py autocovariance_direct"]
+
+
 @pytest.fixture(scope="module")
 def graph_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("graph") / "graph.txt"
@@ -98,23 +122,37 @@ def scipy_modules(args: list[str]) -> list[str]:
         ["partition", "{graph}", "--mode", "linearised", "--time", "1.5"],
         ["partition", "{graph}", "--mode", "modularity"],
         ["scan", "{graph}", "--mode", "linearised", "--tmin", "0.5", "--tmax", "2", "--npoints", "3"],
+        ["partition", "{graph}", "--mode", "exponential"],
+        ["scan", "{graph}", "--tmin", "0.5", "--tmax", "2", "--npoints", "3"],
+        ["decompose", "{graph}", "--source", "transition"],
+        ["decompose", "{graph}", "--source", "modularity"],
     ],
-    ids=["partition-linearised", "partition-modularity", "scan-linearised"],
+    ids=[
+        "partition-linearised",
+        "partition-modularity",
+        "scan-linearised",
+        "partition-exponential",
+        "scan-exponential",
+        "decompose-transition",
+        "decompose-modularity",
+    ],
 )
-def test_a_graph_space_job_loads_no_scipy(graph_file, tmp_path, args):
-    argv = [a.format(graph=graph_file) for a in args] + ["--output", str(tmp_path / "report.json")]
+def test_a_full_dimension_job_loads_no_scipy(graph_file, tmp_path, args):
+    argv = [a.format(graph=graph_file) for a in args]
+    if argv[0] != "decompose":
+        argv += ["--output", str(tmp_path / "report.json")]
     assert scipy_modules(argv) == []
 
 
 @pytest.mark.parametrize(
     "args",
     [
-        ["partition", "{graph}", "--mode", "exponential"],
         ["partition", "{graph}", "--mode", "modularity", "--dim", "5"],
-        ["scan", "{graph}", "--tmin", "0.5", "--tmax", "2", "--npoints", "3"],
+        ["partition", "{graph}", "--mode", "exponential", "--dim", "5"],
+        ["scan", "{graph}", "--tmin", "0.5", "--tmax", "2", "--npoints", "3", "--dim", "5"],
     ],
-    ids=["partition-exponential", "partition-modularity-dim", "scan-exponential"],
+    ids=["partition-modularity-dim", "partition-exponential-dim", "scan-exponential-dim"],
 )
-def test_a_decomposing_job_loads_scipy(graph_file, tmp_path, args):
+def test_a_job_given_a_dim_loads_the_truncated_solver(graph_file, tmp_path, args):
     argv = [a.format(graph=graph_file) for a in args] + ["--output", str(tmp_path / "report.json")]
-    assert "scipy.linalg" in scipy_modules(argv)
+    assert "scipy.sparse.linalg" in scipy_modules(argv)

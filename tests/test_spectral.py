@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vecpart as vp
+from vecpart.cli import main
 from helpers import CYCLE4_TEXT, TRIANGLE_TEXT, linearised_autocov, pairgraph4, random_connected_graph
 
 
@@ -499,6 +500,32 @@ class TestTruncatedEigensolver:
             bases(planted400, source)
 
 
+class TestDenseSolver:
+    def test_transition_matrix_has_the_sparse_entries(self, planted400):
+        dense = vp.spectral._dense_operator(planted400, "transition")
+        assert dense.tobytes() == vp.spectral._similar_transition(planted400).toarray().tobytes()
+
+    def test_modularity_matrix_is_the_operator(self, planted400):
+        dense = vp.spectral._dense_operator(planted400, "modularity")
+        applied = vp.spectral._operator(planted400, "modularity") @ np.eye(planted400.n)
+        scale = vp.spectral._ones_shift(planted400)
+        assert np.max(np.abs(dense - applied)) <= 1e-14 * scale
+        assert np.array_equal(dense, dense.T)
+
+    def test_dense_failure_is_eigensolver_failure(self, monkeypatch, tmp_path):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        g = pairgraph4()
+        with pytest.raises(vp.EigensolverFailure, match="^transition eigendecomposition failed: Eigenvalues"):
+            vp.decompose_transition(g)
+        path = tmp_path / "g.txt"
+        path.write_text(g.to_edge_list_text())
+        for source in SOURCES:
+            assert main(["decompose", str(path), "--source", source]) == vp.EigensolverFailure.exit_code
+
+
 class TestDenseBudget:
     @pytest.mark.parametrize("source", SOURCES)
     def test_an_n_that_fits_one_array_but_not_four_is_refused_before_allocating(self, source, monkeypatch):
@@ -510,7 +537,7 @@ class TestDenseBudget:
         vp.spectral.load_solvers()  # so the trace holds no import
         tracemalloc.start()
         try:
-            with pytest.raises(vp.TooLarge, match="^a dense 400 x 400 step holds 4 such matrices"):
+            with pytest.raises(vp.TooLarge, match="^a dense 400 x 400 step holds 6 such matrices"):
                 decompose(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -588,6 +615,15 @@ class TestSpectralHealth:
             total_weight=basis.total_weight,
         )
         assert vp.spectral.spectral_health(g, shifted, 1)["max_residual"] == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_dense_and_sparse_residuals_of_a_full_basis_agree(self, planted400, source, monkeypatch):
+        basis, _ = bases(planted400, source)
+        dense = vp.spectral._max_residual(planted400, basis)
+        product = vp.spectral._product
+        monkeypatch.setattr(vp.spectral, "_product", lambda g, source, dense: product(g, source))
+        assert 0 < dense <= 1e-10
+        assert vp.spectral._max_residual(planted400, basis) == pytest.approx(dense, abs=1e-14)
 
 
 def quality_graphs():
