@@ -32,19 +32,9 @@ from .spectral import (
     check_time,
     decompose_modularity_matrix,
     decompose_transition,
-    load_solvers,
     spectral_health,
     uses_quality_matrix,
 )
-
-
-def _load_solvers_if_decomposing(dim: int | None) -> None:
-    """Call ``load_solvers`` before the graph is read when a job at ``dim``
-    may take the truncated eigensolver path: only a ``--dim`` job can. Every
-    other job decomposes with numpy alone, or not at all (see
-    ``uses_quality_matrix``), and runs without SciPy."""
-    if dim is not None:
-        load_solvers()
 
 
 def _load_graph(path: str) -> Graph:
@@ -238,7 +228,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
             print(f"error: usage: --time: {exc}", file=sys.stderr)
             return 2
     started = time.perf_counter()
-    _load_solvers_if_decomposing(args.dim)
     g = _load_graph(args.graph)
     t = None if args.mode == "modularity" else args.time
     if uses_quality_matrix(args.mode, args.dim, g.n):
@@ -281,7 +270,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
     started = time.perf_counter()
-    _load_solvers_if_decomposing(args.dim)
     g = _load_graph(args.graph)
     truth = _load_partition_file(args.truth) if args.truth else None
     records = time_scan(

@@ -118,9 +118,10 @@ class LevelCapExceeded(VecpartError):
 class TooLarge(VecpartError):
     """Input too large to handle: beyond the exhaustive enumeration limit or
     the scan grid limit, a graph whose dense n x n matrix would exceed the
-    machine's physical memory, or weights whose degree sums, reciprocal
+    machine's physical memory, weights whose degree sums, reciprocal
     degrees, or degree products in the modularity matrix, overflow the
-    floating-point range."""
+    floating-point range, or a Markov time so large that the reported
+    objective does."""
 
     exit_code = 28
 

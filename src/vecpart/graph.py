@@ -228,21 +228,27 @@ def read_lines(
     ``stream`` is either an open text stream or the raw text itself. A line
     holds two integer ids and up to ``extra`` more fields; otherwise
     MalformedLine names ``prefix``, the line number and the expected
-    ``form``.
+    ``form``. A stream that does not decode also raises MalformedLine; the
+    decoder reads ahead, so the bad byte lies at or after the line named.
     """
     lines = stream.splitlines() if isinstance(stream, str) else stream
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if not 2 <= len(fields) <= 2 + extra:
-            raise MalformedLine(f"{prefix} {lineno}: expected {form}, got {line!r}")
-        try:
-            i, j = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise MalformedLine(f"{prefix} {lineno}: non-integer field in {line!r}") from None
-        yield lineno, i, j, fields[2:]
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if not 2 <= len(fields) <= 2 + extra:
+                raise MalformedLine(f"{prefix} {lineno}: expected {form}, got {line!r}")
+            try:
+                i, j = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise MalformedLine(f"{prefix} {lineno}: non-integer field in {line!r}") from None
+            yield lineno, i, j, fields[2:]
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise MalformedLine(f"{prefix} {lineno + 1} or later: not {exc.encoding} text (byte {byte:#04x})") from None
 
 
 def load_edge_list(stream: IO[str] | str) -> Graph:

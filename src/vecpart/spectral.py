@@ -53,13 +53,6 @@ TRUNCATED_MAX_FRACTION = 10
 DENSE_EIGH_ARRAYS = 6
 
 
-def load_solvers() -> None:
-    """Import ARPACK, SciPy's truncated eigensolver. The dense solver is
-    numpy's, so only a job that may take the truncated path, one given a
-    ``dim``, calls this, before it reads its graph."""
-    import scipy.sparse.linalg  # noqa: F401
-
-
 @functools.cache
 def _eigsh_restart_seed() -> dict:
     """When the Krylov space breaks down, as on a spectrum with few distinct
@@ -103,10 +96,11 @@ class SpectralBasis:
 class Embedding:
     """Node vectors x_i in a (pseudo-)Euclidean space of dimension ``dim``.
 
-    ``signature`` holds one +1/-1 per component, sorted so every +1 precedes
-    every -1; the squared length of a vector under this signature is
-    sum_k signature[k] * x[k]**2. ``time`` is None for modularity-sourced
-    embeddings, which have no time parameter.
+    ``signature`` holds one +1/-1 per component. The components follow the
+    basis's descending eigenvalues under a weight monotone in them, so every
+    +1 precedes every -1. The squared length of a vector under this
+    signature is sum_k signature[k] * x[k]**2. ``time`` is None for
+    modularity-sourced embeddings, which have no time parameter.
     """
 
     mode: str  # "exponential" | "linearised" | "modularity"
@@ -125,12 +119,12 @@ class Embedding:
         return bool(np.all(self.signature > 0))
 
 
-def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude entry positive, for determinism."""
+def _fix_signs(V: np.ndarray) -> None:
+    """In place, make each column's largest-magnitude entry positive, for determinism."""
     idx = np.argmax(np.abs(V), axis=0)
     signs = np.sign(V[idx, np.arange(V.shape[1])])
     signs[signs == 0] = 1.0
-    return V * signs
+    V *= signs
 
 
 def check_dim(dim: int | None, n: int) -> None:
@@ -274,7 +268,8 @@ def _basis(g: Graph, source: str, w: np.ndarray, V: np.ndarray) -> SpectralBasis
     """Sort the pairs (w, V) descending, fix the column signs and freeze them."""
     order = np.argsort(-w, kind="stable")
     w = w[order]
-    V = _fix_signs(V[:, order])
+    V = V[:, order]
+    _fix_signs(V)
     pi = np.asarray(g.degrees, dtype=np.float64) / (2.0 * g.total_weight)
     for arr in (w, V, pi):
         arr.setflags(write=False)
@@ -311,8 +306,8 @@ def decompose_transition(g: Graph, dim: int | None = None) -> SpectralBasis:
         bad = int(np.argmin(d))
         raise ZeroDegree(f"node {bad} has zero degree")
     w, U = _eigenpairs(g, "transition", dim)
-    inv_sqrt_d = 1.0 / np.sqrt(d)
-    return _basis(g, "transition", w, np.sqrt(2.0 * g.total_weight) * inv_sqrt_d[:, None] * U)
+    U *= (np.sqrt(2.0 * g.total_weight) * (1.0 / np.sqrt(d)))[:, None]
+    return _basis(g, "transition", w, U)
 
 
 def decompose_modularity_matrix(g: Graph, dim: int | None = None) -> SpectralBasis:
@@ -389,9 +384,9 @@ def build_embedding(
         eigenvalues of the modularity matrix, excluding the all-ones zero
         mode, with sign(beta_k) in the signature.
 
-    The retained components are always the leading ones in eigenvalue order,
-    then permuted (together with their signature entries) so all +1
-    components precede all -1 components.
+    The retained components are the leading ones in the basis's descending
+    eigenvalue order. Every mode's weight is monotone in the eigenvalue, so
+    that order already puts all +1 components before all -1 components.
     """
     if mode not in MODES:
         raise InvalidParameter(f"mode must be one of {MODES}, got {mode!r}")
@@ -404,21 +399,21 @@ def build_embedding(
         raise DimOutOfRange(f"dim must be in [1, {components.size}]{held}, got {dim}")
     keep = components[:dim]
 
+    # One C-ordered copy of the kept columns, scaled in place; indexing them
+    # would give F order.
+    X = np.take(basis.eigenvectors, keep, axis=1)
     if mode == "modularity":
         if basis.source != "modularity":
             raise ModeBasisMismatch("modularity mode needs a modularity basis")
         weights = basis.eigenvalues[keep]
-        X = basis.eigenvectors[:, keep] * np.sqrt(np.abs(weights))[None, :]
         time_field: float | None = None
     else:
         weights = scaled_eigenvalues(basis, mode, t)[keep]
-        X = basis.pi[:, None] * basis.eigenvectors[:, keep] * np.sqrt(np.abs(weights))[None, :]
+        X *= basis.pi[:, None]
         time_field = float(t)
+    X *= np.sqrt(np.abs(weights))
 
     signature = np.where(weights < -ZERO_WEIGHT_TOL, -1, 1).astype(np.int64)
-    perm = np.argsort(signature < 0, kind="stable")
-    X = np.ascontiguousarray(X[:, perm])
-    signature = signature[perm]
     X.setflags(write=False)
     signature.setflags(write=False)
     return Embedding(

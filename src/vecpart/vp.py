@@ -416,7 +416,7 @@ def partition_vectors(
     ``QualityMatrix``, every level runs in Gram space, from the graph's own
     matrix. Deterministic for a fixed seed. ``_gram`` is
     ``_shared_gram(emb)``, formed once for many runs; it does not change the
-    result.
+    result. Raises TooLarge when the reported objective is not finite.
     """
     if emb.n < 1:
         raise InvalidParameter("embedding has no vectors")
@@ -433,7 +433,12 @@ def partition_vectors(
         node_to_group = labels[node_to_group]
         if state.num_groups == p:  # every vector stayed in its own group
             partition = Partition.from_labels(node_to_group)
-            return partition, _reported_objective(emb, partition), diag
+            with np.errstate(over="ignore", invalid="ignore"):
+                objective = _reported_objective(emb, partition)
+            if not np.isfinite(objective):
+                at = "" if emb.time is None else f" at t = {emb.time}"
+                raise TooLarge(f"the {emb.mode} objective{at} is {objective}: it overflows")
+            return partition, objective, diag
     raise LevelCapExceeded(f"still aggregating after {MAX_LEVELS} levels")
 
 

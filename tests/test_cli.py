@@ -332,6 +332,76 @@ class TestHugeWeights:
         assert capsys.readouterr().err.startswith("error: StateDrift: group sums drifted by ")
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8 text is a malformed input, exit 10, not a
+    UnicodeDecodeError traceback."""
+
+    @staticmethod
+    def write_bytes(tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return str(path)
+
+    def test_graph_file(self, tmp_path, capsys):
+        path = self.write_bytes(tmp_path, "g.txt", b"0 1\n1 2 \xff\n0 2\n")
+        assert main(["partition", path]) == vp.MalformedLine.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedLine: line ") and "not utf-8 text (byte 0xff" in err
+        assert "Traceback" not in err
+
+    def test_truth_file_of_a_scan(self, graph_file, tmp_path, capsys):
+        truth = self.write_bytes(tmp_path, "truth.txt", b"0 0\n1 \xff\n2 1\n3 1\n")
+        args = ["scan", graph_file, "--tmin", "0.5", "--tmax", "2", "--npoints", "2", "--truth", truth]
+        assert main(args) == vp.MalformedLine.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: MalformedLine: {truth} line ") and "Traceback" not in err
+
+    def test_partition_file_of_a_compare(self, tmp_path, capsys):
+        a = write_partition(tmp_path, "a.txt", [0, 0, 1])
+        b = self.write_bytes(tmp_path, "b.txt", b"0 0\n1 \xff\n2 1\n")
+        assert main(["compare", a, b]) == vp.MalformedLine.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: MalformedLine: {b} line ") and "Traceback" not in err
+
+
+class TestOverflowingObjective:
+    """A Markov time so large that the reported objective overflows is
+    TooLarge, exit 28, not the report validator's traceback."""
+
+    @pytest.fixture()
+    def triangle(self, tmp_path):
+        path = tmp_path / "triangle.txt"
+        path.write_text("0 1\n1 2\n0 2\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["partition", "{graph}", "--mode", "linearised", "--time", "1e308"],
+            ["scan", "{graph}", "--mode", "linearised", "--tmin", "1", "--tmax", "1e308", "--npoints", "2"],
+        ],
+        ids=["partition", "scan"],
+    )
+    def test_linearised_overflow_is_too_large(self, triangle, capsys, args):
+        assert main([a.format(graph=triangle) for a in args]) == vp.TooLarge.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith("error: TooLarge: the linearised objective at t = 1e+308")
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--mode", "exponential"],
+            ["--mode", "exponential", "--dim", "1"],
+            ["--mode", "linearised", "--dim", "1"],
+        ],
+        ids=["exponential", "exponential-dim1", "linearised-dim1"],
+    )
+    def test_finite_objectives_at_the_same_time_still_run(self, triangle, capsys, args):
+        assert main(["partition", triangle, "--time", "1e308", *args]) == 0
+        validate_report(json.loads(capsys.readouterr().out))
+
+
 class TestDenseMemoryGuard:
     """A dense n x n array larger than the machine's physical memory is
     refused with TooLarge before it is allocated."""

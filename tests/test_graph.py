@@ -236,6 +236,21 @@ class TestLineReader:
             self.parse(reader, f"# header\n\n{bad}\n{self.VALID[reader]}", tmp_path)
         assert str(info.value).startswith(f"{prefix} 3: {message}")
 
+    def test_undecodable_stream_is_malformed(self):
+        stream = io.TextIOWrapper(io.BytesIO(b"0 1\n1 2 \xff\n0 2\n"), encoding="utf-8")
+        with pytest.raises(vp.MalformedLine, match=r"^line \d+ or later: not utf-8 text \(byte 0xff"):
+            vp.load_edge_list(stream)
+
+    def test_undecodable_line_is_at_or_after_the_line_named(self):
+        # The decoder reads ahead, so the line named may precede the bad one.
+        bad = 5001
+        data = b"0 1\n" * (bad - 1) + b"1 2 \xe9\n0 2\n"
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        with pytest.raises(vp.MalformedLine) as info:
+            vp.load_edge_list(stream)
+        named = int(str(info.value).split()[1])
+        assert 1 <= named <= bad
+
 
 class TestPlantedPartition:
     def test_all_probabilities_one_gives_complete_graph(self):

@@ -274,12 +274,27 @@ class TestBuildEmbedding:
                 assert np.array_equal(part.signature, full.signature[:d])
 
     def test_signature_sorted(self):
-        g = random_connected_graph(8, n_range=(6, 10))
-        basis = vp.decompose_transition(g)
-        for t in (0.5, 1.0, 3.0, 10.0):
-            emb = vp.build_embedding(basis, "linearised", t=t, dim=g.n - 1)
-            flips = np.diff(emb.signature)
-            assert np.all(flips <= 0)  # +1 block first, then -1 block
+        # No permutation sorts the signature: the basis's descending order
+        # under a weight monotone in it does, in every mode, from either solver.
+        small = random_connected_graph(8, n_range=(6, 10))
+        weighted = random_connected_graph(2, n_range=(12, 20), weighted=True)
+        path = vp.load_edge_list("0 1\n1 2\n2 3\n")
+        large, _ = vp.planted_partition(4, 100, 0.1, 0.01, seed=0)
+        embeddings = []
+        for g, dim in ((small, None), (weighted, None), (large, 14)):
+            basis = vp.decompose_transition(g, dim=dim)
+            assert (basis.pairs < g.n) == (dim is not None)  # ARPACK's at dim 14
+            for mode in ("linearised", "exponential"):
+                embeddings += [vp.build_embedding(basis, mode, t=t, dim=dim) for t in (0.5, 1.0, 3.0, 10.0, 50.0)]
+        for g, dim in ((weighted, None), (path, None), (large, 14)):
+            embeddings.append(vp.build_embedding(vp.decompose_modularity_matrix(g, dim=dim), "modularity", dim=dim))
+        # The path's B_Q spectrum is (0.618, 0, -0.667, -1.618): the skipped
+        # all-ones zero mode sits between the signs.
+        assert embeddings[-2].signature.tolist() == [1, -1, -1]
+        assert sum(np.any(emb.signature < 0) for emb in embeddings) >= 10
+        for emb in embeddings:
+            assert np.all(np.diff(emb.signature) <= 0)  # +1 block first, then -1 block
+            assert emb.vectors.flags.c_contiguous
 
     def test_degenerate_eigenspace_rotation_invariance(self):
         # pairgraph4 has a two-dimensional eigenspace at -5/6; objectives
@@ -534,7 +549,6 @@ class TestDenseBudget:
         monkeypatch.setattr(vp.graph, "PHYSICAL_MEMORY", 3 * one)
         vp.graph.check_dense(g.n)  # one array fits
         decompose = vp.decompose_transition if source == "transition" else vp.decompose_modularity_matrix
-        vp.spectral.load_solvers()  # so the trace holds no import
         tracemalloc.start()
         try:
             with pytest.raises(vp.TooLarge, match="^a dense 400 x 400 step holds 6 such matrices"):

@@ -3,6 +3,7 @@ import pytest
 
 import vecpart as vp
 from helpers import (
+    TRIANGLE_TEXT,
     SameGroup,
     group_sums,
     move_gain,
@@ -398,6 +399,11 @@ class TestGramPath:
         shared = vp.partition_vectors(q, 3, _gram=gram)
         own = vp.partition_vectors(q, 3)
         assert np.array_equal(shared[0].assignment, own[0].assignment) and shared[1] == own[1]
+
+    def test_an_overflowing_objective_is_too_large(self):
+        q = vp.QualityMatrix(vp.load_edge_list(TRIANGLE_TEXT), "linearised", 1e308)
+        with pytest.raises(vp.TooLarge, match=r"^the linearised objective at t = 1e\+308 is inf"):
+            vp.partition_vectors(q)
 
 
 class TestExhaustivePartition:
