@@ -162,7 +162,7 @@ def divergent_ties(g, mode: str, t: float | None, level0, restarts: int) -> list
     """Rerun each restart of ``best_of_restarts`` on the two level-0 states
     ``level0()`` returns, up to its first divergent visit. Returns one entry
     per restart that diverges: whether the two targets' exact gains tie."""
-    tol, _ = vp.vp.tolerances(mode, g.total_weight)
+    tol = vp.vp.tolerances(mode, g.total_weight)[0]
     ties = []
     for run_seed in [None, *range(1, restarts)]:
         found = first_divergence(level0(), run_seed, tol)

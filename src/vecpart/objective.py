@@ -29,11 +29,15 @@ def _check_nodes(expected: int, p: Partition) -> None:
 def group_sums(vectors: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
     """Per-group sums y_s of ``vectors`` under the labels 0..c-1, shape (c, dim).
 
-    One ``bincount`` per column adds each group's members in index order to
-    zeros, so the bits are those of ``np.add.at`` into zeros.
+    One row sum per group when there are fewer groups than columns, else one
+    ``bincount`` per column. Both add each group's members in index order to
+    zeros, so the bits are those of ``np.add.at`` into zeros either way.
     """
-    sums = np.empty((c, vectors.shape[1]))
-    for k in range(vectors.shape[1]):
+    dim = vectors.shape[1]
+    if c < dim:
+        return np.array([vectors[labels == s].sum(axis=0, initial=0.0) for s in range(c)]).reshape(c, dim)
+    sums = np.empty((c, dim))
+    for k in range(dim):
         sums[:, k] = np.bincount(labels, weights=vectors[:, k], minlength=c)
     return sums
 

@@ -337,14 +337,15 @@ def scaled_eigenvalues(basis: SpectralBasis, mode: str, t: float) -> np.ndarray:
 
     Exponential mode returns exp(-t (1 - lam_k)), strictly positive and at
     most 1; linearised mode returns 1 - t (1 - lam_k), which is unbounded
-    and may be negative.
+    and may be negative. Eigenvalues are clipped at 1 first: the stationary
+    one may come out as 1 + eps, whose weight would overflow at a large t.
     """
     if basis.source != "transition":
         raise ModeBasisMismatch(f"scaled eigenvalues need a transition basis, got {basis.source!r}")
     if mode not in ("exponential", "linearised"):
         raise ModeBasisMismatch(f"no eigenvalue scaling for mode {mode!r}")
     check_time(mode, t)
-    lam = basis.eigenvalues
+    lam = np.minimum(basis.eigenvalues, 1.0)
     return np.exp(-t * (1.0 - lam)) if mode == "exponential" else 1.0 - t * (1.0 - lam)
 
 

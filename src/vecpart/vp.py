@@ -101,8 +101,9 @@ class _LevelState:
         self.group_sizes[beta] += 1
         self.assignment[i] = beta
 
-    def revalidate(self) -> None:
-        """Check the group sizes against the assignment."""
+    def revalidate(self, drift_bound: float) -> None:
+        """Check the group sizes against the assignment; a state that keeps
+        group sums also checks that they drifted by at most ``drift_bound``."""
         sizes = np.bincount(self.assignment, minlength=self.group_sizes.size)
         if not np.array_equal(sizes, self.group_sizes):
             raise StateDrift("group sizes out of sync with assignment")
@@ -157,13 +158,13 @@ class VPState(_LevelState):
         self.group_sizes[beta] += 1
         self.assignment[i] = beta
 
-    def revalidate(self) -> None:
+    def revalidate(self, drift_bound: float) -> None:
         """Recompute group sums from members and check incremental drift."""
         fresh = group_sums(self.vectors, self.assignment, self.num_groups)
         drift = float(np.max(np.abs(fresh - self.group_sums))) if fresh.size else 0.0
-        if drift > 1e-9:
-            raise StateDrift(f"group sums drifted by {drift} from their members")
-        super().revalidate()
+        if drift > drift_bound:
+            raise StateDrift(f"group sums drifted by {drift} from their members, more than {drift_bound}")
+        super().revalidate(drift_bound)
         self.group_sums = np.asfortranarray(fresh)
 
     def objective(self) -> float:
@@ -211,48 +212,27 @@ class GramState(_LevelState):
     def compact(self) -> tuple[np.ndarray, GramState]:
         """Drop empty groups; returns the first-appearance labels and the
         next level's state over the group Gram H^T G H, with H the p x c
-        one-hot group matrix.
-
-        Both products sum rows per group: each group's members are added one
-        at a time, in index order, to zeros. That is the order, and so the
-        bits, of a sparse one-hot product. Layer k adds the k-th member of
-        every group that has one; with the groups ranked by size, largest
-        first, those groups are a leading block of the accumulator.
+        one-hot group matrix: ``group_sums`` of G's rows, then of the columns
+        of H^T G, with the bits of a sparse one-hot product.
         """
         labels, c = canonical_labels(self.assignment)
-        sizes = np.bincount(labels, minlength=c)
-        by_group = np.argsort(labels, kind="stable")
-        member_rank = np.empty_like(labels)  # position in its group, by index
-        member_rank[by_group] = np.arange(labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        slot = np.empty(c, dtype=np.int64)  # accumulator row of each group
-        slot[np.argsort(-sizes, kind="stable")] = np.arange(c)
-        rows = np.argsort(member_rank * c + slot[labels])  # layer by layer
-        widths = np.bincount(member_rank).tolist()
-
-        def group_rows(M: np.ndarray) -> np.ndarray:
-            acc = np.zeros((c, M.shape[1]))
-            start = 0
-            for w in widths:
-                acc[:w] += M[rows[start : start + w]]
-                start += w
-            return acc[slot]
-
-        partial = group_rows(self.gram)  # H^T G
-        return labels, GramState(np.ascontiguousarray(group_rows(partial.T).T))
+        partial = group_sums(self.gram, labels, c)  # H^T G
+        return labels, GramState(np.ascontiguousarray(group_sums(partial.T, labels, c).T))
 
 
-def tolerances(mode: str, total_weight: float) -> tuple[float, float]:
+def tolerances(mode: str, total_weight: float) -> tuple[float, float, float]:
     """The gain a move must exceed and the fall of the objective a sweep may
-    show, both in raw objective units, for a run in ``mode`` on a graph of
-    total weight m.
+    show, both in raw objective units, and the drift the group sums may show,
+    for a run in ``mode`` on a graph of total weight m.
 
     The raw objective is the reported one times 2m in modularity mode, and
     its roundoff scales with it. Tolerances stay in reported units: in raw
     units, two vectors can swap forever on roundoff gains, and one ulp of
-    drift can read as a decrease.
+    drift can read as a decrease. The group sums are in the square root of
+    raw units, and so is their drift bound.
     """
     unit = 2.0 * total_weight if mode == "modularity" else 1.0
-    return GAIN_TOLERANCE * unit, 1e-9 * unit
+    return GAIN_TOLERANCE * unit, 1e-9 * unit, 1e-9 * np.sqrt(unit)
 
 
 def _level_state(vectors: np.ndarray, signature: np.ndarray) -> VPState | GramState:
@@ -350,7 +330,7 @@ def _screened_sweep(state: VPState, order: np.ndarray, tol: float) -> tuple[int,
 
 
 def _run_level(
-    state: VPState | GramState, order: np.ndarray, tol: float, diag: VPDiagnostics, slack: float
+    state: VPState | GramState, order: np.ndarray, tol: float, diag: VPDiagnostics, slack: float, drift_bound: float
 ) -> tuple[np.ndarray, VPState | GramState]:
     """Sweep one level to a fixed point; returns ``state.compact()``.
 
@@ -362,7 +342,7 @@ def _run_level(
     later_sweep = _screened_sweep if state.screened else _sweep
     moved, visits = _sweep(state, order, tol)
     while True:
-        state.revalidate()
+        state.revalidate(drift_bound)
         diag.record_sweep(moved, visits, state.objective(), slack)
         if moved == 0:
             return state.compact()
@@ -423,13 +403,13 @@ def partition_vectors(
     state = _first_state(emb) if _gram is None else GramState(_gram)
     node_to_group = np.arange(emb.n, dtype=np.int64)
     diag = VPDiagnostics()
-    tol, slack = tolerances(emb.mode, emb.total_weight)
+    tol, slack, drift_bound = tolerances(emb.mode, emb.total_weight)
     for level in range(MAX_LEVELS):
         p = state.num_groups
         order = np.arange(p, dtype=np.int64)
         if seed is not None:
             np.random.default_rng([seed, level]).shuffle(order)
-        labels, state = _run_level(state, order, tol, diag, slack)
+        labels, state = _run_level(state, order, tol, diag, slack, drift_bound)
         node_to_group = labels[node_to_group]
         if state.num_groups == p:  # every vector stayed in its own group
             partition = Partition.from_labels(node_to_group)

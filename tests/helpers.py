@@ -117,9 +117,10 @@ def move_gain(state: vp.VPState, i: int, beta: int) -> float:
     return y_beta_score - float(sx @ (state.group_sums[alpha] - x))
 
 
-def group_sums(vectors: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-group sums of ``vectors`` under 0-based ``labels``."""
-    sums = np.zeros((int(labels.max()) + 1, vectors.shape[1]))
+def group_sums(vectors: np.ndarray, labels: np.ndarray, c: int | None = None) -> np.ndarray:
+    """Per-group sums of ``vectors`` under 0-based ``labels``, over c groups,
+    by default one more than the largest label."""
+    sums = np.zeros((int(labels.max()) + 1 if c is None else c, vectors.shape[1]))
     np.add.at(sums, labels, vectors)
     return sums
 
@@ -163,7 +164,7 @@ def vector_path_partition(emb: vp.Embedding, seed: int | None = None) -> tuple[v
     """
     signature = emb.signature.astype(np.float64)
     vectors = np.asarray(emb.vectors, dtype=np.float64)
-    tol, slack = vp.vp.tolerances(emb.mode, emb.total_weight)
+    tol, slack, drift_bound = vp.vp.tolerances(emb.mode, emb.total_weight)
     node_to_group = np.arange(emb.n)
     diag = vp.VPDiagnostics()
     for level in range(vp.vp.MAX_LEVELS):
@@ -171,7 +172,7 @@ def vector_path_partition(emb: vp.Embedding, seed: int | None = None) -> tuple[v
         order = np.arange(p, dtype=np.int64)
         if seed is not None:
             np.random.default_rng([seed, level]).shuffle(order)
-        labels, _ = vp.vp._run_level(vp.VPState(vectors, signature), order, tol, diag, slack)
+        labels, _ = vp.vp._run_level(vp.VPState(vectors, signature), order, tol, diag, slack, drift_bound)
         node_to_group = labels[node_to_group]
         vectors = group_sums(vectors, labels)
         if vectors.shape[0] == p:
@@ -199,7 +200,7 @@ def plain_sweep_partition(
     ``partition_vectors`` and of ``_run_level``, with the same states, but
     visits every vector in every sweep.
     """
-    tol, slack = vp.vp.tolerances(emb.mode, emb.total_weight)
+    tol, slack, drift_bound = vp.vp.tolerances(emb.mode, emb.total_weight)
     state = vp.vp._level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
     node_to_group = np.arange(emb.n)
     diag = vp.VPDiagnostics()
@@ -211,7 +212,7 @@ def plain_sweep_partition(
         diag.start_level(state.path)
         while True:
             moved, visits = vp.vp._sweep(state, order, tol)
-            state.revalidate()
+            state.revalidate(drift_bound)
             diag.record_sweep(moved, visits, state.objective(), slack)
             if moved == 0:
                 break

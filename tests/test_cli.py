@@ -324,12 +324,23 @@ class TestHugeWeights:
         err = capsys.readouterr().err
         assert err.startswith("error: TooLarge: node ") and "reciprocal" in err
 
-    def test_group_sum_drift_is_named_error(self, tmp_path, capsys):
+    @staticmethod
+    def heavy_modularity_job(tmp_path):
         path = tmp_path / "g.txt"
         path.write_text(scaled_weight_graph(20).to_edge_list_text())
-        args = ["partition", str(path), "--mode", "modularity", "--dim", "14", "--restarts", "3"]
-        assert main(args) == vp.StateDrift.exit_code == 30
+        return ["partition", str(path), "--mode", "modularity", "--dim", "14", "--restarts", "3"]
+
+    def test_group_sum_drift_is_named_error(self, tmp_path, capsys, monkeypatch):
+        # Weights times 4^20 drift the group sums by about 2e-9: past the
+        # unscaled run's bound of 1e-9, forced here, though within their own.
+        tolerances = vp.vp.tolerances
+        monkeypatch.setattr(vp.vp, "tolerances", lambda mode, m: (*tolerances(mode, m)[:2], 1e-9))
+        assert main(self.heavy_modularity_job(tmp_path)) == vp.StateDrift.exit_code == 30
         assert capsys.readouterr().err.startswith("error: StateDrift: group sums drifted by ")
+
+    def test_group_sums_of_large_weights_drift_within_their_units(self, tmp_path, capsys):
+        assert main(self.heavy_modularity_job(tmp_path)) == 0
+        validate_report(json.loads(capsys.readouterr().out))
 
 
 class TestUndecodableInput:
@@ -400,6 +411,32 @@ class TestOverflowingObjective:
     def test_finite_objectives_at_the_same_time_still_run(self, triangle, capsys, args):
         assert main(["partition", triangle, "--time", "1e308", *args]) == 0
         validate_report(json.loads(capsys.readouterr().out))
+
+
+class TestLargeExponentialTime:
+    """The stationary eigenvalue of a 3-node path comes out as 1 + eps; at a
+    large Markov time its weight must not overflow, nor print a warning."""
+
+    @pytest.fixture()
+    def path3(self, tmp_path):
+        path = tmp_path / "path3.txt"
+        path.write_text("0 1\n1 2\n")
+        return str(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["partition", "{graph}", "--mode", "exponential", "--time", "1e300"],
+            ["scan", "{graph}", "--tmin", "1", "--tmax", "1e300", "--npoints", "2"],
+        ],
+        ids=["partition", "scan"],
+    )
+    def test_runs_without_a_warning(self, path3, capsys, args):
+        assert main([a.format(graph=path3) for a in args]) == 0
+        captured = capsys.readouterr()
+        validate_report(json.loads(captured.out))
+        assert "Warning" not in captured.err
 
 
 class TestDenseMemoryGuard:

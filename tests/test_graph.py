@@ -321,6 +321,19 @@ class TestPlantedPartition:
         assert np.array_equal(g1.edge_weight, g2.edge_weight)
         assert np.array_equal(t1.assignment, t2.assignment)
 
+    def test_a_size_whose_pairs_do_not_fit_is_refused_before_allocating(self, monkeypatch):
+        n = 400
+        one = 8 * n * n
+        monkeypatch.setattr(vp.graph, "PHYSICAL_MEMORY", 2 * one)
+        tracemalloc.start()
+        try:
+            with pytest.raises(vp.TooLarge, match="^a dense 400 x 400 step holds 3 such matrices"):
+                vp.planted_partition(4, n // 4, 0.1, 0.01, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one / 4
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             vp.planted_partition(0, 4, 0.9, 0.1, seed=0)

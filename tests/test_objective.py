@@ -5,6 +5,7 @@ import pytest
 
 import vecpart as vp
 from helpers import (
+    group_sums,
     kmeans_objective,
     linearised_autocov,
     pair_sum_objective,
@@ -124,6 +125,45 @@ class TestGroupSums:
     def test_an_all_negative_zero_group_sums_to_positive_zero(self):
         sums = vp.objective.group_sums(np.full((3, 2), -0.0), np.array([0, 0, 1]), 2)
         assert sums.tobytes() == np.zeros((2, 2)).tobytes()
+
+    def test_an_all_negative_zero_group_of_wide_vectors_sums_to_positive_zero(self):
+        sums = vp.objective.group_sums(np.full((3, 50), -0.0), np.array([0, 0, 1]), 2)
+        assert sums.tobytes() == np.zeros((2, 50)).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed view"])
+    @pytest.mark.parametrize("loop", ["per group", "per column"])
+    def test_both_loops_are_bitwise_the_scatter_add(self, seed, layout, loop):
+        # group_sums loops per group when there are fewer groups than
+        # columns, and per column otherwise; the labels leave groups of
+        # range(c) empty, the top one included.
+        rng = np.random.default_rng(seed)
+        c = int(rng.integers(3, 30))
+        dim = c + int(rng.integers(1, 60)) if loop == "per group" else int(rng.integers(1, c + 1))
+        p = int(rng.integers(c, 3 * c))
+        labels = rng.choice(np.arange(0, c - 1, 2), size=p)
+        vectors = rng.standard_normal((p, dim)) * 10.0 ** rng.integers(-300, 300, size=(p, dim))
+        vectors[rng.random((p, dim)) < 0.25] = -0.0
+        if layout == "F":
+            vectors = np.asfortranarray(vectors)
+        elif layout == "transposed view":
+            vectors = np.ascontiguousarray(vectors.T).T
+        sums = vp.objective.group_sums(vectors, labels, c)
+        assert sums.tobytes() == group_sums(vectors, labels, c).tobytes()
+        assert sums.flags.c_contiguous
+        assert not sums[c - 1].any()
+
+    @pytest.mark.parametrize("dim", [1, 2, 40])
+    def test_one_group_is_the_scatter_add(self, dim):
+        rng = np.random.default_rng(dim)
+        vectors = rng.standard_normal((30, dim)) * 10.0 ** rng.integers(-300, 300, size=(30, dim))
+        labels = np.zeros(30, dtype=np.int64)
+        sums = vp.objective.group_sums(vectors, labels, 1)
+        assert sums.tobytes() == group_sums(vectors, labels).tobytes()
+
+    @pytest.mark.parametrize("dim", [0, 3])
+    def test_no_groups_is_an_empty_array(self, dim):
+        assert vp.objective.group_sums(np.ones((0, dim)), np.zeros(0, dtype=np.int64), 0).shape == (0, dim)
 
 
 class TestStability:

@@ -100,7 +100,7 @@ def vp_state(special: np.ndarray, special_labels: list[int], scale: float = 1.0)
     state.assignment = labels
     state.group_sizes = np.bincount(labels)
     state.group_sums = group_sums(vectors, labels)
-    state.revalidate()
+    state.revalidate(1e-9)
     return state, BACKGROUND.shape[0]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -179,6 +180,17 @@ class TestScaledEigenvalues:
         basis = vp.decompose_modularity_matrix(pairgraph4())
         with pytest.raises(vp.ModeBasisMismatch):
             vp.scaled_eigenvalues(basis, "exponential", 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_eigenvalue_above_one_is_clipped(self):
+        # A solver may return the stationary eigenvalue as 1 + eps, as on a
+        # 3-node path; at t = 1e300 its exponential weight would overflow.
+        basis = vp.decompose_transition(pairgraph4())
+        lam = basis.eigenvalues.copy()
+        lam[0] = np.nextafter(1.0, 2.0)
+        above = dataclasses.replace(basis, eigenvalues=lam)
+        for mode in ("exponential", "linearised"):
+            assert vp.scaled_eigenvalues(above, mode, 1e300)[0] == 1.0
 
 
 class TestBuildEmbedding:

@@ -82,7 +82,7 @@ class TestMoveGain:
         state = vp.VPState(np.array([[1.0], [2.0]]), np.ones(1))
         state.group_sums[0] += 1.0
         with pytest.raises(vp.StateDrift, match="group sums drifted"):
-            state.revalidate()
+            state.revalidate(1e-9)
 
 
     @pytest.mark.parametrize("seed", range(6))
@@ -144,7 +144,7 @@ class TestColumnMajorSums:
         state.apply_move(2, 1)
         state.apply_move(0, state.num_groups)  # a fresh group
         vp.vp._sweep(state, np.arange(9), 1e-12)
-        state.revalidate()
+        state.revalidate(1e-9)
         assert vectors.tobytes() == before
 
     def test_group_sums_stay_column_major(self):
@@ -154,7 +154,7 @@ class TestColumnMajorSums:
         state.apply_move(0, 1)
         state.apply_move(0, state.num_groups)  # a fresh group grows the sums
         assert state.group_sums.shape == (13, 4) and state.group_sums.flags.f_contiguous
-        state.revalidate()
+        state.revalidate(1e-9)
         assert state.group_sums.flags.f_contiguous
         assert np.array_equal(state.group_sums, group_sums(state.vectors, state.assignment))
 
@@ -299,10 +299,10 @@ class TestGramPath:
     def test_group_size_check_fires(self):
         state = vp.vp.GramState(np.eye(3))
         state.apply_move(0, 1)
-        state.revalidate()
+        state.revalidate(1e-9)
         state.group_sizes[2] += 1
         with pytest.raises(vp.StateDrift, match="group sizes"):
-            state.revalidate()
+            state.revalidate(1e-9)
 
     def test_compact_aggregates_the_gram(self):
         rng = np.random.default_rng(1)
@@ -355,10 +355,10 @@ class TestGramPath:
         signature = emb.signature.astype(float)
         order = np.arange(g.n)
         vector_diag, gram_diag = vp.VPDiagnostics(), vp.VPDiagnostics()
-        labels_v, _ = vp.vp._run_level(vp.VPState(emb.vectors, signature), order, 1e-12, vector_diag, 1e-9)
+        labels_v, _ = vp.vp._run_level(vp.VPState(emb.vectors, signature), order, 1e-12, vector_diag, 1e-9, 1e-9)
         sums = group_sums(emb.vectors, labels_v)
         gram = (emb.vectors * signature) @ emb.vectors.T
-        labels_g, next_state = vp.vp._run_level(vp.vp.GramState(gram), order, 1e-12, gram_diag, 1e-9)
+        labels_g, next_state = vp.vp._run_level(vp.vp.GramState(gram), order, 1e-12, gram_diag, 1e-9, 1e-9)
         group_gram = next_state.gram
         assert np.array_equal(labels_v, labels_g)
         assert vector_diag.moves_per_level == gram_diag.moves_per_level
@@ -534,15 +534,20 @@ class TestWeightScaling:
             runs[name] = (partition.canonical_key(), objective)
         return runs
 
+    @pytest.mark.parametrize("mode", ["exponential", "linearised", "modularity"])
+    def test_tolerances_scale_with_the_weights(self, mode):
+        # Modularity-mode gains scale like the weights and group sums like
+        # their square root; the other modes do not scale. Total weight 0.5
+        # makes the modularity unit 2m equal to 1, so every product is exact.
+        base = vp.vp.tolerances(mode, 0.5)
+        for k in (-20, 8, 20):
+            scale = 4.0**k if mode == "modularity" else 1.0
+            expected = (base[0] * scale, base[1] * scale, base[2] * np.sqrt(scale))
+            assert vp.vp.tolerances(mode, 0.5 * 4.0**k) == expected
+
     @pytest.mark.parametrize("run", sorted(SCALING_RUNS))
     @pytest.mark.parametrize("k", [-20, -8, 8, 20])
     def test_weights_times_a_power_of_four_give_the_same_run(self, unscaled, k, run):
         emb = SCALING_RUNS[run](scaled_weight_graph(k))
-        if (k, run) == (20, "modularity-dim14"):
-            # The drift check's bound is absolute, while modularity-mode
-            # group sums grow like the square root of the weights.
-            with pytest.raises(vp.StateDrift, match="group sums drifted"):
-                vp.best_of_restarts(emb, 3)
-            return
         partition, objective, _ = vp.best_of_restarts(emb, 3)
         assert (partition.canonical_key(), objective) == unscaled[run]
