@@ -145,7 +145,10 @@ def exact_gain(g, mode: str, t: float | None, vector: np.ndarray, rest: np.ndarr
     modularity mode, with W the adjacency summed over S x T."""
     if target is None:
         return None
-    A = g.adjacency()
+    from scipy import sparse
+
+    indptr, indices, data = g.adjacency()
+    A = sparse.csr_matrix((data, indices, indptr), shape=(g.n, g.n))
     two_m = Fraction(2.0 * g.total_weight)
 
     def quality(S: np.ndarray, T: np.ndarray) -> Fraction:

@@ -67,16 +67,18 @@ class Graph:
     def edges(self) -> list[tuple[int, int, float]]:
         return list(zip(*self.edge_index.T.tolist(), self.edge_weight.tolist()))
 
-    def adjacency(self):
-        """Symmetric sparse adjacency lookup, a SciPy CSR matrix."""
-        from scipy import sparse
-
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Symmetric adjacency in compressed sparse row form: (indptr, indices,
+        data), row i's entries at indptr[i]:indptr[i + 1], columns ascending.
+        A connected graph of two or more nodes has no empty row."""
         i = self.edge_index[:, 0]
         j = self.edge_index[:, 1]
         rows = np.concatenate([i, j])
         cols = np.concatenate([j, i])
-        data = np.concatenate([self.edge_weight, self.edge_weight])
-        return sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        return indptr, cols[order], np.concatenate([self.edge_weight, self.edge_weight])[order]
 
     def dense_adjacency(self) -> np.ndarray:
         check_dense(self.n)

@@ -79,7 +79,8 @@ def geometric_grid(t_min: float, t_max: float, n_points: int) -> np.ndarray:
         raise InvalidParameter(f"n_points must be >= 1, got {n_points}")
     if n_points > MAX_GRID_POINTS:
         raise TooLarge(f"{n_points} grid points exceeds the limit of {MAX_GRID_POINTS}")
-    return np.geomspace(t_min, t_max, n_points)
+    with np.errstate(over="ignore"):  # near the float64 limit, geomspace overflows before it sets its end points
+        return np.geomspace(t_min, t_max, n_points)
 
 
 def best_of_restarts(

@@ -332,7 +332,9 @@ def _screened_sweep(state: VPState, order: np.ndarray, tol: float) -> tuple[int,
 def _run_level(
     state: VPState | GramState, order: np.ndarray, tol: float, diag: VPDiagnostics, slack: float, drift_bound: float
 ) -> tuple[np.ndarray, VPState | GramState]:
-    """Sweep one level to a fixed point; returns ``state.compact()``.
+    """Sweep one level to a fixed point; returns ``state.compact()``, or the
+    identity labels and the state itself when no vector moved, which is
+    what compacting it would give.
 
     The first sweep visits every vector; the later ones are screened when
     ``state.screened``. Every sweep is followed by the state's consistency
@@ -341,11 +343,12 @@ def _run_level(
     diag.start_level(state.path)
     later_sweep = _screened_sweep if state.screened else _sweep
     moved, visits = _sweep(state, order, tol)
+    idle = moved == 0
     while True:
         state.revalidate(drift_bound)
         diag.record_sweep(moved, visits, state.objective(), slack)
         if moved == 0:
-            return state.compact()
+            return (np.arange(state.num_groups, dtype=np.int64), state) if idle else state.compact()
         moved, visits = later_sweep(state, order, tol)
 
 

@@ -136,7 +136,7 @@ class TestPartition:
         assert strip_timing(out1) == strip_timing(out2)
         report = json.loads(out1.read_text())
         health = report["diagnostics"]["spectral"]
-        assert health["solver"] == "eigsh" and health["pairs"] == 7
+        assert health["solver"] == "lanczos" and health["pairs"] == 7
         assert health["max_residual"] <= 1e-10 and health["gap_at_dim"] > 0
         assert report["records"][0]["num_communities"] == 6
 
@@ -437,6 +437,30 @@ class TestLargeExponentialTime:
         captured = capsys.readouterr()
         validate_report(json.loads(captured.out))
         assert "Warning" not in captured.err
+
+
+class TestExtremeTimes:
+    """Markov times near the float64 limit end in a report or a named error,
+    never in a warning."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exponential_weights_that_underflow_to_zero(self, tmp_path, capsys):
+        path = tmp_path / "g4.txt"
+        path.write_text("0 2 2.5\n0 1 2.5\n0 3 7\n1 2 2.5\n")
+        assert main(["partition", str(path), "--mode", "exponential", "--time", "1e308"]) == 0
+        captured = capsys.readouterr()
+        validate_report(json.loads(captured.out))
+        assert "Warning" not in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_linearised_factor_that_overflows_is_too_large(self, tmp_path, capsys):
+        path = tmp_path / "tiny.txt"
+        path.write_text("0 1 1e-308\n1 2 1e-308\n2 3 1e-308\n0 3 1e-308\n")
+        g = vp.load_edge_list(path.read_text())
+        with pytest.raises(vp.TooLarge, match=r"^t / 2m is inf at t = 1e\+308"):
+            vp.spectral.QualityMatrix(g, "linearised", 1e308).gram()
+        assert main(["partition", str(path), "--mode", "linearised", "--time", "1e308"]) == vp.TooLarge.exit_code == 28
+        assert "t / 2m is inf" in capsys.readouterr().err
 
 
 class TestDenseMemoryGuard:

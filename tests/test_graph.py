@@ -137,11 +137,26 @@ class TestGraphInvariants:
         assert all(type(v) is t for e in g.edges for v, t in zip(e, (int, int, float)))
 
     def test_adjacency_symmetric(self):
+        from scipy import sparse
+
         g = pairgraph4()
         A = g.dense_adjacency()
         assert np.array_equal(A, A.T)
-        assert np.array_equal(g.adjacency().toarray(), A)
+        indptr, indices, data = g.adjacency()
+        assert np.array_equal(sparse.csr_matrix((data, indices, indptr), shape=A.shape).toarray(), A)
         assert A[0, 1] == 10.0 and A[1, 2] == 1.0 and A[0, 0] == 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_adjacency_is_sorted_compressed_rows(self, seed):
+        g = random_connected_graph(seed, n=30, p=0.2, weighted=True)
+        indptr, indices, data = g.adjacency()
+        rows = np.repeat(np.arange(g.n), np.diff(indptr))
+        assert indptr[0] == 0 and indptr[-1] == 2 * g.num_edges and np.all(np.diff(indptr) > 0)
+        assert np.all((rows[1:] > rows[:-1]) | (indices[1:] > indices[:-1]))
+        A = np.zeros((g.n, g.n))
+        A[rows, indices] = data
+        assert np.array_equal(A, g.dense_adjacency())
+        assert np.add.reduceat(data, indptr[:-1]) == pytest.approx(g.degrees, rel=1e-12)
 
     def test_arrays_read_only(self):
         g = pairgraph4()

@@ -13,6 +13,18 @@ class TestGeometricGrid:
         ratios = grid[1:] / grid[:-1]
         assert np.allclose(ratios, ratios[0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_grid_up_to_the_largest_float_does_not_warn(self):
+        top = np.finfo(np.float64).max
+        grid = vp.geometric_grid(1.0, top, 4)
+        assert grid[0] == 1.0 and grid[-1] == top and np.all(np.isfinite(grid))
+        assert np.all(np.diff(grid) > 0)
+
+    @pytest.mark.parametrize("t_min,t_max,n_points", [(0.1, 100.0, 10), (0.01, 10.0, 25), (1.0, 1e300, 7), (3.0, 3.0, 2)])
+    def test_grids_keep_the_bits_of_geomspace(self, t_min, t_max, n_points):
+        grid = vp.geometric_grid(t_min, t_max, n_points)
+        assert grid.tobytes() == np.geomspace(t_min, t_max, n_points).tobytes()
+
     def test_single_point(self):
         assert np.array_equal(vp.geometric_grid(2.0, 5.0, 1), [2.0])
 

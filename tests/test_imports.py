@@ -1,11 +1,10 @@
-"""SciPy loads only in a job that runs ARPACK, the truncated eigensolver.
+"""No CLI job loads SciPy.
 
-Only ARPACK, the sparse adjacency and the matrix-exponential oracle need
-SciPy, and each imports it where it runs. A full-dimension job decomposes
-with numpy alone, or optimises the graph's own quality matrix, and so does
-a ``--dim`` job on the dense side of the solver crossover: their processes
-never load SciPy. A ``--dim`` job on the truncated side loads
-``scipy.sparse.linalg`` when it decomposes.
+Only the matrix-exponential oracle needs SciPy, and it imports it where it
+runs. A full-dimension job decomposes with numpy's dense solver, or
+optimises the graph's own quality matrix, and a ``--dim`` job runs the
+dense solver or, past the solver crossover, the numpy Lanczos solver: their
+processes never load SciPy.
 """
 
 import ast
@@ -101,13 +100,9 @@ def test_only_the_matrix_exponential_oracle_imports_scipy_linalg():
     assert package_importers("scipy.linalg") == ["objective.py autocovariance_direct"]
 
 
-def test_only_the_truncated_solver_imports_scipy_sparse_linalg():
-    # Nothing loads ARPACK ahead of the solve that runs it.
-    assert package_importers("scipy.sparse.linalg") == [
-        "spectral.py _eigsh_restart_seed",
-        "spectral.py _operator",
-        "spectral.py _eigenpairs",
-    ]
+def test_no_module_imports_scipy_sparse():
+    # The truncated eigensolver and the adjacency are numpy's.
+    assert package_importers("scipy.sparse") == []
 
 
 def test_the_importer_check_sees_every_import_form(tmp_path):
@@ -121,6 +116,7 @@ def test_the_importer_check_sees_every_import_form(tmp_path):
         "def e():\n    import scipy.linalg\n"
     )
     assert importers(path, "scipy.sparse.linalg") == ["sample.py a", "sample.py b", "sample.py c"]
+    assert importers(path, "scipy.sparse") == ["sample.py a", "sample.py b", "sample.py c", "sample.py d"]
 
 
 @pytest.fixture(scope="module")
@@ -132,8 +128,8 @@ def graph_file(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def large_graph_file(tmp_path_factory):
-    """n = 400, past TRUNCATED_MIN_N: --dim 5 takes ARPACK, as (5 + 2) * 10 <= 400,
-    and --dim 40 the dense solver, as (40 + 2) * 10 > 400."""
+    """n = 400, past TRUNCATED_MIN_N: --dim 5 takes the truncated solver, as
+    (5 + 2) * 10 <= 400, and --dim 40 the dense solver, as (40 + 2) * 10 > 400."""
     g, _ = vp.planted_partition(4, 100, 0.1, 0.01, seed=0)
     assert g.n >= vp.spectral.TRUNCATED_MIN_N
     path = tmp_path_factory.mktemp("graph") / "large.txt"
@@ -177,6 +173,10 @@ def job_argv(args: list[str], tmp_path, **graphs: str) -> list[str]:
         # n = 400 is past it, but (40 + 2) * 10 > 400: the dense path again.
         ["partition", "{large}", "--mode", "exponential", "--dim", "40"],
         ["partition", "{large}", "--mode", "modularity", "--dim", "40"],
+        # (5 + 2) * 10 <= 400: the truncated path, numpy's Lanczos.
+        ["partition", "{large}", "--mode", "modularity", "--dim", "5"],
+        ["partition", "{large}", "--mode", "exponential", "--dim", "5"],
+        ["scan", "{large}", "--tmin", "0.5", "--tmax", "2", "--npoints", "3", "--dim", "5"],
     ],
     ids=[
         "partition-linearised",
@@ -191,20 +191,11 @@ def job_argv(args: list[str], tmp_path, **graphs: str) -> list[str]:
         "scan-exponential-dim",
         "large-partition-exponential-dim40",
         "large-partition-modularity-dim40",
+        "large-partition-modularity-dim5",
+        "large-partition-exponential-dim5",
+        "large-scan-exponential-dim5",
     ],
 )
-def test_a_job_on_the_dense_side_loads_no_scipy(graph_file, large_graph_file, tmp_path, args):
+def test_a_job_loads_no_scipy(graph_file, large_graph_file, tmp_path, args):
     assert scipy_modules(job_argv(args, tmp_path, graph=graph_file, large=large_graph_file)) == []
 
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["partition", "{large}", "--mode", "modularity", "--dim", "5"],
-        ["partition", "{large}", "--mode", "exponential", "--dim", "5"],
-        ["scan", "{large}", "--tmin", "0.5", "--tmax", "2", "--npoints", "3", "--dim", "5"],
-    ],
-    ids=["partition-modularity-dim", "partition-exponential-dim", "scan-exponential-dim"],
-)
-def test_a_job_that_runs_arpack_loads_the_truncated_solver(large_graph_file, tmp_path, args):
-    assert "scipy.sparse.linalg" in scipy_modules(job_argv(args, tmp_path, large=large_graph_file))

@@ -397,13 +397,17 @@ def bases(g, source, dim=TRUNCATED_DIM):
     return decompose(g), decompose(g, dim=dim)
 
 
+def component_indices(basis):
+    """Columns an embedding may use, in order: all but the stationary or ones mode."""
+    columns = np.arange(basis.pairs)
+    if basis.source == "transition":
+        return columns[1:]
+    return np.delete(columns, int(np.argmax(np.abs(basis.eigenvectors.sum(axis=0)))))
+
+
 def component_eigenvalues(basis):
     """Eigenvalues an embedding may use, in order: without the stationary or ones mode."""
-    lam = basis.eigenvalues
-    if basis.source == "transition":
-        return lam[1:]
-    ones = int(np.argmax(np.abs(basis.eigenvectors.sum(axis=0))))
-    return np.delete(lam, ones)
+    return basis.eigenvalues[component_indices(basis)]
 
 
 def signed_gram(emb):
@@ -515,27 +519,154 @@ class TestTruncatedEigensolver:
             decompose(g, dim=dim)
 
     @pytest.mark.parametrize("source", SOURCES)
-    def test_arpack_failure_is_eigensolver_failure(self, planted400, source, monkeypatch):
-        from scipy.sparse.linalg import ArpackNoConvergence
+    def test_exhausted_product_budget_is_eigensolver_failure(self, planted400, source, monkeypatch, tmp_path):
+        operator = vp.spectral._operator
+        products = []
 
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        def counted(g, source):
+            apply, norm = operator(g, source)
+            return lambda x: products.append(1) or apply(x), norm
 
-        vp.spectral._eigsh_restart_seed()  # read from the real eigsh, before the patch
-        monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
-        with pytest.raises(vp.EigensolverFailure, match="truncated"):
+        monkeypatch.setattr(vp.spectral, "_operator", counted)
+        monkeypatch.setattr(vp.spectral, "LANCZOS_MAX_MATVECS", 60)
+        with pytest.raises(
+            vp.EigensolverFailure, match=f"^{source} truncated eigendecomposition did not converge in 60 products$"
+        ):
             bases(planted400, source)
+        assert len(products) == 60
+        path = tmp_path / "g.txt"
+        path.write_text(planted400.to_edge_list_text())
+        mode = "exponential" if source == "transition" else "modularity"
+        args = ["partition", str(path), "--mode", mode, "--dim", str(TRUNCATED_DIM), "--output", str(tmp_path / "r.json")]
+        assert main(args) == vp.EigensolverFailure.exit_code == 21
+
+
+def ring(n):
+    return vp.load_edge_list("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+
+
+def grid(side):
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return vp.load_edge_list("".join(f"{i} {j}\n" for i, j in edges))
+
+
+def star(n):
+    return vp.load_edge_list("".join(f"0 {i}\n" for i in range(1, n)))
+
+
+def reweighted(g, weights):
+    return vp.load_edge_list("".join(f"{i} {j} {float(w)!r}\n" for (i, j), w in zip(g.edge_index.tolist(), weights)))
+
+
+# (graph, dim): spectra that are hard for a single-vector Krylov solver.
+LANCZOS_CASES = [
+    ("ring", 1),
+    ("ring", 5),
+    ("ring", 14),
+    ("complete", 14),
+    ("star", 14),
+    ("grid", 14),
+    ("wide-weights", 1),
+    ("wide-weights", 14),
+    ("few-positive", 20),
+]
+
+
+@pytest.fixture(scope="module")
+def lanczos_graphs():
+    """Double eigenvalues (ring, grid), one eigenvalue of multiplicity n - 1
+    or n - 2 (complete graph, star), weights spanning e^-20 to e^20, and a
+    modularity spectrum with fewer positive eigenvalues than the dim."""
+    planted, _ = vp.planted_partition(4, 100, 0.1, 0.01, seed=0)
+    wide = np.exp(np.random.default_rng(1).uniform(-20.0, 20.0, planted.num_edges))
+    complete, _ = vp.planted_partition(1, 300, 1.0, 1.0, seed=0)
+    near = 1.0 + 0.12 * np.random.default_rng(0).random(complete.num_edges)
+    return {
+        "ring": ring(400),
+        "complete": complete,
+        "star": star(400),
+        "grid": grid(20),
+        "wide-weights": reweighted(planted, wide),
+        "few-positive": reweighted(complete, near),
+    }
+
+
+def oracle_operator(g, source):
+    """The matrix the truncated solver solves, built with SciPy from the
+    edges: S = D^-1/2 A D^-1/2, or P B_Q P - s J as a LinearOperator."""
+    from scipy import sparse
+    from scipy.sparse.linalg import LinearOperator
+
+    i, j = g.edge_index.T
+    A = sparse.coo_matrix((np.tile(g.edge_weight, 2), (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(g.n, g.n))
+    if source == "transition":
+        inv_sqrt_d = sparse.diags(1.0 / np.sqrt(g.degrees))
+        return (inv_sqrt_d @ A @ inv_sqrt_d).tocsr(), 1.0
+    A = A.tocsr()
+    d, two_m = g.degrees, 2.0 * g.total_weight
+    e = np.full(g.n, 1.0 / np.sqrt(g.n))
+    shift = 2.0 * (d.max() + d @ d / two_m)
+
+    def apply(x):
+        x = np.ravel(x)
+        c = e @ x
+        y = A @ (x - c * e)
+        y -= d * (d @ (x - c * e)) / two_m
+        return y - (e @ y) * e - shift * c * e
+
+    return LinearOperator((g.n, g.n), matvec=apply, dtype=np.float64), shift
+
+
+def dense_oracle(M, n):
+    return np.linalg.eigvalsh(M @ np.eye(n))
+
+
+class TestLanczosAgainstOracles:
+    @pytest.mark.parametrize("name,dim", LANCZOS_CASES)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_leading_pairs_match_eigsh_and_eigh(self, lanczos_graphs, name, dim, source):
+        from scipy.sparse.linalg import eigsh
+
+        g = lanczos_graphs[name]
+        k = dim + 2 if source == "transition" else dim + 1
+        w, U = vp.spectral._eigenpairs(g, source, dim)
+        assert w.shape == (k,) and U.shape == (g.n, k)
+        M, norm = oracle_operator(g, source)
+        w_arpack = eigsh(M, k=k, which="LA", v0=np.random.default_rng(0).standard_normal(g.n), tol=0)[0]
+        w_dense = dense_oracle(M, g.n)[-k:]
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(w - np.sort(w_arpack))) <= 1e-10 * norm
+        assert np.max(np.abs(w - w_dense)) <= 1e-10 * norm
+        residuals = np.linalg.norm(M @ U - U * w, axis=0)
+        assert np.max(residuals) <= 1e-12 * norm
+        assert np.max(np.abs(U.T @ U - np.eye(k))) <= 1e-12
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_a_double_eigenvalue_is_found_twice(self, lanczos_graphs, source):
+        # On the ring, every eigenvalue but the extreme ones is double; one
+        # Krylov space holds one direction of each eigenspace.
+        g = lanczos_graphs["ring"]
+        decompose = vp.decompose_transition if source == "transition" else vp.decompose_modularity_matrix
+        basis = decompose(g, dim=1)
+        # S = A / 2 and, off the ones vector, B_Q = A: eigenvalues cos(2 pi j / n) and twice that.
+        scale = 1.0 if source == "transition" else 2.0
+        assert component_eigenvalues(basis) == pytest.approx(np.full(2, scale * np.cos(2 * np.pi / g.n)), abs=1e-12)
 
 
 class TestDenseSolver:
     def test_transition_matrix_has_the_sparse_entries(self, planted400):
         dense = vp.spectral._dense_operator(planted400, "transition")
-        assert dense.tobytes() == vp.spectral._similar_transition(planted400).toarray().tobytes()
+        indptr, indices, data = vp.spectral._similar_transition(planted400)
+        sparse = np.zeros_like(dense)
+        sparse[np.repeat(np.arange(planted400.n), np.diff(indptr)), indices] = data
+        assert dense.tobytes() == sparse.tobytes()
 
     def test_modularity_matrix_is_the_operator(self, planted400):
         dense = vp.spectral._dense_operator(planted400, "modularity")
-        applied = vp.spectral._operator(planted400, "modularity") @ np.eye(planted400.n)
-        scale = vp.spectral._ones_shift(planted400)
+        apply, scale = vp.spectral._operator(planted400, "modularity")
+        applied = apply(np.eye(planted400.n))
+        assert scale == vp.spectral._ones_shift(planted400)
         assert np.max(np.abs(dense - applied)) <= 1e-14 * scale
         assert np.array_equal(dense, dense.T)
 
@@ -588,6 +719,45 @@ def rank_one_gram(q: vp.QualityMatrix) -> np.ndarray:
     return G
 
 
+def taken_embedding(basis, mode, t, dim):
+    """Oracle: ``build_embedding``'s vectors from a fancy-indexed copy of the kept columns."""
+    keep = component_indices(basis)[:dim]
+    X = np.take(basis.eigenvectors, keep, axis=1)
+    if mode == "modularity":
+        weights = basis.eigenvalues[keep]
+    else:
+        weights = vp.spectral.scaled_eigenvalues(basis, mode, t)[keep]
+        X *= basis.pi[:, None]
+    X *= np.sqrt(np.abs(weights))
+    return X
+
+
+class TestEmbeddingMemory:
+    @pytest.mark.parametrize("source,mode,t", MODE_CASES)
+    def test_a_full_dimension_embedding_holds_one_array_above_the_basis(self, source, mode, t):
+        g, _ = vp.planted_partition(10, 100, 0.1, 0.005, seed=1)
+        basis = bases(g, source)[0]
+        tracemalloc.start()
+        try:
+            emb = vp.build_embedding(basis, mode, t=t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * g.n * g.n
+        assert emb.vectors.flags.c_contiguous
+        assert emb.vectors.tobytes() == taken_embedding(basis, mode, t, g.n - 1).tobytes()
+
+    @pytest.mark.parametrize("source,mode,t", MODE_CASES)
+    def test_every_dimension_copies_the_columns_it_keeps(self, planted400, source, mode, t):
+        for basis in bases(planted400, source):
+            held = basis.pairs - 1
+            skipped = int(np.setdiff1d(np.arange(basis.pairs), component_indices(basis))[0])
+            for dim in sorted({1, 2, skipped - 1, skipped, skipped + 1, held // 2, held} & set(range(1, held + 1))):
+                emb = vp.build_embedding(basis, mode, t=t, dim=dim)
+                assert emb.vectors.flags.c_contiguous
+                assert emb.vectors.tobytes() == taken_embedding(basis, mode, t, dim).tobytes()
+
+
 class TestQualityMatrixMemory:
     @pytest.mark.parametrize("mode, t", [("linearised", 0.3), ("linearised", 1.0), ("modularity", None)])
     def test_gram_holds_one_dense_array_and_keeps_its_bits(self, mode, t):
@@ -616,7 +786,7 @@ class TestSpectralHealth:
         h_dense = vp.spectral.spectral_health(planted400, dense, TRUNCATED_DIM)
         h_trunc = vp.spectral.spectral_health(planted400, truncated, TRUNCATED_DIM)
         assert (h_dense["solver"], h_dense["pairs"]) == ("eigh", 400)
-        assert (h_trunc["solver"], h_trunc["pairs"]) == ("eigsh", TRUNCATED_DIM + 2)
+        assert (h_trunc["solver"], h_trunc["pairs"]) == ("lanczos", TRUNCATED_DIM + 2)
         for health in (h_dense, h_trunc):
             assert 0 <= health["max_residual"] <= 1e-10
         lam = component_eigenvalues(dense)

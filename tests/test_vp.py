@@ -347,6 +347,25 @@ class TestGramPath:
         assert next_state.gram.flags.c_contiguous
         assert next_state.gram.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("p,dim", [(6, 5), (40, 3)])
+    def test_a_level_without_moves_is_not_compacted(self, p, dim, monkeypatch):
+        # Positive coordinates under an all -1 signature: every signed inner
+        # product is negative, so no merge gains and every vector stays alone.
+        vectors = np.random.default_rng(p).uniform(0.5, 1.5, size=(p, dim))
+        emb = make_embedding(vectors, signature=-np.ones(dim, dtype=np.int64))
+        compacted = []
+        for cls in (vp.VPState, vp.vp.GramState):
+            compact = cls.compact
+            monkeypatch.setattr(cls, "compact", lambda self, compact=compact: compacted.append(1) or compact(self))
+        partition, objective, diag = vp.partition_vectors(emb)
+        assert compacted == []
+        assert partition.num_groups == p and diag.levels == 1 and diag.moves_per_level == [0]
+        assert objective == pytest.approx(-np.sum(vectors**2), rel=1e-12)
+        state = vp.vp._first_state(emb)
+        labels, after = vp.vp._run_level(state, np.arange(p), 1e-12, vp.VPDiagnostics(), 1e-9, 1e-9)
+        assert after is state and labels.tolist() == list(range(p)) and labels.dtype == np.int64
+        assert compacted == []
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("t", [1.0, 5.0])
     def test_gram_levels_match_vector_levels_on_planted_graphs(self, seed, t):
