@@ -110,7 +110,8 @@ class SizeMismatch(VecpartError):
 
 
 class LevelCapExceeded(VecpartError):
-    """The aggregation loop hit its safety cap without converging."""
+    """The optimiser hit one of its safety caps without converging: the cap
+    on aggregation levels or the cap on the sweeps of one level."""
 
     exit_code = 27
 

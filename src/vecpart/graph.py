@@ -3,7 +3,6 @@ benchmark sampling."""
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 from dataclasses import dataclass
@@ -24,6 +23,14 @@ from .errors import (
     SelfLoop,
     TooLarge,
 )
+
+try:  # the builtin module loads far less than hashlib and OpenSSL, as in random.py
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.11 and before
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 # The dense n x n float64 arrays a step holds at once may not exceed the
 # machine's physical memory.
@@ -99,7 +106,7 @@ class Graph:
 
     def sha256(self) -> str:
         """Content hash of the canonical serialisation."""
-        return hashlib.sha256(self.to_edge_list_text().encode("utf-8")).hexdigest()
+        return _sha256(self.to_edge_list_text().encode("utf-8")).hexdigest()
 
 
 def canonical_labels(labels: Sequence[int] | np.ndarray) -> tuple[np.ndarray, int]:
@@ -129,7 +136,7 @@ class Partition:
         c = self.num_groups
         if not 1 <= c <= n:
             raise InvalidParameter(f"num_groups must be in [1, {n}], got {c}")
-        if not np.array_equal(np.unique(a), np.arange(c)):
+        if a.min() < 0 or a.max() >= c or not np.bincount(a.reshape(-1), minlength=c).all():
             raise InvalidParameter("labels must cover exactly 0..num_groups-1")
         a.setflags(write=False)
 
@@ -350,14 +357,23 @@ def planted_partition(
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise InvalidParameter(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
     n = k * size
-    check_dense(n, 3)  # the pair arrays peak at 2.06-2.15 (tracemalloc, n = 1000 and 2000)
+    # Sampling the bench graphs peaks at 0.71-0.83 n x n arrays (tracemalloc,
+    # n = 1000 and 2000); a complete graph peaks at 6.6, most of it the graph.
+    check_dense(n, 3)
     group = np.arange(n) // size
-    iu, ju = np.triu_indices(n, k=1)
-    p_pair = np.where(group[iu] == group[ju], p_in, p_out)
+    # Pair (i, j) of the triangle has flat index start[i] + j - i - 1. Only
+    # pairs with a uniform below p_in can be kept, as p_out <= p_in, so only
+    # those are located, and only cross-group ones need the p_out test.
+    rows = np.arange(n)
+    start = rows * (2 * n - rows - 1) // 2
+    group_end = (group + 1) * size
     for attempt in range(100):
-        rng = np.random.default_rng([seed, attempt])
-        keep = rng.random(iu.size) < p_pair
-        edge_index = np.stack([iu[keep], ju[keep]], axis=1)
+        uniform = np.random.default_rng([seed, attempt]).random(n * (n - 1) // 2)
+        flat = np.flatnonzero(uniform < p_in)
+        i = np.searchsorted(start, flat, side="right") - 1
+        j = flat - start[i] + i + 1
+        keep = (j < group_end[i]) | (uniform[flat] < p_out)
+        edge_index = np.stack([i[keep], j[keep]], axis=1)
         try:
             g = _build_graph(n, edge_index, np.ones(edge_index.shape[0]))
         except Disconnected:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pcg import PCG64
 from .errors import DimOutOfRange, EigensolverFailure, InvalidParameter, ModeBasisMismatch, TooLarge, ZeroDegree
 from .graph import Graph, check_dense
 
@@ -274,7 +275,7 @@ def _orthogonalise(w: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, np.n
     return w, coefficients, norm
 
 
-def _lanczos(apply, k: int, start: np.ndarray, locked: np.ndarray, tol: float, rng) -> tuple[np.ndarray, np.ndarray]:
+def _lanczos(apply, k: int, start: np.ndarray, locked: np.ndarray, tol: float, fresh) -> tuple[np.ndarray, np.ndarray]:
     """The k algebraically largest eigenpairs of the symmetric ``apply``
     restricted to the complement of the orthonormal rows of ``locked``, by
     thick-restart Lanczos (Wu and Simon 2000) with full reorthogonalisation.
@@ -284,7 +285,7 @@ def _lanczos(apply, k: int, start: np.ndarray, locked: np.ndarray, tol: float, r
     vector restart it. The projected matrix is read off the
     reorthogonalisation coefficients, so it needs no restart bookkeeping.
     A Krylov space that becomes invariant, as on a spectrum with few
-    distinct eigenvalues, continues from a vector drawn from ``rng``. The k
+    distinct eigenvalues, continues from the vector ``fresh()``. The k
     pairs are converged when each Ritz residual is at most ``tol``. Returns
     the eigenvalues ascending and the eigenvectors as rows.
     """
@@ -303,7 +304,7 @@ def _lanczos(apply, k: int, start: np.ndarray, locked: np.ndarray, tol: float, r
             T[j, : j + 1] = h
             if beta <= tol:  # an invariant subspace: continue in a new direction
                 beta = 0.0
-                w, _, norm = _orthogonalise(rng.standard_normal(n), V[: j + 1], *off)
+                w, _, norm = _orthogonalise(fresh(), V[: j + 1], *off)
                 V[j + 1] = w / norm
             else:
                 V[j + 1] = w / beta
@@ -322,8 +323,11 @@ def _leading_pairs(apply, n: int, k: int, norm: float, what: str) -> tuple[np.nd
     R^n, of spectral norm at most ``norm``: eigenvalues ascending, unit
     eigenvectors as the columns of an (n, k) array.
 
-    ``_lanczos`` runs from the fixed start vector ``default_rng(0)``. A
-    single Krylov space holds one direction of each eigenspace, so it may
+    Every start and fresh vector is the next n uniforms of one PCG64 stream
+    of seed 0, less 0.5: ``default_rng(0).random(n) - 0.5``, bit for bit,
+    from the package's own generator, so a solve never loads
+    ``numpy.random``. ARPACK starts from a uniform vector too. A single
+    Krylov space holds one direction of each eigenspace, so it may
     miss a repeated eigenvalue's other copies. The result is then checked:
     a Lanczos run from a fresh vector off the pairs found converges the
     largest eigenvalue left. While that lies above the k-th found by more
@@ -341,10 +345,14 @@ def _leading_pairs(apply, n: int, k: int, norm: float, what: str) -> tuple[np.nd
         return apply(x)
 
     tol = LANCZOS_TOL * norm
-    rng = np.random.default_rng(0)
-    lam, X = _lanczos(counted, k, rng.standard_normal(n), np.empty((0, n)), tol, rng)
+    stream = PCG64(0)
+
+    def fresh() -> np.ndarray:
+        return stream.random(n) - 0.5
+
+    lam, X = _lanczos(counted, k, fresh(), np.empty((0, n)), tol, fresh)
     while True:
-        theta, y = _lanczos(counted, 1, rng.standard_normal(n), X, tol, rng)
+        theta, y = _lanczos(counted, 1, fresh(), X, tol, fresh)
         if theta[0] <= lam[0] + tol:
             return lam, X.T
         lam = np.append(lam[1:], theta)
@@ -452,8 +460,9 @@ def scaled_eigenvalues(basis: SpectralBasis, mode: str, t: float) -> np.ndarray:
 
     Exponential mode returns exp(-t (1 - lam_k)), strictly positive and at
     most 1; linearised mode returns 1 - t (1 - lam_k), which is unbounded
-    and may be negative. Eigenvalues are clipped at 1 first: the stationary
-    one may come out as 1 + eps, whose weight would overflow at a large t.
+    and may be negative, and raises TooLarge, naming t, when a weight
+    overflows. Eigenvalues are clipped at 1 first: the stationary one may
+    come out as 1 + eps, whose weight would overflow at a large t.
     """
     if basis.source != "transition":
         raise ModeBasisMismatch(f"scaled eigenvalues need a transition basis, got {basis.source!r}")
@@ -462,7 +471,11 @@ def scaled_eigenvalues(basis: SpectralBasis, mode: str, t: float) -> np.ndarray:
     check_time(mode, t)
     lam = np.minimum(basis.eigenvalues, 1.0)
     if mode == "linearised":
-        return 1.0 - t * (1.0 - lam)
+        with np.errstate(over="ignore"):
+            weights = 1.0 - t * (1.0 - lam)
+        if not np.isfinite(weights).all():
+            raise TooLarge(f"the linearised weights 1 - t (1 - lambda) overflow at t = {t}")
+        return weights
     with np.errstate(over="ignore"):  # -t (1 - lam) may be -inf: its weight exp(-inf) is 0
         return np.exp(-t * (1.0 - lam))
 

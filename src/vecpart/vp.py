@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._pcg import visiting_order
 from .errors import InvalidParameter, LevelCapExceeded, ObjectiveDecreased, StateDrift, TooLarge
 from .graph import Partition, canonical_labels
 from .objective import group_sums, linearised_stability, modularity_score, stability
@@ -28,6 +29,10 @@ from .spectral import Embedding, QualityMatrix
 GAIN_TOLERANCE = 1e-12
 # Safety cap on aggregation levels; each level strictly shrinks the vector count.
 MAX_LEVELS = 64
+# Safety cap on the sweeps of one level. Every move's computed gain exceeds
+# the tolerance, yet in roundoff a vector can move back and forth for ever;
+# no level of the bench runs more than 13 sweeps.
+MAX_SWEEPS = 500
 # A screened sweep scores the vectors in blocks of this many.
 SCREEN_BLOCK = 256
 
@@ -338,18 +343,20 @@ def _run_level(
 
     The first sweep visits every vector; the later ones are screened when
     ``state.screened``. Every sweep is followed by the state's consistency
-    check and by the objective check of ``diag.record_sweep``.
+    check and by the objective check of ``diag.record_sweep``. Raises
+    LevelCapExceeded when the MAX_SWEEPS-th sweep still moves a vector.
     """
     diag.start_level(state.path)
     later_sweep = _screened_sweep if state.screened else _sweep
-    moved, visits = _sweep(state, order, tol)
-    idle = moved == 0
-    while True:
+    for sweeps in range(MAX_SWEEPS):
+        moved, visits = (later_sweep if sweeps else _sweep)(state, order, tol)
         state.revalidate(drift_bound)
         diag.record_sweep(moved, visits, state.objective(), slack)
         if moved == 0:
-            return (np.arange(state.num_groups, dtype=np.int64), state) if idle else state.compact()
-        moved, visits = later_sweep(state, order, tol)
+            return (np.arange(state.num_groups, dtype=np.int64), state) if sweeps == 0 else state.compact()
+    raise LevelCapExceeded(
+        f"level {diag.levels - 1} still moves vectors after the sweep cap of {MAX_SWEEPS} sweeps"
+    )
 
 
 def _first_state(emb: Embedding | QualityMatrix) -> VPState | GramState:
@@ -394,7 +401,10 @@ def partition_vectors(
     which case the group trace is unwound to a node-level partition.
 
     Vectors are visited in index order when ``seed`` is None, and otherwise
-    in one permutation per level drawn from ``default_rng([seed, level])``.
+    in one permutation per level, ``visiting_order(seed, level, p)``: bit
+    for bit ``np.random.default_rng([seed, level]).permutation(p)``, from
+    the package's own PCG64, so a run never loads ``numpy.random``. A
+    negative seed raises InvalidParameter.
     Each level runs in the state ``_level_state`` picks by shape; given a
     ``QualityMatrix``, every level runs in Gram space, from the graph's own
     matrix. Deterministic for a fixed seed. ``_gram`` is
@@ -409,9 +419,7 @@ def partition_vectors(
     tol, slack, drift_bound = tolerances(emb.mode, emb.total_weight)
     for level in range(MAX_LEVELS):
         p = state.num_groups
-        order = np.arange(p, dtype=np.int64)
-        if seed is not None:
-            np.random.default_rng([seed, level]).shuffle(order)
+        order = np.arange(p, dtype=np.int64) if seed is None else visiting_order(seed, level, p)
         labels, state = _run_level(state, order, tol, diag, slack, drift_bound)
         node_to_group = labels[node_to_group]
         if state.num_groups == p:  # every vector stayed in its own group

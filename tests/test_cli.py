@@ -453,6 +453,23 @@ class TestExtremeTimes:
         assert "Warning" not in captured.err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["partition", "{graph}", "--mode", "linearised", "--time", "1e308", "--dim", "2"],
+            ["scan", "{graph}", "--mode", "linearised", "--dim", "2", "--tmin", "1", "--tmax", "1e308", "--npoints", "2"],
+        ],
+        ids=["partition", "scan"],
+    )
+    def test_linearised_weights_that_overflow_are_too_large(self, tmp_path, capsys, args):
+        path = tmp_path / "g4.txt"
+        path.write_text("0 2 2.5\n0 1 2.5\n0 3 7\n1 2 2.5\n")
+        assert main([a.format(graph=path) for a in args]) == vp.TooLarge.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith("error: TooLarge: the linearised weights 1 - t (1 - lambda) overflow at t = 1e+308")
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_linearised_factor_that_overflows_is_too_large(self, tmp_path, capsys):
         path = tmp_path / "tiny.txt"
         path.write_text("0 1 1e-308\n1 2 1e-308\n2 3 1e-308\n0 3 1e-308\n")
@@ -461,6 +478,27 @@ class TestExtremeTimes:
             vp.spectral.QualityMatrix(g, "linearised", 1e308).gram()
         assert main(["partition", str(path), "--mode", "linearised", "--time", "1e308"]) == vp.TooLarge.exit_code == 28
         assert "t / 2m is inf" in capsys.readouterr().err
+
+
+class TestSweepCap:
+    """A level whose sweeps keep moving vectors stops at the sweep cap with
+    LevelCapExceeded, exit 27, instead of running until it is killed."""
+
+    def test_a_livelocked_level_exits_27(self, tmp_path):
+        path = tmp_path / "g5.txt"
+        path.write_text("1 4\n0 1\n1 3\n0 4\n1 2\n2 3\n")
+        src = str(Path(vp.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "vecpart.cli", "partition", str(path), "--mode", "linearised", "--time", "1e6"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=30,
+        )
+        assert result.returncode == vp.LevelCapExceeded.exit_code == 27, result.stderr
+        assert result.stderr == (
+            f"error: LevelCapExceeded: level 0 still moves vectors after the sweep cap of {vp.vp.MAX_SWEEPS} sweeps\n"
+        )
 
 
 class TestDenseMemoryGuard:

@@ -297,6 +297,25 @@ class TestPlantedPartition:
                 return
         pytest.fail("no attempt reproduced the returned edge set")
 
+    @pytest.mark.parametrize(
+        "k, size, p_in, p_out, seed",
+        [(3, 10, 0.9, 0.05, 7), (4, 25, 0.3, 0.02, 1), (2, 4, 1.0, 1.0, 0), (5, 6, 0.6, 0.6, 3), (1, 40, 0.2, 0.2, 2**40)],
+    )
+    def test_the_first_connected_sample_of_the_contract_is_returned(self, k, size, p_in, p_out, seed):
+        # The contract replayed over the full triangle, attempt by attempt.
+        g, _ = vp.planted_partition(k, size, p_in, p_out, seed)
+        n = k * size
+        group = np.arange(n) // size
+        iu, ju = np.triu_indices(n, k=1)
+        p_pair = np.where(group[iu] == group[ju], p_in, p_out)
+        for attempt in range(100):
+            keep = np.random.default_rng([seed, attempt]).random(iu.size) < p_pair
+            expected = np.stack([iu[keep], ju[keep]], axis=1)
+            if vp.graph._is_connected(n, expected):
+                assert np.array_equal(g.edge_index, expected)
+                return
+        pytest.fail("no attempt of the replay is connected")
+
     @staticmethod
     def count_connectivity_checks(monkeypatch) -> list:
         calls = []
@@ -473,3 +492,21 @@ class TestCanonicalLabels:
         assert out.tolist() == [0, 0, 1, 2, 1] and k == 3
         out, k = vp.graph.canonical_labels([])
         assert out.size == 0 and k == 0
+
+
+class TestPartitionLabels:
+    """A partition's labels are exactly 0..num_groups-1, each used."""
+
+    @pytest.mark.parametrize(
+        "labels, c",
+        [([0, -1, 1], 2), ([0, 1, 2], 2), ([0, 2, 2], 3), ([1, 1, 1], 1), ([0, 0, -5], 1)],
+        ids=["negative", "at-c", "missing", "missing-zero", "negative-one-group"],
+    )
+    def test_a_bad_label_is_rejected_with_one_message(self, labels, c):
+        with pytest.raises(vp.InvalidParameter, match=r"^labels must cover exactly 0\.\.num_groups-1$"):
+            vp.Partition(assignment=np.array(labels), num_groups=c)
+
+    @pytest.mark.parametrize("labels, c", [([0], 1), ([1, 0, 1], 2), ([2, 0, 1, 0], 3)])
+    def test_labels_covering_every_group_are_accepted(self, labels, c):
+        p = vp.Partition(assignment=np.array(labels), num_groups=c)
+        assert p.assignment.tolist() == labels and not p.assignment.flags.writeable

@@ -1,10 +1,14 @@
-"""No CLI job loads SciPy.
+"""No CLI job loads SciPy, ``numpy.random``, ``numpy.ma`` or ``hashlib``.
 
 Only the matrix-exponential oracle needs SciPy, and it imports it where it
 runs. A full-dimension job decomposes with numpy's dense solver, or
 optimises the graph's own quality matrix, and a ``--dim`` job runs the
 dense solver or, past the solver crossover, the numpy Lanczos solver: their
-processes never load SciPy.
+processes never load SciPy. The optimiser's visiting orders and the Lanczos
+start vectors come from the package's own PCG64, so only the
+planted-partition sampler names ``numpy.random``. The report's graph hash
+comes from the interpreter's builtin sha256, not OpenSSL's ``hashlib``, and
+the partition label check avoids ``np.unique``, which loads ``numpy.ma``.
 """
 
 import ast
@@ -20,12 +24,16 @@ from helpers import random_connected_graph
 
 PACKAGE = Path(vp.__file__).resolve().parent
 
-# Runs the CLI in a fresh interpreter and prints the SciPy modules it loaded.
-PROBE = """
+# Modules a CLI job has no use for, each with its submodules.
+UNNEEDED = ("scipy", "numpy.random", "numpy.ma", "hashlib", "_hashlib")
+
+# Runs the CLI in a fresh interpreter and prints the unneeded modules it loaded.
+PROBE = f"""
 import sys
 from vecpart.cli import main
 code = main(sys.argv[1:])
-print(sorted(name for name in sys.modules if name.startswith("scipy")))
+unneeded = {UNNEEDED!r}
+print(sorted(name for name in sys.modules if any(name == u or name.startswith(u + ".") for u in unneeded)))
 sys.exit(code)
 """
 
@@ -119,6 +127,54 @@ def test_the_importer_check_sees_every_import_form(tmp_path):
     assert importers(path, "scipy.sparse") == ["sample.py a", "sample.py b", "sample.py c", "sample.py d"]
 
 
+def numpy_random_users(path: Path) -> list[str]:
+    """Where a source file names ``numpy.random``: the innermost function
+    around each ``np.random`` or ``numpy.random`` attribute and each import
+    of the module, "<module>" outside every function."""
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute):
+            named = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy") and node.attr == "random"
+        elif isinstance(node, ast.Import):
+            named = any(alias.name.startswith("numpy.random") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            named = module.startswith("numpy.random") or module == "numpy" and "random" in [a.name for a in node.names]
+        else:
+            named = False
+        if named:
+            found.add(f"{path.name} {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "<module>")
+    return sorted(found)
+
+
+def test_only_the_planted_partition_sampler_uses_numpy_random():
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in numpy_random_users(path)]
+    assert hits == ["graph.py planted_partition"]
+
+
+def test_the_numpy_random_check_sees_both_attribute_forms(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import numpy as np\n"
+        "import numpy\n"
+        "def a():\n    return np.random.default_rng(0)\n"
+        "def b():\n    return numpy.random.default_rng(0)\n"
+        "def c():\n    from numpy.random import default_rng\n"
+        "def d():\n    from numpy import random\n"
+        "def e():\n    import numpy.random\n"
+        "def f():\n    return np.linalg, np.ones(3).random\n"
+        "class G:\n    rng = np.random\n"
+    )
+    assert numpy_random_users(path) == [f"sample.py {name}" for name in ("<module>", "a", "b", "c", "d", "e")]
+
+
 @pytest.fixture(scope="module")
 def graph_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("graph") / "graph.txt"
@@ -137,12 +193,12 @@ def large_graph_file(tmp_path_factory):
     return str(path)
 
 
-def scipy_modules(args: list[str]) -> list[str]:
+def unneeded_modules(args: list[str], src: Path = PACKAGE.parent) -> list[str]:
     result = subprocess.run(
         [sys.executable, "-c", PROBE, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        env={**os.environ, "PYTHONPATH": str(src)},
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
@@ -197,5 +253,17 @@ def job_argv(args: list[str], tmp_path, **graphs: str) -> list[str]:
     ],
 )
 def test_a_job_loads_no_scipy(graph_file, large_graph_file, tmp_path, args):
-    assert scipy_modules(job_argv(args, tmp_path, graph=graph_file, large=large_graph_file)) == []
+    # Nor numpy.random, numpy.ma or hashlib: every module of UNNEEDED.
+    assert unneeded_modules(job_argv(args, tmp_path, graph=graph_file, large=large_graph_file)) == []
 
+
+def test_the_probe_sees_every_unneeded_module(tmp_path):
+    # A stand-in CLI that loads them all is caught, and numpy.matrixlib,
+    # which numpy itself loads, is not mistaken for numpy.ma.
+    cli = tmp_path / "vecpart" / "cli.py"
+    cli.parent.mkdir()
+    (cli.parent / "__init__.py").write_text("")
+    cli.write_text("import hashlib, numpy.ma, numpy.random, scipy.linalg\ndef main(argv):\n    return 0\n")
+    loaded = unneeded_modules([], src=tmp_path)
+    assert set(UNNEEDED) <= set(loaded)
+    assert not any(name.startswith("numpy.matrixlib") for name in loaded)

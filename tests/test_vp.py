@@ -245,6 +245,25 @@ class TestPartitionVectors:
         with pytest.raises(vp.LevelCapExceeded):
             vp.partition_vectors(emb)
 
+    def test_sweep_cap_exceeded(self, monkeypatch):
+        g = pairgraph4()
+        emb = vp.build_embedding(vp.decompose_transition(g), "exponential", t=5.0, dim=3)
+        monkeypatch.setattr(vp.vp, "MAX_SWEEPS", 1)
+        with pytest.raises(vp.LevelCapExceeded, match="^level 0 still moves vectors after the sweep cap of 1 sweeps$"):
+            vp.partition_vectors(emb)
+
+    def test_the_sweep_cap_admits_a_level_that_ends_on_its_last_sweep(self, monkeypatch):
+        g = pairgraph4()
+        emb = vp.build_embedding(vp.decompose_transition(g), "exponential", t=5.0, dim=3)
+        expected = vp.partition_vectors(emb)
+        most = max(expected[2].sweeps_per_level)
+        assert most >= 2
+        monkeypatch.setattr(vp.vp, "MAX_SWEEPS", most)
+        assert vp.partition_vectors(emb)[0].canonical_key() == expected[0].canonical_key()
+        monkeypatch.setattr(vp.vp, "MAX_SWEEPS", most - 1)
+        with pytest.raises(vp.LevelCapExceeded, match=f"sweep cap of {most - 1} sweeps"):
+            vp.partition_vectors(emb)
+
     def test_objective_decrease_raises_named_error(self, monkeypatch):
         values = iter([2.0, 1.0])
         monkeypatch.setattr(vp.vp.GramState, "objective", lambda state: next(values))
