@@ -32,7 +32,6 @@ from .errors import (
 from .graph import Graph, Partition, load_edge_list, load_lfr, planted_partition
 from .harness import (
     ComparisonRow,
-    DimSweepRow,
     ScanRecord,
     best_of_restarts,
     dim_sweep,
@@ -78,7 +77,6 @@ __all__ = [
     "Contingency",
     "ComparisonRow",
     "DimOutOfRange",
-    "DimSweepRow",
     "Disconnected",
     "EigensolverFailure",
     "Embedding",

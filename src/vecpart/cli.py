@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .errors import InvalidParameter, MalformedLine, VecpartError
 from .graph import Graph, Partition, load_edge_list, read_lines
-from .harness import ScanRecord, best_of_restarts, geometric_grid, time_scan
+from .harness import ScanRecord, best_of_restarts, geometric_grid, scan_record, time_scan
 from .metrics import nmi, sankey_links, sankey_to_json, uncertainty_coefficient, variation_of_information
 from .spectral import (
     QualityMatrix,
@@ -238,14 +238,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         emb = build_embedding(basis, args.mode, t=t, dim=args.dim)
         spectral = spectral_health(g, basis, emb.dim)
     partition, objective, diag = best_of_restarts(emb, args.restarts, args.seed)
-    record = ScanRecord(
-        time=emb.time,
-        mode=args.mode,
-        dim=emb.dim,
-        partition=partition,
-        objective=objective,
-        num_communities=partition.num_groups,
-    )
+    record = scan_record(emb, partition, objective)
     params = {
         "command": "partition",
         "mode": args.mode,

@@ -1,10 +1,11 @@
 """Experiment orchestration: time scans, dimension sweeps, embedding comparisons.
 
-Each routine decomposes the graph once, for the largest dimension it
-embeds at, and reuses the basis across grid points, dimensions and
-embedding sources. A full-dimension linearised scan decomposes nothing: it
-optimises the graph's ``QualityMatrix`` at each grid point. All results
-are deterministic for fixed seeds.
+Each routine checks every input before it decomposes anything, then
+decomposes each source once, for the largest dimension it embeds at, and
+reuses the basis across grid points and dimensions. A full-dimension
+linearised scan decomposes nothing: it optimises the graph's
+``QualityMatrix`` at each grid point. One builder, ``scan_record``, makes
+every record. All results are deterministic for fixed seeds.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from .graph import Graph, Partition
 from .metrics import nmi, uncertainty_coefficient, variation_of_information
 from .objective import modularity_score
 from .spectral import (
+    MODES,
     QualityMatrix,
     build_embedding,
     check_dim,
+    check_time,
     decompose_modularity_matrix,
     decompose_transition,
     uses_quality_matrix,
@@ -36,7 +39,7 @@ MAX_GRID_POINTS = 10_000
 
 @dataclass
 class ScanRecord:
-    """One grid point of a Markov-time scan."""
+    """One optimised partition: a point of a time scan, a dim of a dim sweep, or a ``partition`` run."""
 
     time: float | None
     mode: str
@@ -47,15 +50,6 @@ class ScanRecord:
     nmi: float | None = None
     uncertainty: float | None = None
     vi_to_previous: float | None = None
-
-
-@dataclass
-class DimSweepRow:
-    dim: int
-    nmi: float
-    uncertainty: float
-    num_communities: int
-    objective: float
 
 
 @dataclass
@@ -104,9 +98,41 @@ def best_of_restarts(
     return best
 
 
-def _check_truth(g: Graph, truth: Partition) -> None:
-    if truth.n != g.n:
+def _check_inputs(
+    g: Graph, truth: Partition | None, mode: str, modes: tuple[str, ...], times, dims
+) -> None:
+    """The sweeps' one preamble, before anything is decomposed: raise on a
+    mode outside ``modes``, a time ``mode`` does not take, a dim outside
+    [1, n - 1] or a truth of another size."""
+    if mode not in modes:
+        raise InvalidParameter(f"mode must be {' or '.join(modes)}, got {mode!r}")
+    for t in times:
+        check_time(mode, t)
+    for dim in dims:
+        check_dim(dim, g.n)
+    if truth is not None and truth.n != g.n:
         raise SizeMismatch(f"ground truth covers {truth.n} nodes, graph has {g.n}")
+
+
+def scan_record(emb, partition: Partition, objective: float, truth: Partition | None = None) -> ScanRecord:
+    """The record of ``partition``, optimised over ``emb`` (an ``Embedding``
+    or a ``QualityMatrix``): its time, mode and dim, the community count,
+    and NMI and uncertainty against ``truth`` when one is given."""
+    return ScanRecord(
+        time=emb.time,
+        mode=emb.mode,
+        dim=emb.dim,
+        partition=partition,
+        objective=objective,
+        num_communities=partition.num_groups,
+        nmi=None if truth is None else nmi(truth, partition),
+        uncertainty=None if truth is None else uncertainty_coefficient(truth, partition),
+    )
+
+
+def _best_record(emb, restarts: int, seed: int, truth: Partition | None) -> ScanRecord:
+    partition, objective, _ = best_of_restarts(emb, restarts, seed)
+    return scan_record(emb, partition, objective, truth)
 
 
 def time_scan(
@@ -129,36 +155,16 @@ def time_scan(
     count, the variation of information against the preceding optimum, and
     NMI / uncertainty against the ground truth when one is given.
     """
-    if mode not in ("exponential", "linearised"):
-        raise InvalidParameter(f"time_scan mode must be exponential or linearised, got {mode!r}")
-    if truth is not None:
-        _check_truth(g, truth)
     times = geometric_grid(t_min, t_max, n_points)
-    graph_space = uses_quality_matrix(mode, dim, g.n)
-    basis = None if graph_space else decompose_transition(g, dim=dim)
-    records: list[ScanRecord] = []
-    previous: Partition | None = None
-    for t in times:
-        if graph_space:
-            emb = QualityMatrix(g, mode, float(t))
-        else:
-            emb = build_embedding(basis, mode, t=float(t), dim=dim)
-        partition, objective, _ = best_of_restarts(emb, restarts, seed)
-        record = ScanRecord(
-            time=float(t),
-            mode=mode,
-            dim=emb.dim,
-            partition=partition,
-            objective=objective,
-            num_communities=partition.num_groups,
-        )
-        if truth is not None:
-            record.nmi = nmi(truth, partition)
-            record.uncertainty = uncertainty_coefficient(truth, partition)
-        if previous is not None:
-            record.vi_to_previous = variation_of_information(previous, partition)
-        records.append(record)
-        previous = partition
+    _check_inputs(g, truth, mode, ("exponential", "linearised"), times, [dim])
+    if uses_quality_matrix(mode, dim, g.n):
+        problems = (QualityMatrix(g, mode, float(t)) for t in times)
+    else:
+        basis = decompose_transition(g, dim=dim)
+        problems = (build_embedding(basis, mode, t=float(t), dim=dim) for t in times)
+    records = [_best_record(emb, restarts, seed, truth) for emb in problems]
+    for previous, record in zip(records, records[1:]):
+        record.vi_to_previous = variation_of_information(previous.partition, record.partition)
     return records
 
 
@@ -170,30 +176,20 @@ def dim_sweep(
     dims: list[int],
     seed: int = 0,
     restarts: int = 5,
-) -> list[DimSweepRow]:
-    """Optimise at a fixed time across embedding dimensions, scoring vs truth."""
-    _check_truth(g, truth)
-    for dim in dims:
-        check_dim(dim, g.n)
-    largest = max(dims, default=None)
+) -> list[ScanRecord]:
+    """Optimise at a fixed time across embedding dimensions, scoring vs truth.
+
+    One decomposition, for the largest dim, serves every dim; an empty
+    ``dims`` decomposes nothing. Modularity mode takes ``t`` None.
+    """
+    _check_inputs(g, truth, mode, MODES, [t], dims)
+    if not dims:
+        return []
     if mode == "modularity":
-        basis = decompose_modularity_matrix(g, dim=largest)
+        basis = decompose_modularity_matrix(g, dim=max(dims))
     else:
-        basis = decompose_transition(g, dim=largest)
-    rows: list[DimSweepRow] = []
-    for dim in dims:
-        emb = build_embedding(basis, mode, t=t, dim=dim)
-        partition, objective, _ = best_of_restarts(emb, restarts, seed)
-        rows.append(
-            DimSweepRow(
-                dim=dim,
-                nmi=nmi(truth, partition),
-                uncertainty=uncertainty_coefficient(truth, partition),
-                num_communities=partition.num_groups,
-                objective=objective,
-            )
-        )
-    return rows
+        basis = decompose_transition(g, dim=max(dims))
+    return [_best_record(build_embedding(basis, mode, t=t, dim=dim), restarts, seed, truth) for dim in dims]
 
 
 def embedding_comparison(
@@ -209,25 +205,12 @@ def embedding_comparison(
     transition-matrix embedding (linearised at t = 1) and once over the
     modularity-matrix embedding; each side reports the modularity of its
     partition, the community count, and the uncertainty coefficient vs truth.
+    Each side is a ``dim_sweep``, so each source is decomposed once.
     """
-    _check_truth(g, truth)
-    for dim in dims:
-        check_dim(dim, g.n)
-    largest = max(dims, default=None)
-    basis_t = decompose_transition(g, dim=largest)
-    basis_q = decompose_modularity_matrix(g, dim=largest)
-    rows: list[ComparisonRow] = []
-    for dim in dims:
-        results = []
-        for basis, mode, t in ((basis_t, "linearised", 1.0), (basis_q, "modularity", None)):
-            emb = build_embedding(basis, mode, t=t, dim=dim)
-            partition, _, _ = best_of_restarts(emb, restarts, seed)
-            results.append(
-                EmbeddingResult(
-                    modularity=modularity_score(g, partition),
-                    num_communities=partition.num_groups,
-                    uncertainty=uncertainty_coefficient(truth, partition),
-                )
-            )
-        rows.append(ComparisonRow(dim=dim, transition=results[0], modularity_matrix=results[1]))
-    return rows
+
+    def result(record: ScanRecord) -> EmbeddingResult:
+        return EmbeddingResult(modularity_score(g, record.partition), record.num_communities, record.uncertainty)
+
+    transition = dim_sweep(g, truth, 1.0, "linearised", dims, seed, restarts)
+    modularity = dim_sweep(g, truth, None, "modularity", dims, seed, restarts)
+    return [ComparisonRow(dim, result(a), result(b)) for dim, a, b in zip(dims, transition, modularity)]

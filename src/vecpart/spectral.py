@@ -136,7 +136,12 @@ def check_dim(dim: int | None, n: int) -> None:
 
 def check_time(mode: str, t: float | None) -> None:
     """Raise InvalidParameter unless ``t`` is a Markov time of ``mode``:
-    finite and >= 0 in exponential mode, finite and > 0 in linearised mode."""
+    finite and >= 0 in exponential mode, finite and > 0 in linearised mode,
+    None in modularity mode, which takes no time."""
+    if mode == "modularity":
+        if t is not None:
+            raise InvalidParameter(f"modularity mode takes no time, got {t}")
+        return
     exponential = mode == "exponential"
     if t is None or not (0 <= t if exponential else 0 < t) or t == math.inf:
         raise InvalidParameter(f"{mode} mode needs a finite t {'>=' if exponential else '>'} 0, got {t}")
@@ -229,21 +234,22 @@ def _operator(g: Graph, source: str):
 
 def _dense_operator(g: Graph, source: str) -> np.ndarray:
     """The dense matrix of ``_operator(g, source)``, built with numpy alone
-    and scaled or shifted a block of rows at a time, as ``QualityMatrix.gram``
-    is: one n x n array and a temporary of at most a sixteenth of one.
+    in one n x n array.
 
-    S holds the entries of ``_similar_transition``, bit for bit. For the
+    S is ``_similar_transition``'s entries scattered into zeros. For the
     modularity source, P B_Q P - s J = B_Q - e b^T - b e^T + (e^T b - s) J,
-    with b = B_Q e; every entry of J is 1 / n.
+    with b = B_Q e; every entry of J is 1 / n. It is shifted a block of rows
+    at a time, as ``QualityMatrix.gram`` is, with a temporary of at most a
+    sixteenth of one array.
     """
     n = g.n
-    step = max(1, n // 16)
     if source == "transition":
-        inv_sqrt_d = 1.0 / np.sqrt(np.asarray(g.degrees, dtype=np.float64))
-        S = g.dense_adjacency()
-        for start in range(0, n, step):
-            S[start : start + step] *= np.multiply.outer(inv_sqrt_d[start : start + step], inv_sqrt_d)
+        check_dense(n)
+        indptr, indices, data = _similar_transition(g)
+        S = np.zeros((n, n))
+        S[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
         return S
+    step = max(1, n // 16)
     e = 1.0 / np.sqrt(n)
     M = QualityMatrix(g, "modularity").gram()
     b = M.sum(axis=1) * e
@@ -584,14 +590,11 @@ class QualityMatrix:
     time: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode == "linearised":
-            check_time(self.mode, self.time)
-        elif self.mode == "modularity":
-            if self.time is not None:
-                raise InvalidParameter(f"modularity mode takes no time, got {self.time}")
-            _check_modularity_matrix(self.graph)
-        else:
+        if self.mode not in ("linearised", "modularity"):
             raise InvalidParameter(f"a quality matrix is linearised or modularity, got {self.mode!r}")
+        check_time(self.mode, self.time)
+        if self.mode == "modularity":
+            _check_modularity_matrix(self.graph)
 
     @property
     def n(self) -> int:

@@ -274,10 +274,8 @@ class TestGraphSpace:
         for record in records:
             out = tmp_path / "partition.json"
             assert main(["partition", path, "--time", repr(record["time"]), *common, "--output", str(out)]) == 0
-            single = json.loads(out.read_text())["records"][0]
-            assert single["partition"] == record["partition"]
-            assert single["objective"] == record["objective"]
-            assert single["dim"] == record["dim"]
+            record.pop("vi_prev", None)
+            assert json.loads(out.read_text())["records"] == [record]
 
 
 class TestHugeWeights:
@@ -564,6 +562,23 @@ class TestScan:
         assert sum(1 for a, b in zip(counts, counts[1:]) if a != b) == 1
         assert "vi_prev" in report["records"][1]
         assert "vi_prev" not in report["records"][0]
+
+    @pytest.mark.parametrize("mode, t", [("exponential", "2.5"), ("linearised", "0.8")])
+    def test_single_point_record_equals_the_partition_record(self, tmp_path, mode, t):
+        g, truth = vp.planted_partition(4, 25, 0.3, 0.02, seed=1)
+        path = tmp_path / "g.txt"
+        path.write_text(g.to_edge_list_text())
+        truth_file = write_partition(tmp_path, "truth.txt", truth.assignment)
+        common = ["--mode", mode, "--dim", "5", "--restarts", "3", "--seed", "2"]
+        scan, single = tmp_path / "scan.json", tmp_path / "partition.json"
+        grid = ["--tmin", t, "--tmax", t, "--npoints", "1", "--truth", truth_file]
+        assert main(["scan", str(path), *grid, *common, "--output", str(scan)]) == 0
+        assert main(["partition", str(path), "--time", t, *common, "--output", str(single)]) == 0
+        (record,) = json.loads(scan.read_text())["records"]
+        assert {"nmi", "uncertainty"} <= set(record)
+        for key in ("nmi", "uncertainty", "vi_prev"):
+            record.pop(key, None)
+        assert json.loads(single.read_text())["records"] == [record]
 
     def test_single_point(self, graph_file, tmp_path):
         out = tmp_path / "scan.json"

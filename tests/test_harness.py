@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,21 @@ class TestDimSweep:
         assert rows[0].nmi == pytest.approx(1.0, abs=1e-12)
         assert rows[0].num_communities == 2
 
+    @pytest.mark.parametrize("mode, t", [("exponential", 2.0), ("linearised", 1.0), ("modularity", None)])
+    def test_rows_are_the_records_of_their_embeddings(self, mode, t):
+        g, truth = vp.planted_partition(3, 6, 0.9, 0.1, seed=2)
+        rows = vp.dim_sweep(g, truth, t, mode, [3, 1], restarts=2, seed=1)
+        decompose = vp.decompose_modularity_matrix if mode == "modularity" else vp.decompose_transition
+        basis = decompose(g)
+        for row, dim in zip(rows, [3, 1]):
+            emb = vp.build_embedding(basis, mode, t=t, dim=dim)
+            partition, objective, _ = vp.best_of_restarts(emb, 2, seed=1)
+            expected = vp.harness.scan_record(emb, partition, objective, truth)
+            assert np.array_equal(row.partition.assignment, expected.partition.assignment)
+            assert {**vars(row), "partition": None} == {**vars(expected), "partition": None}
+            assert (row.time, row.mode, row.dim) == (t, mode, dim)
+            assert row.vi_to_previous is None
+
     def test_statistical_nmi_profile(self):
         # Ensemble means over 20 fixed seeds: NMI non-decreasing up to
         # dim = k - 1 = 3 and flat within 0.05 beyond it, for both the
@@ -244,6 +261,13 @@ class TestDimSweep:
 
 
 class TestLargestDimension:
+    @pytest.fixture
+    def no_decomposition(self, monkeypatch):
+        def fail(*_args, **_kwargs):
+            raise AssertionError("decomposed before checking the inputs")
+
+        monkeypatch.setattr(vp.spectral, "_eigenpairs", fail)
+
     @pytest.mark.parametrize("mode,t", [("linearised", 1.0), ("modularity", None)])
     def test_sweeps_decompose_once_for_the_largest_dim(self, monkeypatch, mode, t):
         calls = []
@@ -273,14 +297,32 @@ class TestLargestDimension:
         ],
         ids=["scan", "linearised-scan", "dim-sweep", "comparison"],
     )
-    def test_dim_of_n_or_more_fails_before_any_decomposition(self, monkeypatch, run):
-        def no_decomposition(*_args, **_kwargs):
-            raise AssertionError("decomposed before checking the dimension")
-
-        monkeypatch.setattr(vp.spectral, "_eigenpairs", no_decomposition)
+    def test_dim_of_n_or_more_fails_before_any_decomposition(self, no_decomposition, run):
         g, truth = vp.planted_partition(2, 4, 0.9, 0.1, seed=1)
         with pytest.raises(vp.DimOutOfRange, match=r"\[1, 7\]"):
             run(g, truth)
+
+    @pytest.mark.parametrize(
+        "mode, t, match",
+        [
+            ("markov", 1.0, "mode must be exponential or linearised or modularity, got 'markov'"),
+            ("exponential", -1.0, "exponential mode needs a finite t >= 0, got -1.0"),
+            ("linearised", -1.0, "linearised mode needs a finite t > 0, got -1.0"),
+            ("linearised", None, "linearised mode needs a finite t > 0, got None"),
+            ("modularity", 1.0, "modularity mode takes no time, got 1.0"),
+        ],
+        ids=["mode", "exponential-t", "linearised-t", "linearised-no-t", "modularity-t"],
+    )
+    def test_bad_mode_or_time_fails_before_any_decomposition(self, no_decomposition, mode, t, match):
+        g, truth = vp.planted_partition(2, 4, 0.9, 0.1, seed=1)
+        with pytest.raises(vp.InvalidParameter, match=re.escape(match)):
+            vp.dim_sweep(g, truth, t, mode, [2], restarts=1)
+
+    def test_no_dims_decompose_nothing(self, no_decomposition):
+        g, truth = vp.planted_partition(2, 4, 0.9, 0.1, seed=1)
+        assert vp.dim_sweep(g, truth, 1.0, "linearised", [], restarts=1) == []
+        assert vp.dim_sweep(g, truth, None, "modularity", [], restarts=1) == []
+        assert vp.embedding_comparison(g, truth, [], restarts=1) == []
 
 
 class TestEmbeddingComparison:
