@@ -211,12 +211,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _basis_for_mode(g: Graph, mode: str, dim: int | None):
-    if mode == "modularity":
-        return decompose_modularity_matrix(g, dim=dim)
-    return decompose_transition(g, dim=dim)
-
-
 def cmd_partition(args: argparse.Namespace) -> int:
     if not math.isfinite(args.time):
         print(f"error: usage: --time must be finite, got {args.time}", file=sys.stderr)
@@ -234,7 +228,10 @@ def cmd_partition(args: argparse.Namespace) -> int:
         emb = QualityMatrix(g, args.mode, t)
         spectral = {"solver": "graph"}
     else:
-        basis = _basis_for_mode(g, args.mode, args.dim)
+        if args.mode == "modularity":
+            basis = decompose_modularity_matrix(g, dim=args.dim)
+        else:
+            basis = decompose_transition(g, dim=args.dim)
         emb = build_embedding(basis, args.mode, t=t, dim=args.dim)
         spectral = spectral_health(g, basis, emb.dim)
     partition, objective, diag = best_of_restarts(emb, args.restarts, args.seed)

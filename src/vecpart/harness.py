@@ -1,10 +1,10 @@
 """Experiment orchestration: time scans, dimension sweeps, embedding comparisons.
 
-Each routine checks every input before it decomposes anything, then
-decomposes each source once, for the largest dimension it embeds at, and
-reuses the basis across grid points and dimensions. A full-dimension
-linearised scan decomposes nothing: it optimises the graph's
-``QualityMatrix`` at each grid point. One builder, ``scan_record``, makes
+``time_scan`` and ``dim_sweep`` run one routine, ``_sweep``, which checks
+every input before it decomposes anything. A full-dimension linearised or
+modularity point decomposes nothing: it optimises the graph's
+``QualityMatrix``. The other points share one basis, decomposed once for
+the largest dimension they embed at. One builder, ``scan_record``, makes
 every record. All results are deterministic for fixed seeds.
 """
 
@@ -98,22 +98,6 @@ def best_of_restarts(
     return best
 
 
-def _check_inputs(
-    g: Graph, truth: Partition | None, mode: str, modes: tuple[str, ...], times, dims
-) -> None:
-    """The sweeps' one preamble, before anything is decomposed: raise on a
-    mode outside ``modes``, a time ``mode`` does not take, a dim outside
-    [1, n - 1] or a truth of another size."""
-    if mode not in modes:
-        raise InvalidParameter(f"mode must be {' or '.join(modes)}, got {mode!r}")
-    for t in times:
-        check_time(mode, t)
-    for dim in dims:
-        check_dim(dim, g.n)
-    if truth is not None and truth.n != g.n:
-        raise SizeMismatch(f"ground truth covers {truth.n} nodes, graph has {g.n}")
-
-
 def scan_record(emb, partition: Partition, objective: float, truth: Partition | None = None) -> ScanRecord:
     """The record of ``partition``, optimised over ``emb`` (an ``Embedding``
     or a ``QualityMatrix``): its time, mode and dim, the community count,
@@ -130,9 +114,38 @@ def scan_record(emb, partition: Partition, objective: float, truth: Partition | 
     )
 
 
-def _best_record(emb, restarts: int, seed: int, truth: Partition | None) -> ScanRecord:
-    partition, objective, _ = best_of_restarts(emb, restarts, seed)
-    return scan_record(emb, partition, objective, truth)
+def _sweep(g: Graph, truth, mode: str, modes: tuple[str, ...], times, dims, restarts: int, seed: int) -> list[ScanRecord]:
+    """The best-of-restarts record of every (t, dim) point, times outer.
+
+    First, before anything is decomposed, raise on a mode outside ``modes``,
+    a time ``mode`` does not take, a dim outside [1, n - 1] (None is n - 1)
+    or a truth of another size. A point where ``uses_quality_matrix``
+    optimises the graph's ``QualityMatrix``; the others embed one basis,
+    decomposed for the largest of their dims.
+    """
+    if mode not in modes:
+        raise InvalidParameter(f"mode must be {' or '.join(modes)}, got {mode!r}")
+    for t in times:
+        check_time(mode, t)
+    for dim in dims:
+        check_dim(dim, g.n)
+    if truth is not None and truth.n != g.n:
+        raise SizeMismatch(f"ground truth covers {truth.n} nodes, graph has {g.n}")
+    embedded = [g.n - 1 if dim is None else dim for dim in dims if not uses_quality_matrix(mode, dim, g.n)]
+    if embedded and mode == "modularity":
+        basis = decompose_modularity_matrix(g, dim=max(embedded))
+    elif embedded:
+        basis = decompose_transition(g, dim=max(embedded))
+    records = []
+    for t in times:
+        for dim in dims:
+            if uses_quality_matrix(mode, dim, g.n):
+                emb = QualityMatrix(g, mode, t)
+            else:
+                emb = build_embedding(basis, mode, t=t, dim=dim)
+            partition, objective, _ = best_of_restarts(emb, restarts, seed)
+            records.append(scan_record(emb, partition, objective, truth))
+    return records
 
 
 def time_scan(
@@ -155,14 +168,8 @@ def time_scan(
     count, the variation of information against the preceding optimum, and
     NMI / uncertainty against the ground truth when one is given.
     """
-    times = geometric_grid(t_min, t_max, n_points)
-    _check_inputs(g, truth, mode, ("exponential", "linearised"), times, [dim])
-    if uses_quality_matrix(mode, dim, g.n):
-        problems = (QualityMatrix(g, mode, float(t)) for t in times)
-    else:
-        basis = decompose_transition(g, dim=dim)
-        problems = (build_embedding(basis, mode, t=float(t), dim=dim) for t in times)
-    records = [_best_record(emb, restarts, seed, truth) for emb in problems]
+    times = geometric_grid(t_min, t_max, n_points).tolist()
+    records = _sweep(g, truth, mode, ("exponential", "linearised"), times, [dim], restarts, seed)
     for previous, record in zip(records, records[1:]):
         record.vi_to_previous = variation_of_information(previous.partition, record.partition)
     return records
@@ -179,17 +186,11 @@ def dim_sweep(
 ) -> list[ScanRecord]:
     """Optimise at a fixed time across embedding dimensions, scoring vs truth.
 
-    One decomposition, for the largest dim, serves every dim; an empty
-    ``dims`` decomposes nothing. Modularity mode takes ``t`` None.
+    One decomposition serves every dim; a full-dimension (n - 1 or None)
+    linearised or modularity dim needs none, and optimises the graph's
+    ``QualityMatrix`` as ``partition`` does. Modularity mode takes ``t`` None.
     """
-    _check_inputs(g, truth, mode, MODES, [t], dims)
-    if not dims:
-        return []
-    if mode == "modularity":
-        basis = decompose_modularity_matrix(g, dim=max(dims))
-    else:
-        basis = decompose_transition(g, dim=max(dims))
-    return [_best_record(build_embedding(basis, mode, t=t, dim=dim), restarts, seed, truth) for dim in dims]
+    return _sweep(g, truth, mode, MODES, [t], dims, restarts, seed)
 
 
 def embedding_comparison(
@@ -213,4 +214,4 @@ def embedding_comparison(
 
     transition = dim_sweep(g, truth, 1.0, "linearised", dims, seed, restarts)
     modularity = dim_sweep(g, truth, None, "modularity", dims, seed, restarts)
-    return [ComparisonRow(dim, result(a), result(b)) for dim, a, b in zip(dims, transition, modularity)]
+    return [ComparisonRow(a.dim, result(a), result(b)) for a, b in zip(transition, modularity)]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vecpart as vp
@@ -476,6 +477,33 @@ class TestExtremeTimes:
             vp.spectral.QualityMatrix(g, "linearised", 1e308).gram()
         assert main(["partition", str(path), "--mode", "linearised", "--time", "1e308"]) == vp.TooLarge.exit_code == 28
         assert "t / 2m is inf" in capsys.readouterr().err
+
+    GRID_GRAPHS = {
+        "g5": "1 4\n0 1\n1 3\n0 4\n1 2\n2 3\n",
+        "g4": "0 2 2.5\n0 1 2.5\n0 3 7\n1 2 2.5\n",
+        "g5w3": "0 2 3\n1 2 3\n1 3 3\n2 3 3\n1 4 3\n0 1 3\n2 4 3\n",
+    }
+    GRID_TIMES = [*np.geomspace(1e-300, 1e308, 13), 5e-324, np.finfo(np.float64).max]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim", [[], ["--dim", "1"], ["--dim", "2"]], ids=["full", "dim1", "dim2"])
+    @pytest.mark.parametrize("mode", ["exponential", "linearised"])
+    @pytest.mark.parametrize("graph", sorted(GRID_GRAPHS))
+    def test_every_time_on_a_grid_gives_a_report_or_a_named_error(self, tmp_path, capsys, graph, mode, dim):
+        # Which named error comes out is not pinned: some are defects of the
+        # tolerances at large t, and mending them turns them into reports.
+        errors = [cls for cls in vars(vp.errors).values() if isinstance(cls, type) and issubclass(cls, vp.VecpartError)]
+        named = {cls.__name__: cls.exit_code for cls in errors}
+        path = tmp_path / f"{graph}.txt"
+        path.write_text(self.GRID_GRAPHS[graph])
+        for t in self.GRID_TIMES:
+            code = main(["partition", str(path), "--mode", mode, "--time", repr(float(t)), "--restarts", "2", *dim])
+            out, err = capsys.readouterr()
+            if code == 0:
+                validate_report(json.loads(out))
+            else:
+                name = re.match(r"error: (\w+): ", err)
+                assert name and named.get(name[1]) == code, (t, code, err)
 
 
 class TestSweepCap:

@@ -1,10 +1,13 @@
+import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import vecpart as vp
 from helpers import pairgraph4
+from vecpart.cli import _record_payload, main
 
 
 class TestGeometricGrid:
@@ -210,10 +213,10 @@ class TestDimSweep:
     def test_full_dimension_matches_direct_oracle(self):
         g, truth = vp.planted_partition(2, 4, 0.9, 0.1, seed=1)
         rows = vp.dim_sweep(g, truth, 1.0, "linearised", [g.n - 1], restarts=5)
-        # rerun the same optimisation to recover the partition, then check the
-        # reported objective against the direct matrix-form computation
-        emb = vp.build_embedding(vp.decompose_transition(g), "linearised", t=1.0, dim=g.n - 1)
-        partition, value, _ = vp.best_of_restarts(emb, 5)
+        # a full-dimension linearised dim optimises the graph's quality matrix;
+        # check the reported objective against the direct matrix-form computation
+        partition, value, _ = vp.best_of_restarts(vp.QualityMatrix(g, "linearised", 1.0), 5)
+        assert np.array_equal(rows[0].partition.assignment, partition.assignment)
         assert rows[0].objective == value
         assert value == pytest.approx(vp.linearised_stability(g, partition, 1.0), abs=1e-8)
         assert value == pytest.approx(vp.modularity_score(g, partition), abs=1e-8)
@@ -241,6 +244,19 @@ class TestDimSweep:
             assert {**vars(row), "partition": None} == {**vars(expected), "partition": None}
             assert (row.time, row.mode, row.dim) == (t, mode, dim)
             assert row.vi_to_previous is None
+
+    @pytest.mark.parametrize("mode, t", [("linearised", 1.0), ("modularity", None)])
+    def test_full_dimension_gives_the_partition_record(self, tmp_path, capsys, mode, t):
+        g, truth = vp.planted_partition(4, 25, 0.3, 0.02, seed=0)
+        path = tmp_path / "g.txt"
+        path.write_text(g.to_edge_list_text())
+        assert main(["partition", str(path), "--mode", mode, "--restarts", "3", "--seed", "2"]) == 0
+        (row,) = vp.dim_sweep(g, truth, t, mode, [g.n - 1], seed=2, restarts=3)
+        record = _record_payload(replace(row, nmi=None, uncertainty=None))
+        assert record == json.loads(capsys.readouterr().out)["records"][0]
+        if mode == "linearised":
+            (point,) = vp.time_scan(g, t, t, 1, mode=mode, dim=g.n - 1, seed=2, restarts=3)
+            assert _record_payload(point) == record
 
     def test_statistical_nmi_profile(self):
         # Ensemble means over 20 fixed seeds: NMI non-decreasing up to
@@ -317,6 +333,37 @@ class TestLargestDimension:
         g, truth = vp.planted_partition(2, 4, 0.9, 0.1, seed=1)
         with pytest.raises(vp.InvalidParameter, match=re.escape(match)):
             vp.dim_sweep(g, truth, t, mode, [2], restarts=1)
+
+    @pytest.mark.parametrize("mode, t", [("linearised", 1.0), ("modularity", None)])
+    def test_full_dimension_sweeps_decompose_nothing(self, no_decomposition, mode, t):
+        g, truth = vp.planted_partition(2, 4, 0.9, 0.1, seed=1)
+        rows = vp.dim_sweep(g, truth, t, mode, [g.n - 1, None], restarts=2)
+        assert [row.dim for row in rows] == [g.n - 1] * 2
+        assert [row.dim for row in vp.embedding_comparison(g, truth, [None, g.n - 1], restarts=2)] == [g.n - 1] * 2
+
+    @pytest.mark.parametrize("dims", [[None, 3], [3, None]])
+    def test_none_among_dims_is_full_dimension_from_one_decomposition(self, monkeypatch, dims):
+        calls = []
+        real = vp.harness.decompose_transition
+
+        def counting(g, dim=None):
+            calls.append(dim)
+            return real(g, dim=dim)
+
+        monkeypatch.setattr(vp.harness, "decompose_transition", counting)
+        g, truth = vp.planted_partition(2, 5, 0.9, 0.1, seed=3)
+        rows = vp.dim_sweep(g, truth, 1.0, "exponential", dims, restarts=2)
+        assert calls == [g.n - 1]
+        basis = vp.decompose_transition(g)
+        for row, dim in zip(rows, dims):
+            emb = vp.build_embedding(basis, "exponential", t=1.0, dim=dim)
+            partition, objective, _ = vp.best_of_restarts(emb, 2)
+            assert row.dim == emb.dim and row.objective == objective
+            assert np.array_equal(row.partition.assignment, partition.assignment)
+        calls.clear()
+        comparison = vp.embedding_comparison(g, truth, dims, restarts=2)
+        assert calls == [3]  # the linearised side's full dim optimises the quality matrix
+        assert [row.dim for row in comparison] == [row.dim for row in rows]
 
     def test_no_dims_decompose_nothing(self, no_decomposition):
         g, truth = vp.planted_partition(2, 4, 0.9, 0.1, seed=1)
