@@ -1,6 +1,6 @@
 """Compare partitions from the optimiser's paths on bench graphs: Gram-space
-against vector-space levels, screened against plain sweeps, and the graph's
-own quality matrix against the full-dimension spectral embedding.
+against vector-space levels, screened against plain sweeps, and the sparse
+graph level of a quality matrix against its dense oracle.
 
 Usage, from the root of a checkout:
 
@@ -34,16 +34,20 @@ identical; the first divergence of graph 0 is an exact tie at gain
 returns do not depend on this loop: its full-dimension levels run in Gram
 space.
 
-On the ``fulldim_stability`` graphs, the script also optimises each graph at
-full dimension in linearised mode at t = 1 and in modularity mode twice:
-from its ``QualityMatrix`` and from the spectral embedding, with the
-workload's two restarts. It counts identical partitions. For every pair
-that differs, it reruns each restart on the two level-0 states in lockstep
-up to the first visit where the move rule picks different targets, and
-recomputes the gains of those two targets with ``fractions.Fraction`` from
-the adjacency and the degrees. The pair is explained only when some
-restart diverges and every divergence is an exact tie; otherwise the
-script exits 1. Every BLAS library the script loads runs on one thread.
+The graph-space section compares a full-dimension linearised (t = 1) and
+modularity run's sparse graph level (``GraphState``, the path
+``partition_vectors`` takes on a ``QualityMatrix``) with its dense oracle,
+the same run with level 0 a ``GramState`` on the dense quality matrix
+(``helpers.dense_partition``), with the workload's two restarts, on the
+``fulldim_stability`` graphs and on the n = 4000 graph
+``planted_partition(40, 100, 0.1, 0.00125, seed=0)``. It counts identical
+partitions. For every pair that differs, it reruns each restart on the two
+level-0 states in lockstep up to the first visit where the move rule picks
+different targets, and recomputes the gains of those two targets with
+``fractions.Fraction`` from the edge list and the degrees. The pair is
+explained only when some restart diverges and every divergence is an exact
+tie; otherwise the script exits 1. Every BLAS library the script loads runs
+on one thread.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 # One BLAS thread, before numpy loads, so the spectral path's roundoff is fixed.
@@ -65,9 +68,15 @@ sys.path.insert(0, str(ROOT / "tests"))
 import numpy as np  # noqa: E402
 
 import vecpart as vp  # noqa: E402
-from helpers import group_sums, plain_sweep_best_of_restarts, vector_path_best_of_restarts  # noqa: E402
-from vecpart.graph import canonical_labels  # noqa: E402
-from vecpart.vp import GramState, VPState  # noqa: E402
+from helpers import (  # noqa: E402
+    dense_partition,
+    divergent_ties,
+    is_exact_tie,
+    plain_sweep_best_of_restarts,
+    quality_gram,
+    vector_path_best_of_restarts,
+)
+from vecpart.vp import GramState, GraphState, VPState  # noqa: E402
 
 # (workload, planted_partition parameters, dim, restarts, [(mode, times)]), as in perfbench/run.py.
 JOBS = (
@@ -75,130 +84,39 @@ JOBS = (
     ("lowdim_partition", (20, 100, 0.1, 0.004), 24, 5, (("exponential", (5.0,)), ("modularity", (None,)))),
     ("scan", (10, 100, 0.1, 0.005), 14, 5, (("exponential", tuple(np.geomspace(0.1, 100, 10))),)),
 )
-# The full-dimension runs that optimise a QualityMatrix, on the fulldim_stability graphs: (mode, t).
+# The full-dimension runs that optimise a QualityMatrix: (mode, t).
 GRAPH_SPACE_RUNS = (("linearised", 1.0), ("modularity", None))
+# The large graph of the graph-space section: planted_partition parameters and seed.
+LARGE_GRAPH = ((40, 100, 0.1, 0.00125), 0)
 
 
-def group_nodes(members: list[np.ndarray], assignment: np.ndarray, group: int, skip: int = -1) -> np.ndarray:
-    """The nodes of the level vectors in ``group``, less vector ``skip``;
-    ``members[j]`` holds the nodes of level vector j."""
-    rows = [j for j in np.flatnonzero(assignment == group) if j != skip]
-    return np.concatenate([members[j] for j in rows]) if rows else np.array([], dtype=np.int64)
+def explained(g, mode: str, t: float | None, level0, restarts: int) -> bool:
+    """Print each restart's first divergence between the two level-0 states
+    ``level0()`` returns; whether some restart diverges and every divergence
+    is an exact tie."""
+    found = divergent_ties(g, mode, t, level0, restarts)
+    for run, level, gains in found:
+        print(f"  run {run}: first divergent visit at level {level}, exact gains {gains[0]} and {gains[1]}", flush=True)
+    return bool(found) and all(is_exact_tie(gains) for _, _, gains in found)
 
 
-def next_level(state: GramState | VPState) -> tuple[np.ndarray, GramState | VPState]:
-    """``state.compact()``, except that a vector-space level is followed by
-    another one, as in the reference loop ``vector_path_partition``."""
-    if isinstance(state, GramState):
-        return state.compact()
-    labels, _ = canonical_labels(state.assignment)
-    return labels, VPState(group_sums(state.vectors, labels), state.signature)
-
-
-def first_divergence(states: list[GramState | VPState], seed: int | None, tol: float):
-    """Run the level loop of ``partition_vectors`` on two level-0 states in
-    lockstep, with the visiting orders of ``seed``. Returns None when the two
-    runs make the same moves throughout, else the first visit where the move
-    rule picks different targets, as (level, the vector's nodes, the nodes of
-    the rest of its group, and the nodes of each run's target, None for a
-    run that stays)."""
-    members = [np.array([i]) for i in range(states[0].num_groups)]
-    for level in range(vp.vp.MAX_LEVELS):
-        p = states[0].num_groups
-        order = np.arange(p, dtype=np.int64)
-        if seed is not None:
-            np.random.default_rng([seed, level]).shuffle(order)
-        moved = True
-        while moved:
-            moved = False
-            for i in order:
-                picks = []
-                for state in states:
-                    alpha = int(state.assignment[i])
-                    scores, self_score = state.scores(i)
-                    can_detach = state.group_sizes[alpha] > 1
-                    picks.append(vp.vp._choose_move(scores, alpha, self_score, can_detach, tol))
-                if picks[0] != picks[1]:
-                    assignment = states[0].assignment
-                    targets = [None if beta < 0 else group_nodes(members, assignment, beta) for beta in picks]
-                    rest = group_nodes(members, assignment, int(assignment[i]), skip=i)
-                    return level, members[i], rest, targets
-                if picks[0] >= 0:
-                    moved = True
-                    for state in states:
-                        state.apply_move(i, picks[0])
-        compacted = [next_level(state) for state in states]
-        labels = compacted[0][0]
-        states = [state for _, state in compacted]
-        members = [group_nodes(members, labels, c) for c in range(labels.max() + 1)]
-        if states[0].num_groups == p:
-            return None
-    raise vp.LevelCapExceeded(f"still aggregating after {vp.vp.MAX_LEVELS} levels")
-
-
-def exact_gain(g, mode: str, t: float | None, vector: np.ndarray, rest: np.ndarray, target) -> Fraction | None:
-    """The gain of moving the nodes ``vector`` from the group whose other
-    nodes are ``rest`` to the group ``target``, in exact rational arithmetic
-    from the adjacency and the degrees; None for a run that stays. For
-    disjoint node sets S and T the quality matrix sums to t W(S, T) / 2m -
-    pi(S) pi(T) in linearised mode and to W(S, T) - d(S) d(T) / 2m in
-    modularity mode, with W the adjacency summed over S x T."""
-    if target is None:
-        return None
-    from scipy import sparse
-
-    indptr, indices, data = g.adjacency()
-    A = sparse.csr_matrix((data, indices, indptr), shape=(g.n, g.n))
-    two_m = Fraction(2.0 * g.total_weight)
-
-    def quality(S: np.ndarray, T: np.ndarray) -> Fraction:
-        W = sum((Fraction(float(w)) for w in A[S][:, T].data), Fraction(0))
-        dS, dT = (sum((Fraction(float(d)) for d in g.degrees[nodes]), Fraction(0)) for nodes in (S, T))
-        if mode == "modularity":
-            return W - dS * dT / two_m
-        return Fraction(t) * W / two_m - (dS / two_m) * (dT / two_m)
-
-    return quality(vector, target) - quality(vector, rest)
-
-
-def divergent_ties(g, mode: str, t: float | None, level0, restarts: int) -> list[bool]:
-    """Rerun each restart of ``best_of_restarts`` on the two level-0 states
-    ``level0()`` returns, up to its first divergent visit. Returns one entry
-    per restart that diverges: whether the two targets' exact gains tie."""
-    tol = vp.vp.tolerances(mode, g.total_weight)[0]
-    ties = []
-    for run_seed in [None, *range(1, restarts)]:
-        found = first_divergence(level0(), run_seed, tol)
-        if found is not None:
-            level, vector, rest, targets = found
-            gains = [exact_gain(g, mode, t, vector, rest, target) for target in targets]
-            ties.append(gains[0] is not None and gains[0] == gains[1])
-            print(f"  run {run_seed or 0}: first divergent visit at level {level}, "
-                  f"exact gains {gains[0]} and {gains[1]}", flush=True)
-    return ties
-
-
-def compare_graph_space(seed: int, restarts: int) -> int:
-    """Compare one fulldim_stability graph's graph-space and spectral runs;
+def compare_graph_space(name: str, g, restarts: int) -> int:
+    """Compare one graph's sparse graph-level runs with their dense oracle;
     returns the number of differing partitions not shown to be exact ties."""
-    g, _ = vp.planted_partition(*JOBS[0][1], seed=seed)
     unexplained = 0
     for mode, t in GRAPH_SPACE_RUNS:
-        decompose = vp.decompose_modularity_matrix if mode == "modularity" else vp.decompose_transition
         q = vp.QualityMatrix(g, mode, t)
-        emb = vp.build_embedding(decompose(g), mode, t=t)
         p_graph, obj_graph, _ = vp.best_of_restarts(q, restarts)
-        p_spec, obj_spec, _ = vp.best_of_restarts(emb, restarts)
-        if np.array_equal(p_graph.assignment, p_spec.assignment):
-            print(f"fulldim_stability graph {seed} {mode}: graph-space and spectral partitions identical", flush=True)
+        runs = [dense_partition(q)] + [dense_partition(q, seed) for seed in range(1, restarts)]
+        p_dense, obj_dense, _ = max(runs, key=lambda run: run[1])  # the first of equal objectives, as best_of_restarts
+        if np.array_equal(p_graph.assignment, p_dense.assignment):
+            print(f"{name} {mode}: sparse and dense graph levels give identical partitions", flush=True)
             continue
-        grams = [vp.vp._shared_gram(q), vp.vp._shared_gram(emb)]
-        ties = divergent_ties(g, mode, t, lambda: [GramState(gram) for gram in grams], restarts)
-        explained = bool(ties) and all(ties)
-        unexplained += not explained
-        print(f"fulldim_stability graph {seed} {mode}: partitions differ, objective graph - spectral "
-              f"{obj_graph - obj_spec:.3g}; {sum(ties)} of {len(ties)} divergent runs are exact ties"
-              f"{'' if explained else ' (UNEXPLAINED)'}", flush=True)
+        gram = quality_gram(q)
+        ok = explained(g, mode, t, lambda: [GraphState(q), GramState(gram)], restarts)
+        unexplained += not ok
+        print(f"{name} {mode}: partitions differ, objective sparse - dense {obj_graph - obj_dense:.3g}"
+              f"{'; every divergence is an exact tie' if ok else ' (UNEXPLAINED)'}", flush=True)
     return unexplained
 
 
@@ -210,8 +128,7 @@ def tie_explained(g, mode: str, t: float | None, dim: int | None, emb, restarts:
         return False
     gram = vp.vp._shared_gram(emb)
     vectors, signature = np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64)
-    ties = divergent_ties(g, mode, t, lambda: [GramState(gram), VPState(vectors, signature)], restarts)
-    return bool(ties) and all(ties)
+    return explained(g, mode, t, lambda: [GramState(gram), VPState(vectors, signature)], restarts)
 
 
 def main() -> int:
@@ -253,9 +170,12 @@ def main() -> int:
     print(f"{compared - unscreened_differ} of {compared} partitions identical, screened against plain sweeps")
     unexplained = 0
     if JOBS[0][0] in args.workload:
-        for seed in range(args.graphs):
-            unexplained += compare_graph_space(seed, JOBS[0][3])
-        print(f"{unexplained} graph-space partitions differ from the spectral ones other than by an exact tie")
+        graphs = [(f"fulldim_stability graph {seed}", vp.planted_partition(*JOBS[0][1], seed=seed)[0])
+                  for seed in range(args.graphs)]
+        graphs.append(("n = 4000 graph", vp.planted_partition(*LARGE_GRAPH[0], seed=LARGE_GRAPH[1])[0]))
+        for name, g in graphs:
+            unexplained += compare_graph_space(name, g, JOBS[0][3])
+        print(f"{unexplained} sparse graph-level partitions differ from the dense oracle's other than by an exact tie")
     return 1 if unexplained_differ or unscreened_differ or unexplained else 0
 
 

@@ -85,7 +85,8 @@ def best_of_restarts(
     Restart k (k >= 1) visits the vectors in the order drawn from seed
     ``seed + k``. The highest objective wins; ties keep the earliest run.
     ``emb`` is an ``Embedding`` or a ``QualityMatrix``. All runs share one
-    level-0 Gram when level 0 runs in Gram space.
+    level-0 Gram when level 0 runs in Gram space; on a ``QualityMatrix``
+    they share its ``adjacency``.
     """
     if restarts < 1:
         raise InvalidParameter(f"restarts must be >= 1, got {restarts}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -191,7 +192,7 @@ def _product(g: Graph, source: str, dense: bool = False):
     neither matrix is formed densely, a column of X at a time.
     """
     if dense:
-        M = _dense_operator(g, source) if source == "transition" else QualityMatrix(g, "modularity").gram()
+        M = _dense_operator(g, source) if source == "transition" else _modularity_matrix(g)
         return lambda X: M @ X
     if source == "transition":
         return _by_columns(_csr_product(*_similar_transition(g)))
@@ -232,6 +233,24 @@ def _operator(g: Graph, source: str):
     return _by_columns(apply), shift
 
 
+def _modularity_matrix(g: Graph) -> np.ndarray:
+    """The dense B_Q = A - d d^T / 2m, for the dense eigensolver. Raises
+    TooLarge as ``Graph.dense_adjacency`` does, before any allocation.
+
+    The rank-one term is formed and subtracted a sixteenth of the rows at a
+    time, so the step holds one n x n array and a temporary of at most a
+    sixteenth of one, with the bits of the whole-matrix formula."""
+    d = np.asarray(g.degrees, dtype=np.float64)
+    two_m = 2.0 * g.total_weight
+    B = g.dense_adjacency()
+    step = max(1, g.n // 16)
+    for start in range(0, g.n, step):
+        outer = np.multiply.outer(d[start : start + step], d)
+        outer /= two_m
+        B[start : start + step] -= outer
+    return B
+
+
 def _dense_operator(g: Graph, source: str) -> np.ndarray:
     """The dense matrix of ``_operator(g, source)``, built with numpy alone
     in one n x n array.
@@ -239,7 +258,7 @@ def _dense_operator(g: Graph, source: str) -> np.ndarray:
     S is ``_similar_transition``'s entries scattered into zeros. For the
     modularity source, P B_Q P - s J = B_Q - e b^T - b e^T + (e^T b - s) J,
     with b = B_Q e; every entry of J is 1 / n. It is shifted a block of rows
-    at a time, as ``QualityMatrix.gram`` is, with a temporary of at most a
+    at a time, as ``_modularity_matrix`` is, with a temporary of at most a
     sixteenth of one array.
     """
     n = g.n
@@ -251,7 +270,7 @@ def _dense_operator(g: Graph, source: str) -> np.ndarray:
         return S
     step = max(1, n // 16)
     e = 1.0 / np.sqrt(n)
-    M = QualityMatrix(g, "modularity").gram()
+    M = _modularity_matrix(g)
     b = M.sum(axis=1) * e
     corner = (e * float(b.sum()) - _ones_shift(g)) / n
     for start in range(0, n, step):
@@ -578,10 +597,11 @@ class QualityMatrix:
 
     At full dimension n - 1, the signed Gram of a linearised embedding at
     time t is (1 - t) Pi + t A / 2m - pi pi^T, and that of a modularity
-    embedding is B_Q = A - d d^T / 2m. ``gram()`` forms that matrix from the
-    graph in O(n^2) elementwise work, with no eigendecomposition and no
-    vectors. ``dim`` is the dimension of the embedding it stands in for.
-    A modularity matrix takes no time, and raises as
+    embedding is B_Q = A - d d^T / 2m: a sparse matrix, a diagonal and a
+    rank-one term. ``partition_vectors`` optimises it on the graph's sparse
+    adjacency (``vp.GraphState``), with no eigendecomposition, no vectors
+    and no n x n array. ``dim`` is the dimension of the embedding it stands
+    in for. A modularity matrix takes no time, and raises as
     ``_check_modularity_matrix`` does.
     """
 
@@ -608,35 +628,14 @@ class QualityMatrix:
     def total_weight(self) -> float:
         return self.graph.total_weight
 
-    def gram(self) -> np.ndarray:
-        """The dense n x n matrix: the adjacency scaled, a diagonal added and a
-        rank-one term subtracted, entry by entry. Raises TooLarge as
-        ``Graph.dense_adjacency`` does, before any allocation.
-
-        The rank-one term is formed and subtracted a block of rows at a time,
-        so the step holds one n x n array and a temporary of at most a
-        sixteenth of one."""
-        g = self.graph
-        d = np.asarray(g.degrees, dtype=np.float64)
-        two_m = 2.0 * g.total_weight
-        if self.mode == "modularity":
-            u, scale = d, two_m  # G = A - d d^T / 2m
-            G = g.dense_adjacency()
-        else:
-            u, scale = d / two_m, 1.0  # G = t A / 2m - pi pi^T + (1 - t) Pi; x / 1.0 == x
-            factor = self.time / two_m
-            if not math.isfinite(factor):
-                raise TooLarge(f"t / 2m is {factor} at t = {self.time}: the linearised quality matrix overflows")
-            G = g.dense_adjacency()
-            G *= factor
-        step = max(1, g.n // 16)
-        for start in range(0, g.n, step):
-            outer = np.multiply.outer(u[start : start + step], u)
-            outer /= scale
-            G[start : start + step] -= outer
-        if self.mode == "linearised":
-            G.flat[:: g.n + 1] += (1.0 - self.time) * u
-        return G
+    @cached_property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``Graph.adjacency()``, formed once and read-only: every run on
+        this matrix shares it."""
+        arrays = self.graph.adjacency()
+        for array in arrays:
+            array.setflags(write=False)
+        return arrays
 
 
 def _max_residual(g: Graph, basis: SpectralBasis) -> float:

@@ -9,18 +9,26 @@ A level with no more vectors than their dimension plus one runs on the
 signed Gram of its vectors instead, where every score is a sum of Gram
 entries over a group. In vector space, every sweep of a level after its
 first visits only the vectors that a vectorised screen finds may move.
-A ``QualityMatrix`` enters at a Gram level on the graph's own matrix.
+
+A ``QualityMatrix`` stands in for a full-dimension linearised or modularity
+embedding. Its level 0 runs on the graph itself, as Louvain does: a visit
+reads one row of the sparse adjacency and scores only the groups of the
+node's neighbours, its own group and one empty or fresh group, and every
+later sweep visits only the nodes an exact per-row bound finds may move.
+It compacts into a Gram level on the group quality matrix, with no n x n
+array on the way.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ._pcg import visiting_order
 from .errors import InvalidParameter, LevelCapExceeded, ObjectiveDecreased, StateDrift, TooLarge
-from .graph import Partition, canonical_labels
+from .graph import Partition, canonical_labels, check_dense
 from .objective import group_sums, linearised_stability, modularity_score, stability
 from .spectral import Embedding, QualityMatrix
 
@@ -98,6 +106,12 @@ class _LevelState:
     def num_groups(self) -> int:
         return int(self.group_sizes.size)
 
+    def choose(self, i: int, tol: float) -> int:
+        """The move rule's target group for vector i, or -1 to stay."""
+        alpha = self.assignment.item(i)
+        scores, self_score = self.scores(i)
+        return _choose_move(scores, alpha, self_score, self.group_sizes.item(alpha) > 1, tol)
+
     def apply_move(self, i: int, beta: int) -> None:
         """Move vector i to group beta; beta == num_groups opens a new group."""
         if beta == self.group_sizes.size:
@@ -123,7 +137,6 @@ class VPState(_LevelState):
     """
 
     path = "vector"
-    screened = True
     __slots__ = ("vectors", "signature", "group_sums", "signed", "self_scores", "roundoff")
 
     def __init__(self, vectors: np.ndarray, signature: np.ndarray) -> None:
@@ -193,11 +206,11 @@ class GramState(_LevelState):
     state keeps only the assignment and the group sizes; nothing can drift.
 
     Its later sweeps are not screened: scoring a block of rows here costs
-    O(p) per row, as much as visiting it does.
+    O(p) per row, as much as visiting it does. A ``QualityMatrix`` run
+    reaches it from its ``GraphState`` level, on the group quality matrix.
     """
 
     path = "gram"
-    screened = False
     __slots__ = ("gram",)
 
     def __init__(self, gram: np.ndarray) -> None:
@@ -223,6 +236,180 @@ class GramState(_LevelState):
         labels, c = canonical_labels(self.assignment)
         partial = group_sums(self.gram, labels, c)  # H^T G
         return labels, GramState(np.ascontiguousarray(group_sums(partial.T, labels, c).T))
+
+
+class GraphState(_LevelState):
+    """Level 0 of a ``QualityMatrix`` run, on the graph's sparse adjacency.
+
+    The quality matrix is G = a A + diag(c q) - b q^T: in linearised mode at
+    time t, a = t / 2m, c = 1 - t and b = q = pi; in modularity mode, in raw
+    units, a = 1, c = 0, b = d / 2m and q = d. Node i scores group g at
+    a W_ig - b_i Q_g, plus c q_i for its own group, where W_ig is the weight
+    from i into g and Q_g the group's mass, its sum of q. A group with no
+    edge to i scores -b_i Q_g < 0, below an empty group, so the move rule of
+    ``_choose_move`` needs only the groups of i's neighbours, the
+    lowest-index empty group, which wins every tie among the empty ones, and
+    a fresh group. A visit reads one adjacency row, in O(deg i).
+
+    A visit runs in the interpreter on one row, whose few entries cost less
+    there than numpy's calls would, so the state mirrors the assignment and
+    keeps the group masses as lists. The masses are updated incrementally
+    and recounted by ``revalidate``; the empty groups are kept in a sorted
+    list. ``gain_bounds`` scores every node at once for the screened sweeps,
+    and ``compact`` forms the c x c group quality matrix from the edge list
+    for a ``GramState``. No n x n array is formed.
+    """
+
+    path = "graph"
+    __slots__ = (
+        "edges", "weights", "bounds", "indices", "data", "rows", "scale", "diagonal", "coupling", "mass",
+        "mass_total", "roundoff", "labels", "group_mass", "empties",
+    )
+
+    def __init__(self, q: QualityMatrix) -> None:
+        g = q.graph
+        two_m = 2.0 * g.total_weight
+        d = np.asarray(g.degrees, dtype=np.float64)
+        self.coupling = d / two_m
+        if q.mode == "modularity":
+            self.scale, self.diagonal, self.mass, self.mass_total = 1.0, 0.0, d, two_m
+        else:
+            self.scale = q.time / two_m
+            if not np.isfinite(self.scale):
+                raise TooLarge(f"t / 2m is {self.scale} at t = {q.time}: the linearised quality matrix overflows")
+            self.diagonal, self.mass, self.mass_total = 1.0 - q.time, self.coupling, 1.0
+        indptr, self.indices, self.data = q.adjacency
+        degree = np.diff(indptr)
+        self.bounds = indptr.tolist()
+        self.rows = np.repeat(np.arange(g.n), degree)
+        self.edges, self.weights = g.edge_index, g.edge_weight
+        # Every term of a gain is at most |a| d_i + b_i sum(q) in magnitude.
+        eps = np.finfo(np.float64).eps
+        self.roundoff = 8.0 * eps * (degree + 4) * (abs(self.scale) * d + self.coupling * self.mass_total)
+        self.labels = list(range(g.n))
+        self.group_mass = self.mass.tolist()
+        self.empties: list[int] = []
+        super().__init__(g.n)
+
+    def choose(self, i: int, tol: float) -> int:
+        """The move rule of ``_choose_move`` on node i's candidate groups."""
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        labels, mass = self.labels, self.group_mass
+        weight: dict[int, float] = {}
+        for j, w in zip(self.indices[lo:hi].tolist(), self.data[lo:hi].tolist()):
+            g = labels[j]
+            weight[g] = weight.get(g, 0.0) + w
+        alpha = labels[i]
+        alone = self.group_sizes.item(alpha) == 1
+        a, b = self.scale, self.coupling.item(i)
+        # The score of i's group less i's own score: a W_i,alpha - b_i (Q_alpha - q_i).
+        base = a * weight.pop(alpha, 0.0) - b * (0.0 if alone else mass[alpha] - self.mass.item(i))
+        beta, best = -1, -np.inf
+        for g, w in weight.items():
+            gain = a * w - b * mass[g] - base
+            if gain > best or (gain == best and g < beta):  # ties resolve to the lowest group index
+                beta, best = g, gain
+        if self.empties:  # an empty group gains -base, as a fresh one would
+            if -base > best or (-base == best and self.empties[0] < beta):
+                beta, best = self.empties[0], -base
+        elif not alone and -base > best:
+            beta, best = self.num_groups, -base
+        return beta if best > tol else -1
+
+    def gain_bounds(self) -> np.ndarray:
+        """Every node's best gain, each as its visit would compute it now:
+        ``choose``'s arithmetic on the whole adjacency at once, in
+        O(E log E), with the edges of each (node, group) pair summed in the
+        same order, by ``bincount``."""
+        groups = self.assignment[self.indices]
+        order = np.argsort(self.rows * self.num_groups + groups, kind="stable")
+        rows, groups = self.rows[order], groups[order]
+        first = (np.diff(rows, prepend=-1) != 0) | (np.diff(groups, prepend=-1) != 0)
+        weight = np.bincount(np.cumsum(first) - 1, weights=self.data[order])
+        rows, groups = rows[first], groups[first]
+        alpha = self.assignment
+        own = groups == alpha[rows]
+        own_weight = np.zeros(alpha.size)
+        own_weight[rows[own]] = weight[own]
+        mass = np.array(self.group_mass)
+        rest = np.where(self.group_sizes[alpha] > 1, mass[alpha] - self.mass, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in ``choose``, whose floats overflow silently
+            base = self.scale * own_weight - self.coupling * rest
+            gains = self.scale * weight - self.coupling[rows] * mass[groups] - base[rows]
+        gains[own] = -np.inf
+        best = np.maximum.reduceat(gains, np.flatnonzero(np.diff(rows, prepend=-1)))
+        return np.maximum(best, -base)
+
+    def apply_move(self, i: int, beta: int) -> None:
+        alpha = self.labels[i]
+        if beta == self.group_sizes.size:  # a fresh group
+            self.group_sizes = np.append(self.group_sizes, 0)
+            self.group_mass.append(0.0)
+        elif self.group_sizes.item(beta) == 0:
+            del self.empties[bisect_left(self.empties, beta)]
+        q = self.mass.item(i)
+        self.group_sizes[alpha] -= 1
+        self.group_sizes[beta] += 1
+        self.group_mass[beta] += q
+        if self.group_sizes.item(alpha) == 0:
+            self.group_mass[alpha] = 0.0
+            insort(self.empties, alpha)
+        else:
+            self.group_mass[alpha] -= q
+        self.labels[i] = beta
+        self.assignment[i] = beta
+
+    def revalidate(self, drift_bound: float) -> None:
+        """Recount the group masses from the members and check their drift,
+        and the assignment against its mirror. A mass is in units of the
+        total mass, 2m or 1, where ``drift_bound`` is in units of its square
+        root, as the group sums of ``VPState`` are."""
+        if self.labels != self.assignment.tolist():
+            raise StateDrift("assignment out of sync with its mirror")
+        fresh = np.bincount(self.assignment, weights=self.mass, minlength=self.num_groups)
+        drift = float(np.max(np.abs(fresh - self.group_mass)))
+        bound = drift_bound * np.sqrt(self.mass_total)
+        if drift > bound:
+            raise StateDrift(f"group masses drifted by {drift} from their members, more than {bound}")
+        super().revalidate(drift_bound)
+        self.group_mass = fresh.tolist()
+        self.empties = np.flatnonzero(self.group_sizes == 0).tolist()
+
+    def objective(self) -> float:
+        """Raw objective: a W_gg + c Q_g - Q_g^2 / sum(q) per group, totalled,
+        with W_gg the group's internal weight over both orientations."""
+        gi, gj = self.assignment[self.edges[:, 0]], self.assignment[self.edges[:, 1]]
+        same = gi == gj
+        within = 2.0 * np.bincount(gi[same], weights=self.weights[same], minlength=self.num_groups)
+        Q = np.array(self.group_mass)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, or NaN, and named downstream
+            root = Q / np.sqrt(self.mass_total)  # Q^2 / sum(q), where Q^2 alone can underflow
+            return float((self.scale * within + self.diagonal * Q - root * root).sum())
+
+    def compact(self) -> tuple[np.ndarray, GramState]:
+        """Drop empty groups; returns the first-appearance labels and the
+        next level's state over the c x c group quality matrix
+        a H^T A H + diag(c Q) - Q Q^T / sum(q), with H the one-hot group
+        matrix. Every edge adds its weight to its two group pairs in turn, so
+        both cells of a pair sum the same weights in the same order and the
+        matrix is symmetric bit for bit. The rank-one term is subtracted a
+        sixteenth of the rows at a time, so the step holds one c x c array
+        and a temporary of at most a sixteenth of one. Raises TooLarge as
+        ``check_dense`` does, before any allocation."""
+        labels, c = canonical_labels(self.assignment)
+        check_dense(c)
+        gi, gj = labels[self.edges[:, 0]], labels[self.edges[:, 1]]
+        pairs = np.stack([gi * c + gj, gj * c + gi], axis=1).ravel()
+        G = np.bincount(pairs, weights=np.repeat(self.weights, 2), minlength=c * c).reshape(c, c)
+        mass = np.bincount(labels, weights=self.mass, minlength=c)
+        step = max(1, c // 16)
+        with np.errstate(over="ignore", invalid="ignore"):  # a large t overflows to a named error downstream
+            G *= self.scale
+            root = mass / np.sqrt(self.mass_total)  # a product of two masses can underflow
+            for start in range(0, c, step):
+                G[start : start + step] -= np.multiply.outer(root[start : start + step], root)
+            G.flat[:: c + 1] += self.diagonal * mass
+        return labels, GramState(G)
 
 
 def tolerances(mode: str, total_weight: float) -> tuple[float, float, float]:
@@ -277,19 +464,17 @@ def _choose_move(
     return beta if best > tol else -1
 
 
-def _visit(state: VPState | GramState, i: int, tol: float) -> int:
+def _visit(state: VPState | GramState | GraphState, i: int, tol: float) -> int:
     """Visit vector i: make the move rule's move, if any; returns its target
     group, or -1 when the vector stays. It may detach into a fresh group
     unless it is alone."""
-    alpha = state.assignment.item(i)
-    scores, self_score = state.scores(i)
-    beta = _choose_move(scores, alpha, self_score, state.group_sizes.item(alpha) > 1, tol)
+    beta = state.choose(i, tol)
     if beta >= 0:
         state.apply_move(i, beta)
     return beta
 
 
-def _sweep(state: VPState | GramState, order: np.ndarray, tol: float) -> tuple[int, int]:
+def _sweep(state: VPState | GramState | GraphState, order: np.ndarray, tol: float) -> tuple[int, int]:
     """One pass over all vectors; returns the number of accepted moves and of visits.
 
     A move is accepted when its gain exceeds ``tol``, in raw objective units.
@@ -334,20 +519,71 @@ def _screened_sweep(state: VPState, order: np.ndarray, tol: float) -> tuple[int,
     return moved, visits
 
 
+def _screened_graph_sweep(state: GraphState, order: np.ndarray, tol: float) -> tuple[int, int]:
+    """``_sweep`` on a graph level without the visits that cannot move;
+    returns the number of accepted moves and of visits that ran the move rule.
+
+    ``state.gain_bounds()`` gives every node's best gain once, at the start,
+    and each move raises the bounds it can raise. Moving node r from group
+    alpha to beta by q_r of mass raises a gain of node i in two ways: the
+    score of alpha rises by b_i q_r, and if i is in beta, its base falls by
+    as much. So the gains of i rise by at most b_i times the most mass any
+    one group has lost in the sweep plus the mass i's group has gained. The
+    move also changes r's neighbours' weights into alpha and beta by w_ri,
+    which raises no gain of neighbour i by more than 2 a w_ri: a per-node
+    sum. A node is visited when its bound plus these rises exceeds ``tol``
+    less a margin, half of tol plus the roundoff of its gains; each move
+    adds the roundoff of its two mass updates to the most lost mass. No move
+    of ``_sweep`` is skipped, and the moves made are its moves.
+    """
+    excess = (state.gain_bounds() - (tol / 2 - state.roundoff)).tolist()
+    coupling = state.coupling.tolist()
+    mass = state.mass.tolist()
+    labels = state.labels
+    update_roundoff = 4.0 * np.finfo(np.float64).eps * state.mass_total
+    neighbour_rise = np.zeros(state.assignment.size)
+    lost = [0.0] * state.num_groups
+    gained = [0.0] * state.num_groups
+    most_lost = 0.0
+    moved = visits = 0
+    for i in order.tolist():
+        if excess[i] + coupling[i] * (most_lost + gained[labels[i]]) + neighbour_rise.item(i) <= 0.0:
+            continue
+        visits += 1
+        alpha = labels[i]
+        beta = _visit(state, i, tol)
+        if beta >= 0:
+            moved += 1
+            if beta == len(gained):
+                lost.append(0.0)
+                gained.append(0.0)
+            lost[alpha] += mass[i]
+            gained[beta] += mass[i]
+            most_lost = max(most_lost, lost[alpha]) + update_roundoff
+            lo, hi = state.bounds[i], state.bounds[i + 1]
+            neighbour_rise[state.indices[lo:hi]] += (2.0 * state.scale) * state.data[lo:hi]
+    return moved, visits
+
+
 def _run_level(
-    state: VPState | GramState, order: np.ndarray, tol: float, diag: VPDiagnostics, slack: float, drift_bound: float
-) -> tuple[np.ndarray, VPState | GramState]:
+    state: VPState | GramState | GraphState,
+    order: np.ndarray,
+    tol: float,
+    diag: VPDiagnostics,
+    slack: float,
+    drift_bound: float,
+) -> tuple[np.ndarray, VPState | GramState | GraphState]:
     """Sweep one level to a fixed point; returns ``state.compact()``, or the
     identity labels and the state itself when no vector moved, which is
     what compacting it would give.
 
-    The first sweep visits every vector; the later ones are screened when
-    ``state.screened``. Every sweep is followed by the state's consistency
+    The first sweep visits every vector; the later ones are screened in
+    vector and graph space. Every sweep is followed by the state's consistency
     check and by the objective check of ``diag.record_sweep``. Raises
     LevelCapExceeded when the MAX_SWEEPS-th sweep still moves a vector.
     """
     diag.start_level(state.path)
-    later_sweep = _screened_sweep if state.screened else _sweep
+    later_sweep = _LATER_SWEEPS[state.path]
     for sweeps in range(MAX_SWEEPS):
         moved, visits = (later_sweep if sweeps else _sweep)(state, order, tol)
         state.revalidate(drift_bound)
@@ -359,18 +595,25 @@ def _run_level(
     )
 
 
-def _first_state(emb: Embedding | QualityMatrix) -> VPState | GramState:
-    """Level 0 of ``partition_vectors(emb)``: a Gram level on a quality
-    matrix's ``gram()``, else the state ``_level_state`` picks."""
+# The sweep after a level's first: screened in vector and graph space.
+_LATER_SWEEPS = {"vector": _screened_sweep, "gram": _sweep, "graph": _screened_graph_sweep}
+
+
+def _first_state(emb: Embedding | QualityMatrix) -> VPState | GramState | GraphState:
+    """Level 0 of ``partition_vectors(emb)``: a graph level on a quality
+    matrix, else the state ``_level_state`` picks."""
     if isinstance(emb, QualityMatrix):
-        return GramState(emb.gram())
+        return GraphState(emb)
     return _level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
 
 
 def _shared_gram(emb: Embedding | QualityMatrix) -> np.ndarray | None:
     """The signed Gram that level 0 of ``partition_vectors(emb)`` runs on,
-    read-only, or None when level 0 runs in vector space. Runs on one
-    embedding can share it through ``partition_vectors(emb, _gram=...)``."""
+    read-only, or None when level 0 runs in vector or graph space. Runs on
+    one embedding can share it through ``partition_vectors(emb, _gram=...)``;
+    runs on one quality matrix share its ``adjacency``."""
+    if isinstance(emb, QualityMatrix):
+        return None
     state = _first_state(emb)
     if not isinstance(state, GramState):
         return None
@@ -406,10 +649,13 @@ def partition_vectors(
     the package's own PCG64, so a run never loads ``numpy.random``. A
     negative seed raises InvalidParameter.
     Each level runs in the state ``_level_state`` picks by shape; given a
-    ``QualityMatrix``, every level runs in Gram space, from the graph's own
-    matrix. Deterministic for a fixed seed. ``_gram`` is
-    ``_shared_gram(emb)``, formed once for many runs; it does not change the
-    result. Raises TooLarge when the reported objective is not finite.
+    ``QualityMatrix``, level 0 runs on the graph's adjacency (``GraphState``)
+    and every later level in Gram space, on the group quality matrix.
+    Deterministic for a fixed seed. Given ``_gram``, level 0 runs in Gram
+    space on it: ``_shared_gram(emb)``, formed once for many runs, which
+    does not change the result, or, for a quality matrix, its dense n x n
+    form, the oracle of the graph level. Raises TooLarge when the reported
+    objective is not finite.
     """
     if emb.n < 1:
         raise InvalidParameter("embedding has no vectors")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 import vecpart as vp
@@ -192,7 +194,7 @@ def vector_path_best_of_restarts(emb: vp.Embedding, restarts: int, seed: int = 0
 
 
 def plain_sweep_partition(
-    emb: vp.Embedding, seed: int | None = None
+    emb: vp.Embedding | vp.QualityMatrix, seed: int | None = None
 ) -> tuple[vp.Partition, float, vp.VPDiagnostics]:
     """``partition_vectors`` with every sweep the plain ``_sweep``.
 
@@ -201,7 +203,7 @@ def plain_sweep_partition(
     visits every vector in every sweep.
     """
     tol, slack, drift_bound = vp.vp.tolerances(emb.mode, emb.total_weight)
-    state = vp.vp._level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
+    state = vp.vp._first_state(emb)
     node_to_group = np.arange(emb.n)
     diag = vp.VPDiagnostics()
     for level in range(vp.vp.MAX_LEVELS):
@@ -220,12 +222,12 @@ def plain_sweep_partition(
         node_to_group = labels[node_to_group]
         if state.num_groups == p:
             partition = vp.Partition.from_labels(node_to_group)
-            return partition, vp.stability(emb, partition), diag
+            return partition, vp.vp._reported_objective(emb, partition), diag
     raise vp.LevelCapExceeded(f"still aggregating after {vp.vp.MAX_LEVELS} levels")
 
 
 def plain_sweep_best_of_restarts(
-    emb: vp.Embedding, restarts: int, seed: int = 0
+    emb: vp.Embedding | vp.QualityMatrix, restarts: int, seed: int = 0
 ) -> tuple[vp.Partition, float, vp.VPDiagnostics]:
     """``best_of_restarts`` over ``plain_sweep_partition``."""
     best = plain_sweep_partition(emb)
@@ -234,3 +236,140 @@ def plain_sweep_best_of_restarts(
         if candidate[1] > best[1]:
             best = candidate
     return best
+
+
+def quality_gram(q: vp.QualityMatrix) -> np.ndarray:
+    """The dense n x n quality matrix ``q`` stands for: (1 - t) Pi + t A / 2m
+    - pi pi^T, or B_Q = A - d d^T / 2m, formed entry by entry from the dense
+    adjacency, its rank-one term a sixteenth of the rows at a time. The
+    oracle of the graph level, and the Gram of the full-dimension embedding
+    up to roundoff."""
+    g = q.graph
+    d = np.asarray(g.degrees, dtype=np.float64)
+    two_m = 2.0 * g.total_weight
+    if q.mode == "modularity":
+        u, scale = d, two_m  # G = A - d d^T / 2m
+        G = g.dense_adjacency()
+    else:
+        u, scale = d / two_m, 1.0  # G = t A / 2m - pi pi^T + (1 - t) Pi
+        G = g.dense_adjacency()
+        G *= q.time / two_m
+    step = max(1, g.n // 16)
+    for start in range(0, g.n, step):
+        outer = np.multiply.outer(u[start : start + step], u)
+        outer /= scale
+        G[start : start + step] -= outer
+    if q.mode == "linearised":
+        G.flat[:: g.n + 1] += (1.0 - q.time) * u
+    return G
+
+
+def dense_partition(q: vp.QualityMatrix, seed: int | None = None) -> tuple[vp.Partition, float, vp.VPDiagnostics]:
+    """``partition_vectors(q, seed)`` with level 0 a ``GramState`` on the
+    dense ``quality_gram(q)``: the oracle of the graph level."""
+    return vp.partition_vectors(q, seed, _gram=quality_gram(q))
+
+
+def group_nodes(members: list[np.ndarray], assignment: np.ndarray, group: int, skip: int = -1) -> np.ndarray:
+    """The nodes of the level vectors in ``group``, less vector ``skip``;
+    ``members[j]`` holds the nodes of level vector j."""
+    rows = [j for j in np.flatnonzero(assignment == group) if j != skip]
+    return np.concatenate([members[j] for j in rows]) if rows else np.array([], dtype=np.int64)
+
+
+def next_level(state):
+    """``state.compact()``, except that a vector-space level is followed by
+    another one, as in the reference loop ``vector_path_partition``."""
+    if isinstance(state, vp.VPState):
+        labels, _ = vp.graph.canonical_labels(state.assignment)
+        return labels, vp.VPState(group_sums(state.vectors, labels), state.signature)
+    return state.compact()
+
+
+def first_divergence(states: list, seed: int | None, tol: float, drift_bound: float):
+    """Run the level loop of ``partition_vectors`` with plain sweeps on two
+    level-0 states in lockstep, with the visiting orders of ``seed``, each
+    sweep followed by ``revalidate``. Returns None when the two runs make the
+    same moves throughout, else the first visit where the move rule picks
+    different targets, as (level, the vector's nodes, the nodes of the rest
+    of its group, and the nodes of each run's target, None for a run that
+    stays)."""
+    members = [np.array([i]) for i in range(states[0].num_groups)]
+    for level in range(vp.vp.MAX_LEVELS):
+        p = states[0].num_groups
+        order = np.arange(p, dtype=np.int64)
+        if seed is not None:
+            np.random.default_rng([seed, level]).shuffle(order)
+        moved = True
+        while moved:
+            moved = False
+            for i in order.tolist():
+                picks = [state.choose(i, tol) for state in states]
+                if picks[0] != picks[1]:
+                    assignment = states[0].assignment
+                    targets = [None if beta < 0 else group_nodes(members, assignment, beta) for beta in picks]
+                    rest = group_nodes(members, assignment, int(assignment[i]), skip=i)
+                    return level, members[i], rest, targets
+                if picks[0] >= 0:
+                    moved = True
+                    for state in states:
+                        state.apply_move(i, picks[0])
+            for state in states:
+                state.revalidate(drift_bound)
+        compacted = [next_level(state) for state in states]
+        labels = compacted[0][0]
+        states = [state for _, state in compacted]
+        members = [group_nodes(members, labels, c) for c in range(labels.max() + 1)]
+        if states[0].num_groups == p:
+            return None
+    raise vp.LevelCapExceeded(f"still aggregating after {vp.vp.MAX_LEVELS} levels")
+
+
+def exact_gain(g: vp.Graph, mode: str, t: float | None, vector, rest, target) -> Fraction | None:
+    """The gain of moving the nodes ``vector`` from the group whose other
+    nodes are ``rest`` to the group ``target``, in exact rational arithmetic
+    from the edge list and the degrees; None for a run that stays. For
+    disjoint node sets S and T the quality matrix sums to t W(S, T) / 2m -
+    pi(S) pi(T) in linearised mode and to W(S, T) - d(S) d(T) / 2m in
+    modularity mode, with W the weight of the edges between S and T."""
+    if target is None:
+        return None
+    two_m = Fraction(2.0 * g.total_weight)
+    side = np.zeros(g.n, dtype=np.int64)
+    side[vector], side[rest], side[target] = 1, 2, 3
+    ends = side[g.edge_index]
+
+    def weight(a: int, b: int) -> Fraction:
+        mask = ((ends[:, 0] == a) & (ends[:, 1] == b)) | ((ends[:, 0] == b) & (ends[:, 1] == a))
+        return sum((Fraction(w) for w in g.edge_weight[mask].tolist()), Fraction(0))
+
+    def degree(nodes) -> Fraction:
+        return sum((Fraction(d) for d in g.degrees[nodes].tolist()), Fraction(0))
+
+    def quality(other: int, nodes) -> Fraction:
+        W, dS, dT = weight(1, other), degree(vector), degree(nodes)
+        if mode == "modularity":
+            return W - dS * dT / two_m
+        return Fraction(t) * W / two_m - (dS / two_m) * (dT / two_m)
+
+    return quality(3, target) - quality(2, rest)
+
+
+def divergent_ties(g: vp.Graph, mode: str, t: float | None, level0, restarts: int) -> list[tuple]:
+    """Rerun each restart of ``best_of_restarts`` on the two level-0 states
+    ``level0()`` returns, up to its first divergent visit. Returns one entry
+    per restart that diverges: (its seed, the level, the exact gains of the
+    two runs' targets); the divergence is an exact tie when they are equal
+    and not None."""
+    tol, _, drift_bound = vp.vp.tolerances(mode, g.total_weight)
+    found = []
+    for run_seed in [None, *range(1, restarts)]:
+        divergence = first_divergence(level0(), run_seed, tol, drift_bound)
+        if divergence is not None:
+            level, vector, rest, targets = divergence
+            found.append((run_seed or 0, level, [exact_gain(g, mode, t, vector, rest, target) for target in targets]))
+    return found
+
+
+def is_exact_tie(gains: list) -> bool:
+    return gains[0] is not None and gains[0] == gains[1]

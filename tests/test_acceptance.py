@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import vecpart as vp
 from vecpart.cli import main
@@ -28,6 +29,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_gram_identity_suite():
+    pytest.importorskip("scipy")
     started = time.perf_counter()
     worst = 0.0
     for seed in range(25):
@@ -43,6 +45,7 @@ def test_criterion_01_gram_identity_suite():
 
 
 def test_criterion_02_objective_equivalence_suite():
+    pytest.importorskip("scipy")
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst_exp = worst_lin = worst_mod = 0.0

@@ -137,6 +137,7 @@ class TestGraphInvariants:
         assert all(type(v) is t for e in g.edges for v, t in zip(e, (int, int, float)))
 
     def test_adjacency_symmetric(self):
+        pytest.importorskip("scipy")
         from scipy import sparse
 
         g = pairgraph4()
@@ -395,6 +396,7 @@ class TestConnectivity:
 
     @staticmethod
     def oracle(n, edge_index):
+        pytest.importorskip("scipy")
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import connected_components
 

@@ -267,3 +267,53 @@ def test_the_probe_sees_every_unneeded_module(tmp_path):
     loaded = unneeded_modules([], src=tmp_path)
     assert set(UNNEEDED) <= set(loaded)
     assert not any(name.startswith("numpy.matrixlib") for name in loaded)
+
+
+# Runs every CLI command in one fresh interpreter whose imports of SciPy fail,
+# as on an install of the runtime dependencies alone.
+BLOCKED = """
+import importlib.abc, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy.linalg
+except ImportError:
+    pass
+else:
+    sys.exit("the blocker let scipy through")
+from vecpart.cli import main
+codes = [main(argv) for argv in ARGVS]
+print(codes)
+"""
+
+
+def test_every_command_runs_without_scipy(graph_file, large_graph_file, tmp_path):
+    partition_a, partition_b = tmp_path / "a.txt", tmp_path / "b.txt"
+    argvs = [
+        ["decompose", graph_file],
+        ["decompose", large_graph_file, "--source", "modularity"],
+        ["partition", graph_file, "--mode", "linearised", "--time", "1.5", "--partition-out", str(partition_a)],
+        ["partition", graph_file, "--mode", "modularity", "--partition-out", str(partition_b)],
+        ["partition", graph_file, "--mode", "exponential", "--time", "2"],
+        ["partition", large_graph_file, "--mode", "modularity", "--dim", "5"],
+        ["partition", large_graph_file, "--mode", "exponential", "--dim", "40"],
+        ["scan", graph_file, "--mode", "linearised", "--tmin", "0.5", "--tmax", "2", "--npoints", "3"],
+        ["scan", large_graph_file, "--tmin", "0.5", "--tmax", "2", "--npoints", "3", "--dim", "5"],
+        ["compare", str(partition_a), str(partition_b)],
+    ]
+    assert {argv[0] for argv in argvs} == {"decompose", "partition", "scan", "compare"}
+    result = subprocess.run(
+        [sys.executable, "-c", BLOCKED.replace("ARGVS", repr(argvs))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == repr([0] * len(argvs))

@@ -45,6 +45,7 @@ class TestPartition:
 
 class TestAutocovarianceDirect:
     def test_t0_is_pi_minus_outer(self):
+        pytest.importorskip("scipy")
         g = pairgraph4()
         pi = g.degrees / (2 * g.total_weight)
         B0 = vp.autocovariance_direct(g, 0.0)
@@ -52,6 +53,7 @@ class TestAutocovarianceDirect:
 
     @pytest.mark.parametrize("seed,t", [(0, 0.5), (1, 1.0), (2, 3.0), (3, 12.0)])
     def test_rows_sum_to_zero(self, seed, t):
+        pytest.importorskip("scipy")
         g = random_connected_graph(seed, n_range=(4, 12), weighted=True)
         B = vp.autocovariance_direct(g, t)
         assert np.max(np.abs(B.sum(axis=1))) <= 1e-10
@@ -59,6 +61,7 @@ class TestAutocovarianceDirect:
     def test_spectral_reconstruction(self):
         # Sum_{k >= 2} lam_k(t) (Pi v_k)(Pi v_k)^T reproduces the matrix
         # exponential route.
+        pytest.importorskip("scipy")
         g = pairgraph4()
         basis = vp.decompose_transition(g)
         t = 1.0
@@ -91,6 +94,7 @@ class TestAutocovarianceDirect:
 
     @pytest.mark.parametrize("t", [1.0, 100.0])
     def test_its_peak_is_within_its_budget(self, t):
+        pytest.importorskip("scipy")
         import scipy.linalg  # noqa: F401  so the trace holds no import
 
         g, _ = vp.planted_partition(4, 100, 0.1, 0.01, seed=1)
@@ -176,6 +180,7 @@ class TestStability:
             assert abs(vp.stability(emb, p)) <= 1e-10
 
     def test_all_singletons_equals_trace(self):
+        pytest.importorskip("scipy")
         for seed in range(4):
             g = random_connected_graph(seed, n_range=(4, 10), weighted=True)
             basis = vp.decompose_transition(g)
@@ -189,6 +194,7 @@ class TestStability:
     def test_pairgraph4_bipartition_value(self, t):
         # Hand Gram computation: only the (1,1,-1,-1) eigendirection survives
         # the within-pair sums, leaving lam_2(t) / 2.
+        pytest.importorskip("scipy")
         g = pairgraph4()
         emb = vp.build_embedding(vp.decompose_transition(g), "exponential", t=t, dim=3)
         p = vp.Partition.from_labels([0, 0, 1, 1])
@@ -291,6 +297,7 @@ class TestEquivalenceChains:
     """Spectral-vector objectives against their direct matrix-form oracles."""
 
     def test_euclidean_chain(self):
+        pytest.importorskip("scipy")
         rng = np.random.default_rng(42)
         for seed in range(8):
             g = random_connected_graph(seed, n_range=(4, 16), weighted=True)

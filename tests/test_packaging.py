@@ -1,9 +1,10 @@
 """The `test` extra of pyproject.toml installs every optional test dependency.
 
-A test module that needs a package beyond numpy and SciPy imports it with
-``pytest.importorskip``, so a plain install skips it instead of failing. An
-install of ``.[test]`` must then run it: each name passed to importorskip
-under ``tests/`` is listed in the extra, and none is a runtime dependency.
+numpy is the only runtime dependency. A test that needs a package beyond it,
+SciPy included, imports it with ``pytest.importorskip``, so a plain install
+skips it instead of failing. An install of ``.[test]`` must then run it:
+each name passed to importorskip under ``tests/`` is listed in the extra,
+and none is a runtime dependency.
 """
 
 import ast
@@ -44,4 +45,8 @@ def test_no_importorskip_name_is_a_runtime_dependency():
 def test_the_scan_sees_both_call_forms():
     source = 'import pytest\nnx = pytest.importorskip("networkx")\nfrom pytest import importorskip\nimportorskip("x")\n'
     assert importorskip_names(source) == {"networkx", "x"}
-    assert {"hypothesis", "jsonschema", "networkx"} <= SKIPPED
+    assert {"hypothesis", "jsonschema", "networkx", "scipy"} <= SKIPPED
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    assert requirement_names(PROJECT["dependencies"]) == {"numpy"}

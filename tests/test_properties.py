@@ -1,9 +1,11 @@
-"""Property tests: serialisation round trip, monotone trajectories, oracle bound."""
+"""Property tests: serialisation round trip, monotone trajectories, oracle
+bound, and the graph level against its dense oracle."""
 
 import numpy as np
 import pytest
 
 import vecpart as vp
+from helpers import exact_gain, first_divergence, is_exact_tie, plain_sweep_partition, quality_gram
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -70,3 +72,50 @@ def test_best_of_restarts_never_beats_the_exhaustive_optimum(p, extra_dims, nega
     _, best_value, diag = vp.best_of_restarts(emb, 3, seed)
     assert best_value <= opt_value + 1e-9
     assert diag.paths_per_level[0] == ("gram" if p <= dim + 1 else "vector")
+
+
+def random_weighted_graph(data_seed: int, n: int, density: float, weights: str) -> vp.Graph:
+    """A random tree on n nodes plus each other pair with probability
+    ``density``; unit weights, integer weights 1-4 (both leave exact gain
+    ties) or floats log-uniform over 1e-3 to 1e3."""
+    rng = np.random.default_rng(data_seed)
+    edges = {(int(rng.integers(i)), i) for i in range(1, n)}
+    iu, ju = np.triu_indices(n, k=1)
+    edges |= {(int(i), int(j)) for i, j in zip(iu, ju) if rng.random() < density}
+    if weights == "unit":
+        w = np.ones(len(edges))
+    elif weights == "integer":
+        w = rng.integers(1, 5, size=len(edges)).astype(float)
+    else:
+        w = 10.0 ** rng.uniform(-3, 3, size=len(edges))
+    return vp.load_edge_list("".join(f"{i} {j} {x!r}\n" for (i, j), x in zip(sorted(edges), w.tolist())))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    data_seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    density=st.floats(0.05, 0.6),
+    weights=st.sampled_from(["unit", "integer", "float"]),
+    case=st.sampled_from([("linearised", 0.3), ("linearised", 1.0), ("linearised", 3.0), ("modularity", None)]),
+    seed=st.one_of(st.none(), st.integers(0, 2**16)),
+)
+def test_the_graph_level_matches_its_dense_oracle_up_to_exact_ties(data_seed, n, density, weights, case, seed):
+    mode, t = case
+    g = random_weighted_graph(data_seed, n, density, weights)
+    q = vp.QualityMatrix(g, mode, t)
+    tol, slack, drift_bound = vp.vp.tolerances(mode, g.total_weight)
+    partition, objective, diag = vp.partition_vectors(q, seed)
+    traj = diag.objective_trajectory
+    assert all(b >= a - slack for a, b in zip(traj, traj[1:]))
+    plain = plain_sweep_partition(q, seed)  # the screen skips no move
+    assert np.array_equal(partition.assignment, plain[0].assignment) and traj == plain[2].objective_trajectory
+    dense_state = vp.vp.GramState(quality_gram(q))
+    dense = vp.partition_vectors(q, seed, _gram=dense_state.gram)
+    if np.array_equal(partition.assignment, dense[0].assignment):
+        assert objective == dense[1]
+        return
+    divergence = first_divergence([vp.vp.GraphState(q), dense_state], seed, tol, drift_bound)
+    assert divergence is not None
+    _, vector, rest, targets = divergence
+    assert is_exact_tie([exact_gain(g, mode, t, vector, rest, target) for target in targets])

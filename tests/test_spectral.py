@@ -6,7 +6,7 @@ import pytest
 
 import vecpart as vp
 from vecpart.cli import main
-from helpers import CYCLE4_TEXT, TRIANGLE_TEXT, linearised_autocov, pairgraph4, random_connected_graph
+from helpers import CYCLE4_TEXT, TRIANGLE_TEXT, linearised_autocov, pairgraph4, quality_gram, random_connected_graph
 
 
 def dense_transition_eigenvalues(g):
@@ -237,6 +237,7 @@ class TestBuildEmbedding:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gram_identity_against_direct_autocovariance(self, seed):
+        pytest.importorskip("scipy")
         g = random_connected_graph(seed, n_range=(4, 20), weighted=seed % 2 == 1)
         basis = vp.decompose_transition(g)
         for t in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0):
@@ -595,6 +596,7 @@ def lanczos_graphs():
 def oracle_operator(g, source):
     """The matrix the truncated solver solves, built with SciPy from the
     edges: S = D^-1/2 A D^-1/2, or P B_Q P - s J as a LinearOperator."""
+    pytest.importorskip("scipy")
     from scipy import sparse
     from scipy.sparse.linalg import LinearOperator
 
@@ -626,6 +628,7 @@ class TestLanczosAgainstOracles:
     @pytest.mark.parametrize("name,dim", LANCZOS_CASES)
     @pytest.mark.parametrize("source", SOURCES)
     def test_leading_pairs_match_eigsh_and_eigh(self, lanczos_graphs, name, dim, source):
+        pytest.importorskip("scipy")
         from scipy.sparse.linalg import eigsh
 
         g = lanczos_graphs[name]
@@ -703,8 +706,8 @@ class TestDenseBudget:
 
 
 def rank_one_gram(q: vp.QualityMatrix) -> np.ndarray:
-    """``QualityMatrix.gram()`` with its rank-one term formed whole: the
-    per-entry formula the row-block form must reproduce bit for bit."""
+    """The dense quality matrix with its rank-one term formed whole: the
+    per-entry formula the row-block forms must reproduce bit for bit."""
     g = q.graph
     d = np.asarray(g.degrees, dtype=np.float64)
     two_m = 2.0 * g.total_weight
@@ -758,25 +761,25 @@ class TestEmbeddingMemory:
                 assert emb.vectors.tobytes() == taken_embedding(basis, mode, t, dim).tobytes()
 
 
-class TestQualityMatrixMemory:
-    @pytest.mark.parametrize("mode, t", [("linearised", 0.3), ("linearised", 1.0), ("modularity", None)])
-    def test_gram_holds_one_dense_array_and_keeps_its_bits(self, mode, t):
+class TestModularityMatrixMemory:
+    def test_holds_one_dense_array_and_keeps_its_bits(self):
         g, _ = vp.planted_partition(10, 100, 0.1, 0.005, seed=1)
-        q = vp.QualityMatrix(g, mode, t)
         tracemalloc.start()
         try:
-            G = q.gram()
+            B = vp.spectral._modularity_matrix(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 8 * g.n * g.n
-        assert G.tobytes() == rank_one_gram(q).tobytes()
+        assert B.tobytes() == rank_one_gram(vp.QualityMatrix(g, "modularity")).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 18, 34])
     def test_every_row_block_is_subtracted(self, n):
         g = vp.load_edge_list("".join(f"{i} {i + 1} {1 + i % 3}\n" for i in range(n - 1)))
+        assert vp.spectral._modularity_matrix(g).tobytes() == rank_one_gram(vp.QualityMatrix(g, "modularity")).tobytes()
+        # the test oracle of the graph level forms the linearised matrix the same way
         for q in (vp.QualityMatrix(g, "linearised", 0.7), vp.QualityMatrix(g, "modularity")):
-            assert q.gram().tobytes() == rank_one_gram(q).tobytes()
+            assert quality_gram(q).tobytes() == rank_one_gram(q).tobytes()
 
 
 class TestSpectralHealth:
@@ -834,7 +837,7 @@ class TestQualityMatrix:
         decompose = vp.decompose_modularity_matrix if mode == "modularity" else vp.decompose_transition
         emb = vp.build_embedding(decompose(g), mode, t=t)
         spectral = vp.vp._shared_gram(emb)
-        graph = vp.QualityMatrix(g, mode, t).gram()
+        graph = quality_gram(vp.QualityMatrix(g, mode, t))
         assert graph.shape == spectral.shape == (g.n, g.n)
         assert np.max(np.abs(graph - spectral)) <= 1e-12 * np.max(np.abs(graph))
         if (name, t) == ("planted200", 3.0):  # 1 - 3 (1 - lam) changes sign inside the spectrum
@@ -842,10 +845,10 @@ class TestQualityMatrix:
 
     def test_gram_against_the_matrix_form_oracle(self):
         g = random_connected_graph(4, n=12, weighted=True)
-        assert vp.QualityMatrix(g, "linearised", 0.7).gram() == pytest.approx(linearised_autocov(g, 0.7), abs=1e-15)
+        assert quality_gram(vp.QualityMatrix(g, "linearised", 0.7)) == pytest.approx(linearised_autocov(g, 0.7), abs=1e-15)
         d = g.degrees
         B = g.dense_adjacency() - np.outer(d, d) / (2.0 * g.total_weight)
-        assert vp.QualityMatrix(g, "modularity").gram() == pytest.approx(B, abs=1e-13)
+        assert quality_gram(vp.QualityMatrix(g, "modularity")) == pytest.approx(B, abs=1e-13)
 
     def test_stands_in_for_a_full_dimension_embedding(self):
         g = pairgraph4()
@@ -866,7 +869,7 @@ class TestQualityMatrix:
         g = vp.load_edge_list("0 1 1e200\n1 2 1e200\n2 3 1e200\n0 3 1e200\n")
         with pytest.raises(vp.TooLarge):
             vp.QualityMatrix(g, "modularity")
-        assert np.isfinite(vp.QualityMatrix(g, "linearised", 1.0).gram()).all()
+        assert np.isfinite(vp.partition_vectors(vp.QualityMatrix(g, "linearised", 1.0))[1])
 
     @pytest.mark.parametrize(
         "mode, dim, expected",

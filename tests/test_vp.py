@@ -341,6 +341,7 @@ class TestGramPath:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("groups", ["one", "singletons", "mixed"])
     def test_compact_is_the_sparse_one_hot_product_bitwise(self, seed, groups):
+        pytest.importorskip("scipy")
         from scipy import sparse
 
         rng = np.random.default_rng(seed)
@@ -421,7 +422,7 @@ class TestGramPath:
         for order in (None, 5):
             p_graph, v_graph, diag = vp.partition_vectors(q, order)
             p_spec, v_spec, _ = vp.partition_vectors(emb, order)
-            assert set(diag.paths_per_level) == {"gram"}
+            assert diag.paths_per_level[0] == "graph" and set(diag.paths_per_level[1:]) <= {"gram"}
             assert np.array_equal(p_graph.assignment, p_spec.assignment)
             assert v_graph == pytest.approx(v_spec, abs=1e-10)
             if mode == "modularity":
@@ -429,14 +430,14 @@ class TestGramPath:
             else:
                 assert v_graph == vp.linearised_stability(g, p_graph, t)
 
-    def test_a_quality_matrix_shares_its_gram_read_only(self):
+    def test_a_quality_matrix_shares_its_adjacency_read_only(self):
         q = vp.QualityMatrix(pairgraph4(), "linearised", 1.0)
-        gram = vp.vp._shared_gram(q)
-        assert not gram.flags.writeable
-        assert np.array_equal(gram, q.gram())
-        shared = vp.partition_vectors(q, 3, _gram=gram)
-        own = vp.partition_vectors(q, 3)
-        assert np.array_equal(shared[0].assignment, own[0].assignment) and shared[1] == own[1]
+        assert vp.vp._shared_gram(q) is None
+        first, second = vp.vp._first_state(q), vp.vp._first_state(q)
+        assert isinstance(first, vp.vp.GraphState)
+        assert first.indices is second.indices is q.adjacency[1] and first.data is second.data
+        assert not any(array.flags.writeable for array in q.adjacency)
+        assert all(np.array_equal(a, b) for a, b in zip(q.adjacency, q.graph.adjacency()))
 
     def test_an_overflowing_objective_is_too_large(self):
         q = vp.QualityMatrix(vp.load_edge_list(TRIANGLE_TEXT), "linearised", 1e308)
