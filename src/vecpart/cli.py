@@ -2,9 +2,13 @@
 
 Every command exits 0 on success; library errors map to the distinct codes
 declared in vecpart.errors, argparse usage errors exit 2, and IO failures
-exit 3. JSON reports are written atomically (temp file, then rename) and are
-byte-identical across reruns with the same inputs and seeds, except for the
-timing field.
+exit 3. JSON reports are written atomically (temp file, then rename). Reruns
+with the same inputs and seeds at a fixed BLAS thread count write
+byte-identical reports, except for the timing field. Full-dimension
+linearised and modularity runs, where no BLAS reduction decides a move, do
+so across thread counts too. Across thread counts, the eigensolver's
+roundoff can change an exponential-mode or ``--dim`` run's objective in its
+last digits, and decide an exact tie between two moves differently.
 """
 
 from __future__ import annotations

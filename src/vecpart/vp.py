@@ -7,16 +7,17 @@ terminates) with aggregation of groups into their sum vectors, exactly the
 two-phase structure of the Louvain method with sum vectors as supernodes.
 A level with no more vectors than their dimension plus one runs on the
 signed Gram of its vectors instead, where every score is a sum of Gram
-entries over a group. In vector space, every sweep of a level after its
-first visits only the vectors that a vectorised screen finds may move.
+entries over a group.
 
 A ``QualityMatrix`` stands in for a full-dimension linearised or modularity
 embedding. Its level 0 runs on the graph itself, as Louvain does: a visit
 reads one row of the sparse adjacency and scores only the groups of the
-node's neighbours, its own group and one empty or fresh group, and every
-later sweep visits only the nodes an exact per-row bound finds may move.
-It compacts into a Gram level on the group quality matrix, with no n x n
-array on the way.
+node's neighbours, its own group and one empty or fresh group. It compacts
+into a Gram level on the group quality matrix, with no n x n array.
+
+In vector and graph space, every sweep of a level after its first visits
+only the rows whose gains, bounded at the start of the sweep and raised
+after each move, may exceed the tolerance.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ MAX_LEVELS = 64
 # the tolerance, yet in roundoff a vector can move back and forth for ever;
 # no level of the bench runs more than 13 sweeps.
 MAX_SWEEPS = 500
-# A screened sweep scores the vectors in blocks of this many.
-SCREEN_BLOCK = 256
 
 
 @dataclass
@@ -134,33 +133,67 @@ class VPState(_LevelState):
     ``group_sums`` holds one sum vector per group, updated incrementally.
     It is stored column-major, a copy of the input vectors: a visit's
     product ``group_sums @ S x_i`` then runs BLAS's column kernel.
+
+    The screen of ``_screened_sweep``: moving x_r changes y_alpha and
+    y_beta by x_r, so every score <x_i, S y_g> by at most |<x_i, S x_r>|, and
+    every gain of vector i, a difference of two scores or minus one for a
+    fresh or emptied group, by at most twice that. No group sum is longer
+    than sum|x|, so r_i = (dim + 1) eps |x_i| sum|x| bounds the roundoff of
+    a score of x_i. ``roundoff``, 8 r_i, bounds both how far a gain of
+    ``gain_bounds`` and of a visit differ and the roundoff one move adds to
+    a rise: of its product, of two group-sum updates and of the rise's sum.
     """
 
     path = "vector"
-    __slots__ = ("vectors", "signature", "group_sums", "signed", "self_scores", "roundoff")
+    __slots__ = ("vectors", "signature", "group_sums", "signed", "self_scores", "roundoff", "rises", "moves")
 
     def __init__(self, vectors: np.ndarray, signature: np.ndarray) -> None:
         self.vectors = np.asarray(vectors, dtype=np.float64)
         self.signature = signature
         self.group_sums = np.array(self.vectors, order="F")
         # The signed rows S x and self scores <x, S x>, which every score
-        # reads, and the per-row roundoff bound of screened sweeps. Each self
-        # score is the product a visit would form, bit for bit. No group sum
-        # is longer than sum|x|, so (dim + 1) eps |x| sum|x| bounds the
-        # roundoff of every score <x, S y>.
+        # reads; each self score is the product a visit would form, bit for bit.
         self.signed = self.vectors * signature
         self.self_scores = np.matmul(self.signed[:, None, :], self.vectors[:, :, None])[:, 0, 0]
         norms = np.linalg.norm(self.vectors, axis=1)
-        self.roundoff = (self.vectors.shape[1] + 1) * np.finfo(np.float64).eps * norms * norms.sum()
+        self.roundoff = 8.0 * (self.vectors.shape[1] + 1) * np.finfo(np.float64).eps * norms * norms.sum()
         super().__init__(self.vectors.shape[0])
 
     def scores(self, i: int) -> tuple[np.ndarray, float]:
         """<x_i, S y_g> for every group g, and <x_i, S x_i>."""
         return self.group_sums @ self.signed[i], self.self_scores.item(i)
 
-    def block_scores(self, rows: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """<x_r, S y_g> for the vectors ``rows`` against the groups ``live``."""
-        return self.signed[rows] @ self.group_sums[live].T
+    def gain_bounds(self) -> np.ndarray:
+        """Every vector's best gain, to another group or a fresh one, up to
+        ``roundoff``: one product (S X) Y_live^T per chunk of rows, whose
+        scores hold no more floats than the vectors. After ``revalidate``,
+        an empty group's sum is zero, so it scores 0, as a fresh one does."""
+        live = np.flatnonzero(self.group_sizes)
+        own = np.searchsorted(live, self.assignment)
+        sums = self.group_sums[live].T
+        step = max(1, self.vectors.size // live.size)
+        bounds = np.empty(own.size)
+        for start in range(0, own.size, step):
+            rows = slice(start, start + step)
+            Z = self.signed[rows] @ sums
+            at = (np.arange(Z.shape[0]), own[rows])
+            base = Z[at] - self.self_scores[rows]
+            Z[at] = -np.inf
+            bounds[rows] = np.maximum(Z.max(axis=1), 0.0) - base
+        return bounds
+
+    def start_rises(self) -> tuple[list[float], np.ndarray]:
+        """The weights w_i and zeroed rises of a screened sweep."""
+        self.rises, self.moves = np.zeros(self.assignment.size), 0
+        return self.roundoff.tolist(), self.rises
+
+    def raise_rises(self, r: int, beta: int) -> float:
+        """Raise every rise by 2 |<x_i, S x_r>| for moving x_r; returns the
+        moves of the sweep so far, each adding one ``roundoff``."""
+        step = self.signed @ (2.0 * self.vectors[r])
+        self.rises += np.abs(step, out=step)
+        self.moves += 1
+        return float(self.moves)
 
     def apply_move(self, i: int, beta: int) -> None:
         x = self.vectors[i]
@@ -205,9 +238,12 @@ class GramState(_LevelState):
     input vectors. Every score is a sum of its entries over a group, so the
     state keeps only the assignment and the group sizes; nothing can drift.
 
-    Its later sweeps are not screened: scoring a block of rows here costs
-    O(p) per row, as much as visiting it does. A ``QualityMatrix`` run
-    reaches it from its ``GraphState`` level, on the group quality matrix.
+    Its later sweeps are not screened. The screen of the other levels, on
+    level 0 of a full-dimension exponential run at n = 1000 with 2
+    restarts, cut the visits from 3010 to about 1130 but raised the
+    optimiser's time from 0.071-0.075 s to 0.10-0.11 s: its bound is an
+    O(p^2) pass, and such a level runs only about 3 sweeps. A
+    ``QualityMatrix`` run reaches it from its ``GraphState`` level.
     """
 
     path = "gram"
@@ -258,12 +294,21 @@ class GraphState(_LevelState):
     list. ``gain_bounds`` scores every node at once for the screened sweeps,
     and ``compact`` forms the c x c group quality matrix from the edge list
     for a ``GramState``. No n x n array is formed.
+
+    The screen of ``_screened_sweep``: moving node r from alpha to beta
+    raises the score of alpha for node i by b_i q_r, and if i is in beta, it
+    lowers its base by as much. So the gains of i rise by at most b_i, its
+    weight, times the most mass one group has lost in the sweep, plus the
+    roundoff of each move's two mass updates, plus the most one has gained.
+    The move also changes the weight of r's neighbours into alpha and beta
+    by w_ri, which raises no gain of neighbour i by more than 2 a w_ri: its
+    rise. ``roundoff`` bounds the roundoff of a gain.
     """
 
     path = "graph"
     __slots__ = (
-        "edges", "weights", "bounds", "indices", "data", "rows", "scale", "diagonal", "coupling", "mass",
-        "mass_total", "roundoff", "labels", "group_mass", "empties",
+        "edges", "weights", "bounds", "indices", "data", "rows", "scale", "diagonal", "coupling", "mass", "mass_total",
+        "roundoff", "labels", "group_mass", "empties", "rises", "lost", "gained", "most_lost", "most_gained",
     )
 
     def __init__(self, q: QualityMatrix) -> None:
@@ -339,6 +384,25 @@ class GraphState(_LevelState):
         gains[own] = -np.inf
         best = np.maximum.reduceat(gains, np.flatnonzero(np.diff(rows, prepend=-1)))
         return np.maximum(best, -base)
+
+    def start_rises(self) -> tuple[list[float], np.ndarray]:
+        """The weights b_i and zeroed rises of a screened sweep."""
+        self.rises = np.zeros(self.assignment.size)
+        self.lost, self.gained, self.most_lost, self.most_gained = {}, {}, 0.0, 0.0
+        return self.coupling.tolist(), self.rises
+
+    def raise_rises(self, r: int, beta: int) -> float:
+        """Raise the rises of node r's neighbours for moving it to group
+        beta; returns the most mass one group has lost in the sweep so far
+        plus the most one has gained."""
+        alpha, q = self.labels[r], self.mass.item(r)
+        lost = self.lost[alpha] = self.lost.get(alpha, 0.0) + q
+        gained = self.gained[beta] = self.gained.get(beta, 0.0) + q
+        self.most_lost = max(self.most_lost, lost) + 4.0 * np.finfo(np.float64).eps * self.mass_total
+        self.most_gained = max(self.most_gained, gained)
+        lo, hi = self.bounds[r], self.bounds[r + 1]
+        self.rises[self.indices[lo:hi]] += (2.0 * self.scale) * self.data[lo:hi]
+        return self.most_lost + self.most_gained
 
     def apply_move(self, i: int, beta: int) -> None:
         alpha = self.labels[i]
@@ -427,16 +491,17 @@ def tolerances(mode: str, total_weight: float) -> tuple[float, float, float]:
     return GAIN_TOLERANCE * unit, 1e-9 * unit, 1e-9 * np.sqrt(unit)
 
 
-def _level_state(vectors: np.ndarray, signature: np.ndarray) -> VPState | GramState:
-    """The state a level over these vectors runs in, chosen by shape alone.
+def _gram_space(p: int, dim: int) -> bool:
+    """Whether a level of p vectors of dimension dim runs in Gram space:
+    then its p x p signed Gram holds at most p entries more than the p x dim
+    group sums, and a visit costs O(p), not O(c dim) for c groups. Only p
+    shrinks, so once a level runs there, so do all later ones."""
+    return p <= dim + 1
 
-    With p vectors of dimension dim, a level runs in Gram space when
-    p <= dim + 1: its p x p signed Gram then holds at most p entries more
-    than the p x dim group sums it replaces, and each visit costs O(p)
-    instead of O(c dim) for c groups. Aggregation only shrinks p, so once a
-    level runs there, so do all later ones.
-    """
-    if vectors.shape[0] <= vectors.shape[1] + 1:
+
+def _level_state(vectors: np.ndarray, signature: np.ndarray) -> VPState | GramState:
+    """The state a level over these vectors runs in, chosen by ``_gram_space``."""
+    if _gram_space(*vectors.shape):
         return GramState((vectors * signature) @ vectors.T)
     return VPState(vectors, signature)
 
@@ -464,104 +529,44 @@ def _choose_move(
     return beta if best > tol else -1
 
 
-def _visit(state: VPState | GramState | GraphState, i: int, tol: float) -> int:
-    """Visit vector i: make the move rule's move, if any; returns its target
-    group, or -1 when the vector stays. It may detach into a fresh group
-    unless it is alone."""
-    beta = state.choose(i, tol)
-    if beta >= 0:
-        state.apply_move(i, beta)
-    return beta
-
-
 def _sweep(state: VPState | GramState | GraphState, order: np.ndarray, tol: float) -> tuple[int, int]:
-    """One pass over all vectors; returns the number of accepted moves and of visits.
-
-    A move is accepted when its gain exceeds ``tol``, in raw objective units.
-    """
-    moved = sum(_visit(state, i, tol) >= 0 for i in order.tolist())
+    """One pass over all vectors, each moved by the move rule when its gain
+    exceeds ``tol``, in raw objective units; returns the number of accepted
+    moves and of visits."""
+    moved = 0
+    for i in order.tolist():
+        beta = state.choose(i, tol)
+        if beta >= 0:
+            state.apply_move(i, beta)
+            moved += 1
     return moved, order.size
 
 
-def _screened_sweep(state: VPState, order: np.ndarray, tol: float) -> tuple[int, int]:
+def _screened_sweep(state: VPState | GraphState, order: np.ndarray, tol: float) -> tuple[int, int]:
     """``_sweep`` without the visits that cannot move; returns the number of
     accepted moves and of visits that ran the move rule.
 
-    Walks ``order`` in blocks of up to SCREEN_BLOCK vectors. One vectorised
-    step estimates every row's best gain from ``state.block_scores``, and
-    only the rows whose estimate exceeds ``tol`` less a margin, which
-    exceeds the roundoff, are visited, in order. A block ends at its first
-    move, so every estimate is made on the state its row is visited in, and
-    the moves are those of ``_sweep``.
-    """
-    moved = visits = start = 0
-    while start < order.size:
-        rows = order[start : start + SCREEN_BLOCK]
-        start += rows.size
-        live = np.flatnonzero(state.group_sizes)
-        groups = state.assignment[rows]
-        Z = state.block_scores(rows, live)
-        own = (np.arange(rows.size), np.searchsorted(live, groups))
-        base = Z[own] - state.self_scores[rows]
-        Z[own] = -np.inf
-        # A move to a fresh or empty group gains -base: 0 up to roundoff when alone.
-        free = state.group_sizes[groups] > 1
-        best = np.maximum(Z.max(axis=1), np.where(free, 0.0, -np.inf))
-        # The margin below tol: half of tol, plus the roundoff of the three
-        # scores in a gain, both here and in the move rule's fresh scores.
-        threshold = tol / 2 - 8.0 * state.roundoff[rows]
-        for h in np.flatnonzero(best - base > threshold):
-            visits += 1
-            if _visit(state, int(rows[h]), tol) >= 0:
-                moved += 1
-                start -= rows.size - h - 1
-                break
-    return moved, visits
-
-
-def _screened_graph_sweep(state: GraphState, order: np.ndarray, tol: float) -> tuple[int, int]:
-    """``_sweep`` on a graph level without the visits that cannot move;
-    returns the number of accepted moves and of visits that ran the move rule.
-
-    ``state.gain_bounds()`` gives every node's best gain once, at the start,
-    and each move raises the bounds it can raise. Moving node r from group
-    alpha to beta by q_r of mass raises a gain of node i in two ways: the
-    score of alpha rises by b_i q_r, and if i is in beta, its base falls by
-    as much. So the gains of i rise by at most b_i times the most mass any
-    one group has lost in the sweep plus the mass i's group has gained. The
-    move also changes r's neighbours' weights into alpha and beta by w_ri,
-    which raises no gain of neighbour i by more than 2 a w_ri: a per-node
-    sum. A node is visited when its bound plus these rises exceeds ``tol``
-    less a margin, half of tol plus the roundoff of its gains; each move
-    adds the roundoff of its two mass updates to the most lost mass. No move
-    of ``_sweep`` is skipped, and the moves made are its moves.
+    ``state.gain_bounds()`` gives every row's best gain at the start, and
+    ``state.start_rises()`` weights w_i and zeroed rises. Each move raises
+    row i's gains by at most w_i times the sweep-wide amount that
+    ``state.raise_rises`` returns, plus the row's rise, which it raises; the
+    states' docstrings derive both. A row, in its first group as no row is
+    visited twice, is visited when its bound plus its rise exceeds ``tol``
+    less half of tol and ``state.roundoff``. So no move of ``_sweep`` is
+    skipped, and the moves made are its moves.
     """
     excess = (state.gain_bounds() - (tol / 2 - state.roundoff)).tolist()
-    coupling = state.coupling.tolist()
-    mass = state.mass.tolist()
-    labels = state.labels
-    update_roundoff = 4.0 * np.finfo(np.float64).eps * state.mass_total
-    neighbour_rise = np.zeros(state.assignment.size)
-    lost = [0.0] * state.num_groups
-    gained = [0.0] * state.num_groups
-    most_lost = 0.0
-    moved = visits = 0
+    weights, rises = state.start_rises()
+    shared, moved, visits = 0.0, 0, 0
     for i in order.tolist():
-        if excess[i] + coupling[i] * (most_lost + gained[labels[i]]) + neighbour_rise.item(i) <= 0.0:
+        if excess[i] + weights[i] * shared + rises.item(i) <= 0.0:
             continue
         visits += 1
-        alpha = labels[i]
-        beta = _visit(state, i, tol)
+        beta = state.choose(i, tol)
         if beta >= 0:
             moved += 1
-            if beta == len(gained):
-                lost.append(0.0)
-                gained.append(0.0)
-            lost[alpha] += mass[i]
-            gained[beta] += mass[i]
-            most_lost = max(most_lost, lost[alpha]) + update_roundoff
-            lo, hi = state.bounds[i], state.bounds[i + 1]
-            neighbour_rise[state.indices[lo:hi]] += (2.0 * state.scale) * state.data[lo:hi]
+            shared = state.raise_rises(i, beta)
+            state.apply_move(i, beta)
     return moved, visits
 
 
@@ -577,13 +582,13 @@ def _run_level(
     identity labels and the state itself when no vector moved, which is
     what compacting it would give.
 
-    The first sweep visits every vector; the later ones are screened in
-    vector and graph space. Every sweep is followed by the state's consistency
+    The first sweep visits every vector; the later ones are screened
+    outside Gram space. Every sweep is followed by the state's consistency
     check and by the objective check of ``diag.record_sweep``. Raises
     LevelCapExceeded when the MAX_SWEEPS-th sweep still moves a vector.
     """
     diag.start_level(state.path)
-    later_sweep = _LATER_SWEEPS[state.path]
+    later_sweep = _sweep if isinstance(state, GramState) else _screened_sweep
     for sweeps in range(MAX_SWEEPS):
         moved, visits = (later_sweep if sweeps else _sweep)(state, order, tol)
         state.revalidate(drift_bound)
@@ -593,10 +598,6 @@ def _run_level(
     raise LevelCapExceeded(
         f"level {diag.levels - 1} still moves vectors after the sweep cap of {MAX_SWEEPS} sweeps"
     )
-
-
-# The sweep after a level's first: screened in vector and graph space.
-_LATER_SWEEPS = {"vector": _screened_sweep, "gram": _sweep, "graph": _screened_graph_sweep}
 
 
 def _first_state(emb: Embedding | QualityMatrix) -> VPState | GramState | GraphState:
@@ -612,13 +613,11 @@ def _shared_gram(emb: Embedding | QualityMatrix) -> np.ndarray | None:
     read-only, or None when level 0 runs in vector or graph space. Runs on
     one embedding can share it through ``partition_vectors(emb, _gram=...)``;
     runs on one quality matrix share its ``adjacency``."""
-    if isinstance(emb, QualityMatrix):
+    if isinstance(emb, QualityMatrix) or not _gram_space(*np.shape(emb.vectors)):
         return None
-    state = _first_state(emb)
-    if not isinstance(state, GramState):
-        return None
-    state.gram.setflags(write=False)
-    return state.gram
+    gram = _first_state(emb).gram
+    gram.setflags(write=False)
+    return gram
 
 
 def _reported_objective(emb: Embedding | QualityMatrix, partition: Partition) -> float:
