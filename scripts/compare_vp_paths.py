@@ -42,19 +42,22 @@ returns do not depend on this loop: its full-dimension levels run in Gram
 space.
 
 The graph-space section compares a full-dimension linearised (t = 1) and
-modularity run's sparse graph level (``GraphState``, the path
-``partition_vectors`` takes on a ``QualityMatrix``) with its dense oracle,
-the same run with level 0 a ``GramState`` on the dense quality matrix
-(``helpers.dense_partition``), with the workload's two restarts, on the
-``fulldim_stability`` graphs and on the n = 4000 graph
+modularity run's sparse graph levels (``GraphState`` on the graph and then
+on each level's group graph, the path ``partition_vectors`` takes on a
+``QualityMatrix``) with its dense oracle, the same run with level 0 a
+``GramState`` on the dense quality matrix and every later level one on its
+group sums (``helpers.dense_partition``), with the workload's two restarts,
+on the ``fulldim_stability`` graphs and on the n = 4000 graph
 ``planted_partition(40, 100, 0.1, 0.00125, seed=0)``. It counts identical
 partitions. For every pair that differs, it reruns each restart on the two
-level-0 states in lockstep up to the first visit where the move rule picks
-different targets, and recomputes the gains of those two targets with
-``fractions.Fraction`` from the edge list and the degrees. The pair is
+runs in lockstep, through every level, up to the first visit where the move
+rule picks different targets, and recomputes the gains of those two targets
+with ``fractions.Fraction`` from the edge list and the degrees. The pair is
 explained only when some restart diverges and every divergence is an exact
-tie; otherwise the script exits 1. Every BLAS library the script loads runs
-on one thread.
+tie; otherwise the script exits 1. With ``--graphs 2`` only
+``fulldim_stability`` graph 0 in modularity mode differs; its restart 1
+first diverges at level 0, at gains 14029/14502 for both targets. Every
+BLAS library the script loads runs on one thread.
 """
 
 from __future__ import annotations

@@ -50,6 +50,20 @@ def check_dense(n: int, arrays: int = 1) -> None:
         )
 
 
+def csr_adjacency(n: int, edge_index: np.ndarray, edge_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The symmetric adjacency of n nodes and these undirected edges, each
+    listed once, in compressed sparse row form: (indptr, indices, data), row
+    i's entries at indptr[i]:indptr[i + 1], columns ascending."""
+    i = edge_index[:, 0]
+    j = edge_index[:, 1]
+    rows = np.concatenate([i, j])
+    cols = np.concatenate([j, i])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order], np.concatenate([edge_weight, edge_weight])[order]
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable connected weighted undirected graph.
@@ -75,17 +89,8 @@ class Graph:
         return list(zip(*self.edge_index.T.tolist(), self.edge_weight.tolist()))
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Symmetric adjacency in compressed sparse row form: (indptr, indices,
-        data), row i's entries at indptr[i]:indptr[i + 1], columns ascending.
-        A connected graph of two or more nodes has no empty row."""
-        i = self.edge_index[:, 0]
-        j = self.edge_index[:, 1]
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        return indptr, cols[order], np.concatenate([self.edge_weight, self.edge_weight])[order]
+        """``csr_adjacency`` of the graph, with no empty row when n >= 2."""
+        return csr_adjacency(self.n, self.edge_index, self.edge_weight)
 
     def dense_adjacency(self) -> np.ndarray:
         check_dense(self.n)

@@ -598,11 +598,11 @@ class QualityMatrix:
     At full dimension n - 1, the signed Gram of a linearised embedding at
     time t is (1 - t) Pi + t A / 2m - pi pi^T, and that of a modularity
     embedding is B_Q = A - d d^T / 2m: a sparse matrix, a diagonal and a
-    rank-one term. ``partition_vectors`` optimises it on the graph's sparse
-    adjacency (``vp.GraphState``), with no eigendecomposition, no vectors
-    and no n x n array. ``dim`` is the dimension of the embedding it stands
-    in for. A modularity matrix takes no time, and raises as
-    ``_check_modularity_matrix`` does.
+    rank-one term. ``partition_vectors`` optimises it on sparse graphs, the
+    graph and then its group graphs (``vp.GraphState``), with no
+    eigendecomposition, no vectors and no dense array. ``dim`` is that of
+    the embedding it stands in for. A modularity matrix takes no time, and
+    raises as ``_check_modularity_matrix`` does.
     """
 
     graph: Graph

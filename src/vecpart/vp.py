@@ -7,13 +7,9 @@ terminates) with aggregation of groups into their sum vectors, exactly the
 two-phase structure of the Louvain method with sum vectors as supernodes.
 A level with no more vectors than their dimension plus one runs on the
 signed Gram of its vectors instead, where every score is a sum of Gram
-entries over a group.
-
-A ``QualityMatrix`` stands in for a full-dimension linearised or modularity
-embedding. Its level 0 runs on the graph itself, as Louvain does: a visit
-reads one row of the sparse adjacency and scores only the groups of the
-node's neighbours, its own group and one empty or fresh group. It compacts
-into a Gram level on the group quality matrix, with no n x n array.
+entries over a group. A ``QualityMatrix``, in place of a full-dimension
+linearised or modularity embedding, runs on a sparse graph at every level,
+as Louvain does: the graph, then the group graph of each level before.
 
 In vector and graph space, every sweep of a level after its first visits
 only the rows whose gains, bounded at the start of the sweep and raised
@@ -29,7 +25,7 @@ import numpy as np
 
 from ._pcg import visiting_order
 from .errors import InvalidParameter, LevelCapExceeded, ObjectiveDecreased, StateDrift, TooLarge
-from .graph import Partition, canonical_labels, check_dense
+from .graph import Partition, canonical_labels, csr_adjacency
 from .objective import group_sums, linearised_stability, modularity_score, stability
 from .spectral import Embedding, QualityMatrix
 
@@ -242,8 +238,7 @@ class GramState(_LevelState):
     level 0 of a full-dimension exponential run at n = 1000 with 2
     restarts, cut the visits from 3010 to about 1130 but raised the
     optimiser's time from 0.071-0.075 s to 0.10-0.11 s: its bound is an
-    O(p^2) pass, and such a level runs only about 3 sweeps. A
-    ``QualityMatrix`` run reaches it from its ``GraphState`` level.
+    O(p^2) pass, and such a level runs only about 3 sweeps.
     """
 
     path = "gram"
@@ -275,7 +270,7 @@ class GramState(_LevelState):
 
 
 class GraphState(_LevelState):
-    """Level 0 of a ``QualityMatrix`` run, on the graph's sparse adjacency.
+    """A level of a ``QualityMatrix`` run, on a graph's sparse adjacency.
 
     The quality matrix is G = a A + diag(c q) - b q^T: in linearised mode at
     time t, a = t / 2m, c = 1 - t and b = q = pi; in modularity mode, in raw
@@ -285,15 +280,17 @@ class GraphState(_LevelState):
     edge to i scores -b_i Q_g < 0, below an empty group, so the move rule of
     ``_choose_move`` needs only the groups of i's neighbours, the
     lowest-index empty group, which wins every tie among the empty ones, and
-    a fresh group. A visit reads one adjacency row, in O(deg i).
+    a fresh group. A visit reads one adjacency row, in O(deg i), in the
+    interpreter, where its few entries cost less than numpy's calls would;
+    so the state mirrors the assignment and keeps the group masses as lists,
+    updated incrementally and recounted by ``revalidate``, and the empty
+    groups in a sorted list. ``gain_bounds`` scores every node at once.
 
-    A visit runs in the interpreter on one row, whose few entries cost less
-    there than numpy's calls would, so the state mirrors the assignment and
-    keeps the group masses as lists. The masses are updated incrementally
-    and recounted by ``revalidate``; the empty groups are kept in a sorted
-    list. ``gain_bounds`` scores every node at once for the screened sweeps,
-    and ``compact`` forms the c x c group quality matrix from the edge list
-    for a ``GramState``. No n x n array is formed.
+    ``GraphState(q)`` is level 0; ``compact`` aggregates a level, as Louvain
+    does, into its group graph, H^T G H for the one-hot group matrix H, with
+    each group's internal weight over both orientations as its self-loop, in
+    ``loops``. A node's self-loop and its c q_i cancel from every gain, so
+    only ``objective`` and ``compact`` read it; the adjacency holds no loop.
 
     The screen of ``_screened_sweep``: moving node r from alpha to beta
     raises the score of alpha for node i by b_i q_r, and if i is in beta, it
@@ -307,34 +304,37 @@ class GraphState(_LevelState):
 
     path = "graph"
     __slots__ = (
-        "edges", "weights", "bounds", "indices", "data", "rows", "scale", "diagonal", "coupling", "mass", "mass_total",
-        "roundoff", "labels", "group_mass", "empties", "rises", "lost", "gained", "most_lost", "most_gained",
+        "edges", "weights", "loops", "bounds", "indices", "data", "rows", "scale", "diagonal", "coupling", "mass",
+        "mass_total", "roundoff", "labels", "group_mass", "empties", "rises", "lost", "gained", "most_lost",
+        "most_gained",
     )
 
     def __init__(self, q: QualityMatrix) -> None:
         g = q.graph
         two_m = 2.0 * g.total_weight
         d = np.asarray(g.degrees, dtype=np.float64)
-        self.coupling = d / two_m
         if q.mode == "modularity":
-            self.scale, self.diagonal, self.mass, self.mass_total = 1.0, 0.0, d, two_m
+            self.scale, self.diagonal, mass, self.mass_total = 1.0, 0.0, d, two_m
         else:
             self.scale = q.time / two_m
             if not np.isfinite(self.scale):
                 raise TooLarge(f"t / 2m is {self.scale} at t = {q.time}: the linearised quality matrix overflows")
-            self.diagonal, self.mass, self.mass_total = 1.0 - q.time, self.coupling, 1.0
-        indptr, self.indices, self.data = q.adjacency
+            self.diagonal, mass, self.mass_total = 1.0 - q.time, d / two_m, 1.0
+        self._start(g.edge_index, g.edge_weight, q.adjacency, d, np.zeros(g.n), mass)
+
+    def _start(self, edges, weights, adjacency, degrees, loops, mass) -> None:
+        """All-singletons on a graph: its edges, each listed once, adjacency, degrees, self-loops and masses."""
+        self.edges, self.weights, self.loops, self.mass = edges, weights, loops, mass
+        indptr, self.indices, self.data = adjacency
         degree = np.diff(indptr)
         self.bounds = indptr.tolist()
-        self.rows = np.repeat(np.arange(g.n), degree)
-        self.edges, self.weights = g.edge_index, g.edge_weight
+        self.rows = np.repeat(np.arange(mass.size), degree)
+        self.coupling = mass / self.mass_total
         # Every term of a gain is at most |a| d_i + b_i sum(q) in magnitude.
         eps = np.finfo(np.float64).eps
-        self.roundoff = 8.0 * eps * (degree + 4) * (abs(self.scale) * d + self.coupling * self.mass_total)
-        self.labels = list(range(g.n))
-        self.group_mass = self.mass.tolist()
-        self.empties: list[int] = []
-        super().__init__(g.n)
+        self.roundoff = 8.0 * eps * (degree + 4) * (abs(self.scale) * degrees + self.coupling * self.mass_total)
+        self.labels, self.group_mass, self.empties = list(range(mass.size)), mass.tolist(), []
+        super().__init__(mass.size)
 
     def choose(self, i: int, tol: float) -> int:
         """The move rule of ``_choose_move`` on node i's candidate groups."""
@@ -441,39 +441,35 @@ class GraphState(_LevelState):
 
     def objective(self) -> float:
         """Raw objective: a W_gg + c Q_g - Q_g^2 / sum(q) per group, totalled,
-        with W_gg the group's internal weight over both orientations."""
+        with W_gg the group's internal weight over both orientations and its
+        members' self-loops."""
         gi, gj = self.assignment[self.edges[:, 0]], self.assignment[self.edges[:, 1]]
         same = gi == gj
         within = 2.0 * np.bincount(gi[same], weights=self.weights[same], minlength=self.num_groups)
+        within += np.bincount(self.assignment, weights=self.loops, minlength=self.num_groups)
         Q = np.array(self.group_mass)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, or NaN, and named downstream
             root = Q / np.sqrt(self.mass_total)  # Q^2 / sum(q), where Q^2 alone can underflow
             return float((self.scale * within + self.diagonal * Q - root * root).sum())
 
-    def compact(self) -> tuple[np.ndarray, GramState]:
-        """Drop empty groups; returns the first-appearance labels and the
-        next level's state over the c x c group quality matrix
-        a H^T A H + diag(c Q) - Q Q^T / sum(q), with H the one-hot group
-        matrix. Every edge adds its weight to its two group pairs in turn, so
-        both cells of a pair sum the same weights in the same order and the
-        matrix is symmetric bit for bit. The rank-one term is subtracted a
-        sixteenth of the rows at a time, so the step holds one c x c array
-        and a temporary of at most a sixteenth of one. Raises TooLarge as
-        ``check_dense`` does, before any allocation."""
+    def compact(self) -> tuple[np.ndarray, GraphState]:
+        """Drop empty groups; returns the first-appearance labels and the group
+        graph's state, the edges between two groups summed once under their
+        (lower, higher) pair, so both adjacency entries hold the same bits."""
         labels, c = canonical_labels(self.assignment)
-        check_dense(c)
         gi, gj = labels[self.edges[:, 0]], labels[self.edges[:, 1]]
-        pairs = np.stack([gi * c + gj, gj * c + gi], axis=1).ravel()
-        G = np.bincount(pairs, weights=np.repeat(self.weights, 2), minlength=c * c).reshape(c, c)
+        same = gi == gj
+        loops = np.bincount(labels, weights=self.loops, minlength=c)
+        loops += 2.0 * np.bincount(gi[same], weights=self.weights[same], minlength=c)
+        pairs, edge = np.unique(np.minimum(gi, gj)[~same] * c + np.maximum(gi, gj)[~same], return_inverse=True)
+        edges = np.stack([pairs // c, pairs % c], axis=1)
+        weights = np.bincount(edge, weights=self.weights[~same], minlength=pairs.size)
+        degrees = np.bincount(edges.ravel(), weights=np.repeat(weights, 2), minlength=c)
         mass = np.bincount(labels, weights=self.mass, minlength=c)
-        step = max(1, c // 16)
-        with np.errstate(over="ignore", invalid="ignore"):  # a large t overflows to a named error downstream
-            G *= self.scale
-            root = mass / np.sqrt(self.mass_total)  # a product of two masses can underflow
-            for start in range(0, c, step):
-                G[start : start + step] -= np.multiply.outer(root[start : start + step], root)
-            G.flat[:: c + 1] += self.diagonal * mass
-        return labels, GramState(G)
+        state = GraphState.__new__(GraphState)
+        state.scale, state.diagonal, state.mass_total = self.scale, self.diagonal, self.mass_total
+        state._start(edges, weights, csr_adjacency(c, edges, weights), degrees, loops, mass)
+        return labels, state
 
 
 def tolerances(mode: str, total_weight: float) -> tuple[float, float, float]:
@@ -648,12 +644,11 @@ def partition_vectors(
     the package's own PCG64, so a run never loads ``numpy.random``. A
     negative seed raises InvalidParameter.
     Each level runs in the state ``_level_state`` picks by shape; given a
-    ``QualityMatrix``, level 0 runs on the graph's adjacency (``GraphState``)
-    and every later level in Gram space, on the group quality matrix.
+    ``QualityMatrix``, every level runs on a graph (``GraphState``).
     Deterministic for a fixed seed. Given ``_gram``, level 0 runs in Gram
     space on it: ``_shared_gram(emb)``, formed once for many runs, which
     does not change the result, or, for a quality matrix, its dense n x n
-    form, the oracle of the graph level. Raises TooLarge when the reported
+    form, the oracle of the graph levels. Raises TooLarge when the reported
     objective is not finite.
     """
     if emb.n < 1:

@@ -264,9 +264,23 @@ def quality_gram(q: vp.QualityMatrix) -> np.ndarray:
     return G
 
 
+def dense_graph_level(state: vp.vp.GraphState) -> np.ndarray:
+    """The dense quality matrix a ``GraphState`` level stands for, from its
+    adjacency, self-loops and masses q: a A + diag(a loops + c q) -
+    q q^T / sum(q)."""
+    p = state.mass.size
+    G = np.zeros((p, p))
+    G[state.rows, state.indices] = state.scale * state.data
+    root = state.mass / np.sqrt(state.mass_total)
+    G -= np.multiply.outer(root, root)
+    G[np.diag_indices(p)] += state.scale * state.loops + state.diagonal * state.mass
+    return G
+
+
 def dense_partition(q: vp.QualityMatrix, seed: int | None = None) -> tuple[vp.Partition, float, vp.VPDiagnostics]:
     """``partition_vectors(q, seed)`` with level 0 a ``GramState`` on the
-    dense ``quality_gram(q)``: the oracle of the graph level."""
+    dense ``quality_gram(q)``, and so every level: the oracle of the graph
+    levels."""
     return vp.partition_vectors(q, seed, _gram=quality_gram(q))
 
 

@@ -152,8 +152,7 @@ class TestPartition:
         record = report["records"][0]
         expected = vp.linearised_stability(g, vp.Partition.from_labels(record["partition"]), 0.7)
         assert record["objective"] == pytest.approx(expected, abs=1e-10)
-        paths = report["diagnostics"]["paths_per_level"]
-        assert paths[0] == "graph" and set(paths[1:]) <= {"gram"}
+        assert set(report["diagnostics"]["paths_per_level"]) == {"graph"}
 
     def test_report_names_the_path_of_each_level(self, graph_file, tmp_path):
         out = tmp_path / "report.json"
@@ -240,8 +239,7 @@ class TestGraphSpace:
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.Draft7Validator(json.loads(cli._SCHEMA_PATH.read_text(encoding="utf-8"))).validate(report)
         assert report["diagnostics"]["spectral"] == {"solver": "graph"}
-        paths = report["diagnostics"]["paths_per_level"]
-        assert paths[0] == "graph" and set(paths[1:]) <= {"gram"}
+        assert set(report["diagnostics"]["paths_per_level"]) == {"graph"}
         record = report["records"][0]
         assert record["dim"] == g.n - 1
         partition = vp.Partition.from_labels(record["partition"])
@@ -543,28 +541,23 @@ class TestSweepCap:
 
 class TestDenseMemoryGuard:
     """A dense n x n array larger than the machine's physical memory is
-    refused with TooLarge before it is allocated."""
+    refused with TooLarge before it is allocated, on a path of n nodes; a
+    full-dimension linearised run on the same path forms no dense array."""
 
-    # Each job runs in a process whose address space is capped at half the
-    # physical memory, so that a missing guard fails with MemoryError instead
-    # of exhausting the machine.
-    ADDRESS_SPACE = vp.graph.PHYSICAL_MEMORY // 2
-
-    @pytest.mark.parametrize(
-        "args",
-        [["partition", "--mode", "exponential"], ["decompose"]],
-        ids=["partition-exponential", "decompose"],
-    )
-    def test_path_graph_too_large_for_a_dense_matrix(self, tmp_path, args):
+    @staticmethod
+    def run_on_path(tmp_path, args: list[str], address_space: int) -> subprocess.CompletedProcess:
+        """Run the CLI on the path, in a process whose address space is
+        capped, so that a missing guard fails with MemoryError instead of
+        exhausting the machine."""
         n = math.isqrt(vp.graph.PHYSICAL_MEMORY // 8) + 1  # one n x n float64 array exceeds it
         path = tmp_path / "path.txt"
         path.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
 
         def cap() -> None:
-            resource.setrlimit(resource.RLIMIT_AS, (self.ADDRESS_SPACE, self.ADDRESS_SPACE))
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
         src = str(Path(vp.__file__).resolve().parent.parent)
-        result = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "vecpart.cli", args[0], str(path), *args[1:]],
             capture_output=True,
             text=True,
@@ -572,8 +565,25 @@ class TestDenseMemoryGuard:
             env={**os.environ, "PYTHONPATH": src},
             timeout=120,
         )
+
+    @pytest.mark.parametrize(
+        "args",
+        [["partition", "--mode", "exponential"], ["decompose"]],
+        ids=["partition-exponential", "decompose"],
+    )
+    def test_path_graph_too_large_for_a_dense_matrix(self, tmp_path, args):
+        result = self.run_on_path(tmp_path, args, vp.graph.PHYSICAL_MEMORY // 2)
         assert result.returncode == vp.TooLarge.exit_code, result.stderr
         assert result.stderr.startswith("error: TooLarge: a dense") and "Traceback" not in result.stderr
+
+    def test_a_full_dimension_linearised_run_on_the_path_ends_in_a_report(self, tmp_path):
+        # Level 0 pairs the nodes: c = n / 2 groups, whose c x c matrix would not fit in 1 GiB.
+        args = ["partition", "--mode", "linearised", "--time", "1", "--restarts", "1"]
+        result = self.run_on_path(tmp_path, args, 2**30)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        validate_report(report)
+        assert set(report["diagnostics"]["paths_per_level"]) == {"graph"}
 
 
 class TestScan:
@@ -765,6 +775,8 @@ class TestDeterminism:
             assert masked == 1
             texts.append(text)
         assert texts[0] == texts[1]
+        paths = json.loads(texts[0])["diagnostics"]["paths_per_level"]
+        assert len(paths) > 1 and set(paths) == {"graph"}  # the group graph levels too
 
 
 class TestReportSchema:
