@@ -18,8 +18,10 @@ decomposes the graph three times:
 
 It then runs the same optimiser on the three embeddings with the jobs'
 settings. A difference comes from the solver, and from roundoff in how the
-matrix is formed. It prints one line per graph and job, and exits 1 if any
-partition or objective differs from the oracle's.
+matrix is formed. It prints one line per graph and job, with the largest
+residual of the Lanczos pairs over the operator's norm, and exits 1 if any
+partition or objective differs from the oracle's, or if a residual exceeds
+``spectral.LANCZOS_TOL`` times the norm.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--graphs", type=int, default=10)
     args = parser.parse_args()
-    compared = differ = 0
+    compared = differ = inaccurate = 0
     for workload, family, dim, modes in JOBS:
         for seed in range(args.graphs):
             g, _ = vp.planted_partition(*family, seed=seed)
@@ -87,6 +89,8 @@ def main() -> int:
                 dense = decompose(g)
                 lanczos = decompose(g, dim=dim)
                 oracle = arpack_basis(decompose, g, dim)
+                residual = vp.spectral._max_residual(g, lanczos) / vp.spectral._operator(g, lanczos.source)[1]
+                inaccurate += residual > vp.spectral.LANCZOS_TOL
                 dense_same = lanczos_same = 0
                 for t in times:
                     expected = solve(oracle, mode, t, dim)
@@ -97,10 +101,11 @@ def main() -> int:
                     differ += not (d and la)
                 compared += len(times)
                 print(f"{workload} graph {seed} {mode} dim {dim}: pairs {dense.pairs}, {lanczos.pairs}, "
-                      f"{oracle.pairs}; as ARPACK's: dense {dense_same}, Lanczos {lanczos_same} of {len(times)}",
-                      flush=True)
-    print(f"{compared - differ} of {compared} partitions identical")
-    return 1 if differ else 0
+                      f"{oracle.pairs}; as ARPACK's: dense {dense_same}, Lanczos {lanczos_same} of {len(times)}; "
+                      f"Lanczos residual {residual:.2g} of the norm", flush=True)
+    print(f"{compared - differ} of {compared} partitions identical; "
+          f"{inaccurate} Lanczos bases with a residual above LANCZOS_TOL times the norm")
+    return 1 if differ or inaccurate else 0
 
 
 if __name__ == "__main__":

@@ -107,10 +107,9 @@ def screened_against_plain(emb, restarts: int, visits: list[int]):
     sweeps and with plain ones. Returns the best screened run, the first of
     equal objectives as in ``best_of_restarts``, and whether every restart's
     two runs agree; adds each side's visits to ``visits``."""
-    gram = vp.vp._shared_gram(emb)
     runs, same = [], True
     for seed in (None, *range(1, restarts)):
-        screened, plain = vp.partition_vectors(emb, seed, _gram=gram), plain_sweep_partition(emb, seed)
+        screened, plain = vp.partition_vectors(emb, seed), plain_sweep_partition(emb, seed)
         same &= (np.array_equal(screened[0].assignment, plain[0].assignment) and screened[1] == plain[1]
                  and all(getattr(screened[2], key) == getattr(plain[2], key) for key in SAME_RUN))
         visits[0] += sum(screened[2].visits_per_level)
@@ -159,9 +158,8 @@ def tie_explained(g, mode: str, t: float | None, dim: int | None, emb, restarts:
     full-dimension linearised or modularity job has exact gains here."""
     if dim is not None or mode == "exponential":
         return False
-    gram = vp.vp._shared_gram(emb)
     vectors, signature = np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64)
-    return explained(g, mode, t, lambda: [GramState(gram), VPState(vectors, signature)], restarts)
+    return explained(g, mode, t, lambda: [GramState(emb.gram), VPState(vectors, signature)], restarts)
 
 
 def main() -> int:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -89,8 +90,17 @@ class Graph:
         return list(zip(*self.edge_index.T.tolist(), self.edge_weight.tolist()))
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``csr_adjacency`` of the graph, with no empty row when n >= 2."""
-        return csr_adjacency(self.n, self.edge_index, self.edge_weight)
+        """``csr_adjacency`` of the graph, with no empty row when n >= 2,
+        built once and read-only: every product and optimiser run on the
+        graph shares it."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        arrays = csr_adjacency(self.n, self.edge_index, self.edge_weight)
+        for array in arrays:
+            array.setflags(write=False)
+        return arrays
 
     def dense_adjacency(self) -> np.ndarray:
         check_dense(self.n)

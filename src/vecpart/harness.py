@@ -29,7 +29,7 @@ from .spectral import (
     decompose_transition,
     uses_quality_matrix,
 )
-from .vp import VPDiagnostics, _shared_gram, partition_vectors
+from .vp import VPDiagnostics, partition_vectors
 
 # Each grid point is one best-of-restarts run and one report record of n
 # labels: 10,000 points at n = 1000 already report ten million labels. The
@@ -85,15 +85,14 @@ def best_of_restarts(
     Restart k (k >= 1) visits the vectors in the order drawn from seed
     ``seed + k``. The highest objective wins; ties keep the earliest run.
     ``emb`` is an ``Embedding`` or a ``QualityMatrix``. All runs share one
-    level-0 Gram when level 0 runs in Gram space; on a ``QualityMatrix``
-    they share its ``adjacency``.
+    level-0 Gram, the embedding's ``gram``, when level 0 runs in Gram space;
+    on a ``QualityMatrix`` they share the graph's ``adjacency()``.
     """
     if restarts < 1:
         raise InvalidParameter(f"restarts must be >= 1, got {restarts}")
-    gram = _shared_gram(emb)
-    best = partition_vectors(emb, _gram=gram)
+    best = partition_vectors(emb)
     for k in range(1, restarts):
-        candidate = partition_vectors(emb, seed=seed + k, _gram=gram)
+        candidate = partition_vectors(emb, seed=seed + k)
         if candidate[1] > best[1]:
             best = candidate
     return best

@@ -27,28 +27,19 @@ MODES = ("exponential", "linearised", "modularity")
 # an eigenvalue weight crosses zero along a time sweep.
 ZERO_WEIGHT_TOL = 1e-12
 
-# The truncated eigensolver (``_leading_pairs``) runs where it was measured
-# faster than the dense one: n >= TRUNCATED_MIN_N and pairs <= n /
-# TRUNCATED_MAX_FRACTION, where an embedding of dimension dim reads
-# pairs = dim + 2. The thresholds were measured with ARPACK, which this
-# solver replaced. On the bench graphs (n = 1000 at dim 14, n = 2000 at dim
-# 24, both sources) it applies the operator 466-583 times against ARPACK's
-# 292-361, 190-250 of them in its completeness check, and a solve takes
-# 39-178 ms against ARPACK's 22-120 ms (one OpenBLAS thread), still far
-# below the dense solver's 0.20 s and 1.4 s.
-# Time ratio truncated (ARPACK) / dense for both decompositions (transition,
-# modularity) on planted_partition(n // 50, 50, 0.2, 4 / n), 2-CPU x86_64,
-# OpenBLAS with 2 threads, measured against SciPy's dense eigh (LAPACK syevr):
-#   n = 100:  1.6-4.1 for every pairs in 4..50 (dense takes 2-4 ms)
-#   n = 300:  pairs 26: 0.84, 0.53; pairs 50: 1.51, 0.85
-#   n = 400:  pairs 50: 0.90, 0.70; pairs 100: 2.2, 1.4
-#   n = 1000: pairs 100: 0.69, 0.41; pairs 200: 2.6, 1.6
-# Against numpy's eigh (syevd), which takes 0.20 s for either source at
-# n = 1000 where syevr took 0.29 and 0.46 s, the ratios there are
-# pairs 100: 1.08-1.15, 0.92-1.31; pairs 200: 4.5-4.8, 4.1-4.5. The
-# thresholds were left as they are: they choose the bases of every --dim run.
-TRUNCATED_MIN_N = 300
-TRUNCATED_MAX_FRACTION = 10
+# The truncated eigensolver (``_leading_pairs``) runs where its Lanczos
+# basis of m vectors (``_basis_size``) fits TRUNCATED_BASIS_FITS times in n,
+# so never below 300 nodes; elsewhere numpy's eigh (LAPACK syevd) runs. Time
+# ratio truncated / dense at the last truncated dim and the first dense one
+# (transition; modularity), median of 5, planted_partition(n // 50, 50, 0.2,
+# 4 / n), 2-CPU x86_64, OpenBLAS at one | two threads:
+#   n = 300:  2.3, 2.2; 2.3, 2.3 | 2.5, 2.6; 2.4, 2.5  (dense 12 ms)
+#   n = 400:  1.4, 1.5; 1.7, 1.7 | 1.5, 1.6; 1.9, 1.9  (dense 23 ms)
+#   n = 1000: 0.85, 0.96; 1.02, 0.88 | 1.4, 1.4; 1.3, 1.4
+#   n = 2000: 0.90, 0.92; 0.95, 0.93 | 1.0, 1.1; 1.1, 1.1
+# The edge suits n >= 1000 at one thread; two move it below dim 97 at
+# n = 1000, and at n = 400 dense is as fast from dim 14. No constant fits all.
+TRUNCATED_BASIS_FITS = 5
 
 # A dense decomposition holds at most this many n x n float64 arrays at once.
 # Its peak is inside numpy.linalg.eigh, which holds the input, LAPACK's copy
@@ -61,9 +52,11 @@ DENSE_EIGH_ARRAYS = 6
 
 # The truncated eigensolver converges a Ritz pair when its residual estimate
 # is at most LANCZOS_TOL times the operator's norm, and fails with
-# EigensolverFailure after LANCZOS_MAX_MATVECS products.
+# EigensolverFailure after LANCZOS_MAX_MATVECS products. Its basis holds at
+# least LANCZOS_MIN_BASIS vectors; ARPACK's 20 failed on long paths at dim 1.
 LANCZOS_TOL = 1e-14
 LANCZOS_MAX_MATVECS = 50_000
+LANCZOS_MIN_BASIS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +111,14 @@ class Embedding:
     @property
     def is_euclidean(self) -> bool:
         return bool(np.all(self.signature > 0))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The signed Gram (X S) X^T of the vectors, formed once, read-only:
+        every optimiser run whose level 0 is in Gram space shares it."""
+        gram = (np.asarray(self.vectors, dtype=np.float64) * self.signature.astype(np.float64)) @ self.vectors.T
+        gram.setflags(write=False)
+        return gram
 
 
 def _fix_signs(V: np.ndarray) -> None:
@@ -300,22 +301,28 @@ def _orthogonalise(w: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, np.n
     return w, coefficients, norm
 
 
+def _basis_size(k: int) -> int:
+    """The m vectors ``_lanczos`` holds for k pairs: max(2k + 1,
+    LANCZOS_MIN_BASIS); a restart keeps k + (m - k) // 2 of them."""
+    return max(2 * k + 1, LANCZOS_MIN_BASIS)
+
+
 def _lanczos(apply, k: int, start: np.ndarray, locked: np.ndarray, tol: float, fresh) -> tuple[np.ndarray, np.ndarray]:
     """The k algebraically largest eigenpairs of the symmetric ``apply``
     restricted to the complement of the orthonormal rows of ``locked``, by
     thick-restart Lanczos (Wu and Simon 2000) with full reorthogonalisation.
 
-    The basis holds m = max(2k + 1, 20) vectors, as ARPACK's default. When
-    it is full, the k + (m - k) // 2 leading Ritz vectors and the residual
-    vector restart it. The projected matrix is read off the
-    reorthogonalisation coefficients, so it needs no restart bookkeeping.
-    A Krylov space that becomes invariant, as on a spectrum with few
-    distinct eigenvalues, continues from the vector ``fresh()``. The k
-    pairs are converged when each Ritz residual is at most ``tol``. Returns
-    the eigenvalues ascending and the eigenvectors as rows.
+    The basis holds m = ``_basis_size(k)`` vectors, the m ``_eigenpairs``
+    reads to pick this solver. When it is full, the k + (m - k) // 2 leading
+    Ritz vectors and the residual vector restart it. The projected matrix is
+    read off the reorthogonalisation coefficients, so it needs no restart
+    bookkeeping. A Krylov space that becomes invariant, as on a spectrum
+    with few distinct eigenvalues, continues from the vector ``fresh()``.
+    The k pairs are converged when each Ritz residual estimate is at most
+    ``tol``. Returns the eigenvalues ascending and the eigenvectors as rows.
     """
     n = start.size
-    m = max(2 * k + 1, 20)
+    m = _basis_size(k)
     V = np.empty((m + 1, n))
     T = np.zeros((m, m))
     off = (locked,) if locked.shape[0] else ()
@@ -392,18 +399,20 @@ def _eigenpairs(g: Graph, source: str, dim: int | None) -> tuple[np.ndarray, np.
 
     The embedding reads the leading dim + 1 pairs of its basis (the
     stationary or all-ones mode and dim components); one more pair is kept
-    so the eigenvalue gap at the cut is known. Where those dim + 2 pairs are
-    few against n, ``_leading_pairs`` computes the algebraically largest,
-    less the modularity source's ones mode, with numpy alone; its fixed
-    start and restart vectors make the result deterministic for a given
-    operator. Otherwise every pair, by ``numpy.linalg.eigh`` (LAPACK
-    ``syevd``) on ``_dense_operator``, less the modularity matrix's lowest
-    pair: its shifted ones direction.
+    so the eigenvalue gap at the cut is known. Those are k = dim + 2 pairs,
+    or dim + 1 off the modularity source's ones mode. Where the Lanczos
+    basis for k pairs fits TRUNCATED_BASIS_FITS times in n,
+    ``_leading_pairs`` computes the k algebraically largest with numpy
+    alone; its fixed start and restart vectors make the result
+    deterministic for a given operator. Otherwise every pair, by
+    ``numpy.linalg.eigh`` (LAPACK ``syevd``) on ``_dense_operator``, less
+    the modularity matrix's lowest pair: its shifted ones direction.
     """
-    if dim is not None and g.n >= TRUNCATED_MIN_N and (dim + 2) * TRUNCATED_MAX_FRACTION <= g.n:
-        apply, norm = _operator(g, source)
+    if dim is not None:
         k = dim + 2 if source == "transition" else dim + 1
-        return _leading_pairs(apply, g.n, k, norm, source)
+        if TRUNCATED_BASIS_FITS * _basis_size(k) <= g.n:
+            apply, norm = _operator(g, source)
+            return _leading_pairs(apply, g.n, k, norm, source)
     check_dense(g.n, DENSE_EIGH_ARRAYS)
     try:
         w, U = np.linalg.eigh(_dense_operator(g, source))
@@ -627,15 +636,6 @@ class QualityMatrix:
     @property
     def total_weight(self) -> float:
         return self.graph.total_weight
-
-    @cached_property
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``Graph.adjacency()``, formed once and read-only: every run on
-        this matrix shares it."""
-        arrays = self.graph.adjacency()
-        for array in arrays:
-            array.setflags(write=False)
-        return arrays
 
 
 def _max_residual(g: Graph, basis: SpectralBasis) -> float:

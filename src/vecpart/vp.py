@@ -320,7 +320,7 @@ class GraphState(_LevelState):
             if not np.isfinite(self.scale):
                 raise TooLarge(f"t / 2m is {self.scale} at t = {q.time}: the linearised quality matrix overflows")
             self.diagonal, mass, self.mass_total = 1.0 - q.time, d / two_m, 1.0
-        self._start(g.edge_index, g.edge_weight, q.adjacency, d, np.zeros(g.n), mass)
+        self._start(g.edge_index, g.edge_weight, g.adjacency(), d, np.zeros(g.n), mass)
 
     def _start(self, edges, weights, adjacency, degrees, loops, mass) -> None:
         """All-singletons on a graph: its edges, each listed once, adjacency, degrees, self-loops and masses."""
@@ -597,23 +597,15 @@ def _run_level(
 
 
 def _first_state(emb: Embedding | QualityMatrix) -> VPState | GramState | GraphState:
-    """Level 0 of ``partition_vectors(emb)``: a graph level on a quality
-    matrix, else the state ``_level_state`` picks."""
+    """Level 0 of ``partition_vectors(emb)``, in the space ``_level_state``
+    picks: on a quality matrix, a graph level on the graph's adjacency; in
+    Gram space, the embedding's ``gram``. Every run on one embedding or one
+    graph shares these read-only arrays."""
     if isinstance(emb, QualityMatrix):
         return GraphState(emb)
-    return _level_state(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
-
-
-def _shared_gram(emb: Embedding | QualityMatrix) -> np.ndarray | None:
-    """The signed Gram that level 0 of ``partition_vectors(emb)`` runs on,
-    read-only, or None when level 0 runs in vector or graph space. Runs on
-    one embedding can share it through ``partition_vectors(emb, _gram=...)``;
-    runs on one quality matrix share its ``adjacency``."""
-    if isinstance(emb, QualityMatrix) or not _gram_space(*np.shape(emb.vectors)):
-        return None
-    gram = _first_state(emb).gram
-    gram.setflags(write=False)
-    return gram
+    if _gram_space(*np.shape(emb.vectors)):
+        return GramState(emb.gram)
+    return VPState(np.asarray(emb.vectors, dtype=np.float64), emb.signature.astype(np.float64))
 
 
 def _reported_objective(emb: Embedding | QualityMatrix, partition: Partition) -> float:
@@ -645,10 +637,9 @@ def partition_vectors(
     negative seed raises InvalidParameter.
     Each level runs in the state ``_level_state`` picks by shape; given a
     ``QualityMatrix``, every level runs on a graph (``GraphState``).
-    Deterministic for a fixed seed. Given ``_gram``, level 0 runs in Gram
-    space on it: ``_shared_gram(emb)``, formed once for many runs, which
-    does not change the result, or, for a quality matrix, its dense n x n
-    form, the oracle of the graph levels. Raises TooLarge when the reported
+    Deterministic for a fixed seed. ``_gram`` is a test seam: given the
+    dense n x n form of a quality matrix, level 0 runs in Gram space on it,
+    the oracle of the graph levels. Raises TooLarge when the reported
     objective is not finite.
     """
     if emb.n < 1:

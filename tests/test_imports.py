@@ -184,10 +184,12 @@ def graph_file(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def large_graph_file(tmp_path_factory):
-    """n = 400, past TRUNCATED_MIN_N: --dim 5 takes the truncated solver, as
-    (5 + 2) * 10 <= 400, and --dim 40 the dense solver, as (40 + 2) * 10 > 400."""
+    """n = 400: --dim 5 takes the truncated solver, as its Lanczos basis of
+    60 vectors fits five times in 400, and --dim 40 the dense solver, as a
+    basis of 2k + 1 >= 83 vectors, for k = 41 or 42 pairs, does not."""
     g, _ = vp.planted_partition(4, 100, 0.1, 0.01, seed=0)
-    assert g.n >= vp.spectral.TRUNCATED_MIN_N
+    assert vp.spectral.TRUNCATED_BASIS_FITS * vp.spectral._basis_size(5 + 2) <= g.n
+    assert vp.spectral.TRUNCATED_BASIS_FITS * vp.spectral._basis_size(40 + 1) > g.n
     path = tmp_path_factory.mktemp("graph") / "large.txt"
     path.write_text(g.to_edge_list_text())
     return str(path)
@@ -222,14 +224,14 @@ def job_argv(args: list[str], tmp_path, **graphs: str) -> list[str]:
         ["scan", "{graph}", "--tmin", "0.5", "--tmax", "2", "--npoints", "3"],
         ["decompose", "{graph}", "--source", "transition"],
         ["decompose", "{graph}", "--source", "modularity"],
-        # n = 40 is below TRUNCATED_MIN_N: these --dim jobs take the dense path.
+        # n = 40 holds no 60-vector Lanczos basis five times: these --dim jobs take the dense path.
         ["partition", "{graph}", "--mode", "modularity", "--dim", "5"],
         ["partition", "{graph}", "--mode", "exponential", "--dim", "5"],
         ["scan", "{graph}", "--tmin", "0.5", "--tmax", "2", "--npoints", "3", "--dim", "5"],
-        # n = 400 is past it, but (40 + 2) * 10 > 400: the dense path again.
+        # n = 400 holds five bases of 60 vectors, not of 83 or more: the dense path again.
         ["partition", "{large}", "--mode", "exponential", "--dim", "40"],
         ["partition", "{large}", "--mode", "modularity", "--dim", "40"],
-        # (5 + 2) * 10 <= 400: the truncated path, numpy's Lanczos.
+        # 5 * 60 <= 400: the truncated path, numpy's Lanczos.
         ["partition", "{large}", "--mode", "modularity", "--dim", "5"],
         ["partition", "{large}", "--mode", "exponential", "--dim", "5"],
         ["scan", "{large}", "--tmin", "0.5", "--tmax", "2", "--npoints", "3", "--dim", "5"],

@@ -114,7 +114,9 @@ class TestDecomposeModularityMatrix:
         assert np.allclose(basis.eigenvalues, oracle, atol=1e-10)
         assert basis.eigenvalues.min() < -1e-6
 
-    @pytest.mark.parametrize("n, dim", [(4, None), (300, 2)])  # the dense and the truncated path
+    # The dense and the truncated path: 300 = 5 * 60 is the smallest n whose
+    # 60-vector Lanczos basis fits five times.
+    @pytest.mark.parametrize("n, dim", [(4, None), (300, 2)])
     def test_overflowing_degree_products_are_named_error(self, n, dim):
         # Each degree is 2e200: the degree sum is finite, d @ d is not.
         g = vp.load_edge_list("".join(f"{i} {(i + 1) % n} 1e200\n" for i in range(n)))
@@ -499,12 +501,13 @@ class TestTruncatedEigensolver:
         assert bases(small, source, dim=2)[1].pairs == small.n
         assert bases(planted400, source, dim=100)[1].pairs == 400
 
-    @pytest.mark.parametrize("source", SOURCES)
-    def test_crossover_at_a_tenth_of_n(self, planted400, source):
-        # dim + 2 pairs: 40 of 400 is truncated, 41 is dense.
+    @pytest.mark.parametrize("source, last, pairs", [("transition", 37, 39), ("modularity", 38, 40)])
+    def test_crossover_where_the_basis_fits_five_times_in_n(self, planted400, source, last, pairs):
+        # k = dim + 2 pairs, or dim + 1 and the ones mode: a basis of 2k + 1
+        # vectors fits five times in 400 up to k = 39, not at k = 40.
         decompose = vp.decompose_transition if source == "transition" else vp.decompose_modularity_matrix
-        assert decompose(planted400, dim=38).pairs == 40
-        assert decompose(planted400, dim=39).pairs == 400
+        assert decompose(planted400, dim=last).pairs == pairs
+        assert decompose(planted400, dim=last + 1).pairs == 400
 
     @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("dim", [0, 4])
@@ -544,6 +547,10 @@ class TestTruncatedEigensolver:
 
 def ring(n):
     return vp.load_edge_list("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+
+
+def path(n):
+    return vp.load_edge_list("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
 
 
 def grid(side):
@@ -655,6 +662,22 @@ class TestLanczosAgainstOracles:
         # S = A / 2 and, off the ones vector, B_Q = A: eigenvalues cos(2 pi j / n) and twice that.
         scale = 1.0 if source == "transition" else 2.0
         assert component_eigenvalues(basis) == pytest.approx(np.full(2, scale * np.cos(2 * np.pi / g.n)), abs=1e-12)
+
+    def test_a_long_path_at_dim_1_ends_in_a_partition(self):
+        # The smallest path of n >= 300 nodes whose dim-1 solve gave up after
+        # 50,000 products in a basis of max(2k + 1, 20) vectors; in one of
+        # 60 it takes about 6,400. The walk on a path of n nodes has the
+        # eigenvalues cos(pi j / (n - 1)).
+        g = path(2047)
+        basis = vp.decompose_transition(g, dim=1)
+        assert basis.pairs == 3
+        assert basis.eigenvalues == pytest.approx(np.cos(np.pi * np.arange(3) / (g.n - 1)), abs=1e-13)
+        # The Ritz estimates converge at LANCZOS_TOL times the norm, 1; the
+        # true residuals of so long a solve carry the roundoff of its restarts
+        # as well: 0.98 LANCZOS_TOL at one BLAS thread, 1.77 at two.
+        assert vp.spectral._max_residual(g, basis) <= 4 * vp.spectral.LANCZOS_TOL
+        partition, objective, _ = vp.partition_vectors(vp.build_embedding(basis, "exponential", t=1.0, dim=1))
+        assert partition.n == g.n and np.isfinite(objective)
 
 
 class TestDenseSolver:
@@ -797,6 +820,18 @@ class TestSpectralHealth:
         assert h_trunc["gap_at_dim"] == pytest.approx(expected_gap, abs=1e-10)
         assert h_dense["gap_at_dim"] == pytest.approx(expected_gap, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["exponential", "modularity"])
+    def test_a_dim_job_builds_the_adjacency_once(self, planted400, mode, monkeypatch, tmp_path):
+        # The decomposition and spectral_health's residual check share the graph's arrays.
+        built = []
+        csr_adjacency = vp.graph.csr_adjacency
+        monkeypatch.setattr(vp.graph, "csr_adjacency", lambda *args: built.append(args) or csr_adjacency(*args))
+        path = tmp_path / "g.txt"
+        path.write_text(planted400.to_edge_list_text())
+        args = ["partition", str(path), "--mode", mode, "--dim", str(TRUNCATED_DIM), "--restarts", "1"]
+        assert main(args + ["--output", str(tmp_path / "r.json")]) == 0
+        assert len(built) == 1
+
     def test_no_gap_at_full_dimension(self):
         g = pairgraph4()
         health = vp.spectral.spectral_health(g, vp.decompose_transition(g), 3)
@@ -836,7 +871,7 @@ class TestQualityMatrix:
     def test_gram_is_the_full_dimension_spectral_gram(self, name, g, mode, t):
         decompose = vp.decompose_modularity_matrix if mode == "modularity" else vp.decompose_transition
         emb = vp.build_embedding(decompose(g), mode, t=t)
-        spectral = vp.vp._shared_gram(emb)
+        spectral = emb.gram
         graph = quality_gram(vp.QualityMatrix(g, mode, t))
         assert graph.shape == spectral.shape == (g.n, g.n)
         assert np.max(np.abs(graph - spectral)) <= 1e-12 * np.max(np.abs(graph))

@@ -430,14 +430,23 @@ class TestGramPath:
             else:
                 assert v_graph == vp.linearised_stability(g, p_graph, t)
 
+    def test_the_embedding_owns_its_level0_gram(self):
+        emb = vp.build_embedding(vp.decompose_transition(pairgraph4()), "linearised", t=3.0)
+        state = vp.vp._first_state(emb)
+        assert isinstance(state, vp.vp.GramState) and state.gram is emb.gram is vp.vp._first_state(emb).gram
+        assert not emb.gram.flags.writeable
+        assert emb.gram.tobytes() == ((emb.vectors * emb.signature.astype(np.float64)) @ emb.vectors.T).tobytes()
+
     def test_a_quality_matrix_shares_its_adjacency_read_only(self):
-        q = vp.QualityMatrix(pairgraph4(), "linearised", 1.0)
-        assert vp.vp._shared_gram(q) is None
-        first, second = vp.vp._first_state(q), vp.vp._first_state(q)
+        g = pairgraph4()
+        q = vp.QualityMatrix(g, "linearised", 1.0)
+        assert not hasattr(q, "gram")  # level 0 runs on no dense Gram
+        first, second = vp.vp._first_state(q), vp.vp._first_state(vp.QualityMatrix(g, "modularity"))
         assert isinstance(first, vp.vp.GraphState)
-        assert first.indices is second.indices is q.adjacency[1] and first.data is second.data
-        assert not any(array.flags.writeable for array in q.adjacency)
-        assert all(np.array_equal(a, b) for a, b in zip(q.adjacency, q.graph.adjacency()))
+        assert g.adjacency() is g.adjacency()
+        assert first.indices is second.indices is g.adjacency()[1] and first.data is second.data
+        assert not any(array.flags.writeable for array in g.adjacency())
+        assert all(np.array_equal(a, b) for a, b in zip(g.adjacency(), vp.vp.csr_adjacency(g.n, g.edge_index, g.edge_weight)))
 
     def test_an_overflowing_objective_is_too_large(self):
         q = vp.QualityMatrix(vp.load_edge_list(TRIANGLE_TEXT), "linearised", 1e308)
