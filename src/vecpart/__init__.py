@@ -30,15 +30,7 @@ from .errors import (
     ZeroDegree,
 )
 from .graph import Graph, Partition, load_edge_list, load_lfr, planted_partition
-from .harness import (
-    ComparisonRow,
-    ScanRecord,
-    best_of_restarts,
-    dim_sweep,
-    embedding_comparison,
-    geometric_grid,
-    time_scan,
-)
+from .harness import ScanRecord, best_of_restarts, geometric_grid, scan, time_scan
 from .metrics import (
     Contingency,
     nmi,
@@ -75,7 +67,6 @@ __all__ = [
     "AsymmetricEdgeList",
     "ConflictingDuplicateEdge",
     "Contingency",
-    "ComparisonRow",
     "DimOutOfRange",
     "Disconnected",
     "EigensolverFailure",
@@ -107,8 +98,6 @@ __all__ = [
     "build_embedding",
     "decompose_modularity_matrix",
     "decompose_transition",
-    "dim_sweep",
-    "embedding_comparison",
     "exhaustive_partition",
     "geometric_grid",
     "linearised_stability",
@@ -121,6 +110,7 @@ __all__ = [
     "sankey_links",
     "sankey_to_json",
     "scaled_eigenvalues",
+    "scan",
     "stability",
     "time_scan",
     "uncertainty_coefficient",

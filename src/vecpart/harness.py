@@ -1,11 +1,12 @@
-"""Experiment orchestration: time scans, dimension sweeps, embedding comparisons.
+"""Experiment orchestration over the paper's two axes, Markov time and dimension.
 
-``time_scan`` and ``dim_sweep`` run one routine, ``_sweep``, which checks
-every input before it decomposes anything. A full-dimension linearised or
-modularity point decomposes nothing: it optimises the graph's
-``QualityMatrix``. The other points share one basis, decomposed once for
-the largest dimension they embed at. One builder, ``scan_record``, makes
-every record. All results are deterministic for fixed seeds.
+``scan`` runs any grid of times x dims and checks every input before it
+decomposes anything; ``time_scan`` runs it on a geometric grid of times at
+one dim. A full-dimension linearised or modularity point decomposes
+nothing: it optimises the graph's ``QualityMatrix``. The other points share
+one basis, decomposed once for the largest dimension they embed at. One
+builder, ``scan_record``, makes every record. All results are
+deterministic for fixed seeds.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import InvalidParameter, SizeMismatch, TooLarge
 from .graph import Graph, Partition
 from .metrics import nmi, uncertainty_coefficient, variation_of_information
-from .objective import modularity_score
 from .spectral import (
     MODES,
     QualityMatrix,
@@ -39,7 +39,7 @@ MAX_GRID_POINTS = 10_000
 
 @dataclass
 class ScanRecord:
-    """One optimised partition: a point of a time scan, a dim of a dim sweep, or a ``partition`` run."""
+    """One optimised partition: a (time, dim) point of a ``scan`` or a ``partition`` run."""
 
     time: float | None
     mode: str
@@ -50,20 +50,6 @@ class ScanRecord:
     nmi: float | None = None
     uncertainty: float | None = None
     vi_to_previous: float | None = None
-
-
-@dataclass
-class EmbeddingResult:
-    modularity: float
-    num_communities: int
-    uncertainty: float
-
-
-@dataclass
-class ComparisonRow:
-    dim: int
-    transition: EmbeddingResult
-    modularity_matrix: EmbeddingResult
 
 
 def geometric_grid(t_min: float, t_max: float, n_points: int) -> np.ndarray:
@@ -114,23 +100,36 @@ def scan_record(emb, partition: Partition, objective: float, truth: Partition | 
     )
 
 
-def _sweep(g: Graph, truth, mode: str, modes: tuple[str, ...], times, dims, restarts: int, seed: int) -> list[ScanRecord]:
-    """The best-of-restarts record of every (t, dim) point, times outer.
+def scan(
+    g: Graph,
+    mode: str,
+    times: list[float | None],
+    dims: list[int | None],
+    truth: Partition | None = None,
+    seed: int = 0,
+    restarts: int = 5,
+) -> list[ScanRecord]:
+    """The best-of-restarts record of every point of the grid ``times`` x
+    ``dims``, times outer: the paper's two axes, Markov time and the number
+    of eigenvectors, on at most one decomposition.
 
-    First, before anything is decomposed, raise on a mode outside ``modes``,
-    a time ``mode`` does not take, a dim outside [1, n - 1] (None is n - 1)
-    or a truth of another size. A point where ``uses_quality_matrix``
-    optimises the graph's ``QualityMatrix``; the others embed one basis,
-    decomposed for the largest of their dims.
+    First, before anything is decomposed, raise on a mode outside MODES, a
+    time ``mode`` does not take (modularity mode takes None), a dim outside
+    [1, n - 1] (None is n - 1) or a truth of another size; then an empty
+    grid returns [] and decomposes nothing. A point where
+    ``uses_quality_matrix`` optimises the graph's ``QualityMatrix``; the
+    others embed one basis, decomposed for the largest of their dims.
     """
-    if mode not in modes:
-        raise InvalidParameter(f"mode must be {' or '.join(modes)}, got {mode!r}")
+    if mode not in MODES:
+        raise InvalidParameter(f"mode must be {' or '.join(MODES)}, got {mode!r}")
     for t in times:
         check_time(mode, t)
     for dim in dims:
         check_dim(dim, g.n)
     if truth is not None and truth.n != g.n:
         raise SizeMismatch(f"ground truth covers {truth.n} nodes, graph has {g.n}")
+    if len(times) == 0 or len(dims) == 0:
+        return []
     embedded = [g.n - 1 if dim is None else dim for dim in dims if not uses_quality_matrix(mode, dim, g.n)]
     if embedded and mode == "modularity":
         basis = decompose_modularity_matrix(g, dim=max(embedded))
@@ -169,49 +168,9 @@ def time_scan(
     NMI / uncertainty against the ground truth when one is given.
     """
     times = geometric_grid(t_min, t_max, n_points).tolist()
-    records = _sweep(g, truth, mode, ("exponential", "linearised"), times, [dim], restarts, seed)
+    if mode not in ("exponential", "linearised"):
+        raise InvalidParameter(f"mode must be exponential or linearised, got {mode!r}")
+    records = scan(g, mode, times, [dim], truth, seed, restarts)
     for previous, record in zip(records, records[1:]):
         record.vi_to_previous = variation_of_information(previous.partition, record.partition)
     return records
-
-
-def dim_sweep(
-    g: Graph,
-    truth: Partition,
-    t: float | None,
-    mode: str,
-    dims: list[int],
-    seed: int = 0,
-    restarts: int = 5,
-) -> list[ScanRecord]:
-    """Optimise at a fixed time across embedding dimensions, scoring vs truth.
-
-    One decomposition serves every dim; a full-dimension (n - 1 or None)
-    linearised or modularity dim needs none, and optimises the graph's
-    ``QualityMatrix`` as ``partition`` does. Modularity mode takes ``t`` None.
-    """
-    return _sweep(g, truth, mode, MODES, [t], dims, restarts, seed)
-
-
-def embedding_comparison(
-    g: Graph,
-    truth: Partition,
-    dims: list[int],
-    seed: int = 0,
-    restarts: int = 5,
-) -> list[ComparisonRow]:
-    """Modularity optimisation from two spectral embeddings, side by side.
-
-    For each dimension, the same optimiser maximises modularity once over the
-    transition-matrix embedding (linearised at t = 1) and once over the
-    modularity-matrix embedding; each side reports the modularity of its
-    partition, the community count, and the uncertainty coefficient vs truth.
-    Each side is a ``dim_sweep``, so each source is decomposed once.
-    """
-
-    def result(record: ScanRecord) -> EmbeddingResult:
-        return EmbeddingResult(modularity_score(g, record.partition), record.num_communities, record.uncertainty)
-
-    transition = dim_sweep(g, truth, 1.0, "linearised", dims, seed, restarts)
-    modularity = dim_sweep(g, truth, None, "modularity", dims, seed, restarts)
-    return [ComparisonRow(a.dim, result(a), result(b)) for a, b in zip(transition, modularity)]

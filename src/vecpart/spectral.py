@@ -171,36 +171,17 @@ def _csr_product(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
     return apply
 
 
-def _by_columns(product):
-    """Extend a product of one vector to a block (n, c), a column at a time."""
-
-    def apply(X: np.ndarray) -> np.ndarray:
-        if X.ndim == 1:
-            return product(X)
-        Y = np.empty(X.shape)
-        for c in range(X.shape[1]):
-            Y[:, c] = product(X[:, c])
-        return Y
-
-    return apply
-
-
-def _product(g: Graph, source: str, dense: bool = False):
-    """X -> S X for the transition source, X -> B_Q X for the modularity one.
-
-    Dense, the matrix is formed once, in one n x n array. Otherwise
-    B_Q x = A x - d (d^T x) / 2m is applied as sparse plus rank one, so
-    neither matrix is formed densely, a column of X at a time.
+def _product(g: Graph, source: str):
+    """x -> S x for the transition source, x -> B_Q x for the modularity one,
+    on one vector. B_Q x = A x - d (d^T x) / 2m is applied as sparse plus
+    rank one, so neither matrix is formed densely.
     """
-    if dense:
-        M = _dense_operator(g, source) if source == "transition" else _modularity_matrix(g)
-        return lambda X: M @ X
     if source == "transition":
-        return _by_columns(_csr_product(*_similar_transition(g)))
+        return _csr_product(*_similar_transition(g))
     A = _csr_product(*g.adjacency())
     d = np.asarray(g.degrees, dtype=np.float64)
     two_m = 2.0 * g.total_weight
-    return _by_columns(lambda x: A(x) - d * (d @ x) / two_m)
+    return lambda x: A(x) - d * (d @ x) / two_m
 
 
 def _ones_shift(g: Graph) -> float:
@@ -211,7 +192,7 @@ def _ones_shift(g: Graph) -> float:
 
 def _operator(g: Graph, source: str):
     """The symmetric operator the truncated eigensolver solves for ``source``,
-    as x -> op x on a vector or a block, and its spectral norm or a bound on it.
+    as x -> op x on one vector, and its spectral norm or a bound on it.
 
     For the transition source, the sparse S = D^-1/2 A D^-1/2, of norm 1.
     For the modularity source, P B_Q P - s J, with P the projector off the
@@ -231,7 +212,7 @@ def _operator(g: Graph, source: str):
         y = product(x - e * c)
         return y - e * (e @ y) - e * (shift * c)
 
-    return _by_columns(apply), shift
+    return apply, shift
 
 
 def _modularity_matrix(g: Graph) -> np.ndarray:
@@ -642,8 +623,13 @@ def _max_residual(g: Graph, basis: SpectralBasis) -> float:
     """Largest ||S u - lam u|| over the held pairs, u a unit eigenvector of the
     symmetric matrix solved: S = D^-1/2 A D^-1/2, or B_Q. A basis of all n
     pairs is checked against the dense matrix, a truncated one against the
-    sparse product the solver applied, which needs no n x n array."""
-    product = _product(g, basis.source, dense=basis.pairs == basis.n)
+    sparse product the solver applied, a column at a time, which needs no
+    n x n array."""
+    full = basis.pairs == basis.n
+    if full:
+        M = _dense_operator(g, "transition") if basis.source == "transition" else _modularity_matrix(g)
+    else:
+        product = _product(g, basis.source)
     # A transition eigenvector v is stored pi-normalised; u = sqrt(pi) v is the unit one.
     scale = np.sqrt(basis.pi)[:, None] if basis.source == "transition" else 1.0
     worst = 0.0
@@ -651,7 +637,13 @@ def _max_residual(g: Graph, basis: SpectralBasis) -> float:
     for start in range(0, basis.pairs, block):
         cols = slice(start, start + block)
         U = scale * basis.eigenvectors[:, cols]
-        R = product(U) - U * basis.eigenvalues[cols]
+        if full:
+            R = M @ U
+        else:
+            R = np.empty(U.shape)
+            for c in range(U.shape[1]):
+                R[:, c] = product(U[:, c])
+        R -= U * basis.eigenvalues[cols]
         worst = max(worst, float(np.linalg.norm(R, axis=0).max()))
     return worst
 

@@ -193,17 +193,13 @@ class VPState(_LevelState):
 
     def apply_move(self, i: int, beta: int) -> None:
         x = self.vectors[i]
-        alpha = self.assignment.item(i)
         if beta == self.group_sizes.size:  # a fresh group
-            self.group_sizes = np.append(self.group_sizes, 0)
             grown = np.zeros((beta + 1, x.size), order="F")
             grown[:beta] = self.group_sums
             self.group_sums = grown
-        self.group_sums[alpha] -= x
+        self.group_sums[self.assignment.item(i)] -= x
         self.group_sums[beta] += x
-        self.group_sizes[alpha] -= 1
-        self.group_sizes[beta] += 1
-        self.assignment[i] = beta
+        super().apply_move(i, beta)
 
     def revalidate(self, drift_bound: float) -> None:
         """Recompute group sums from members and check incremental drift."""
@@ -405,23 +401,19 @@ class GraphState(_LevelState):
         return self.most_lost + self.most_gained
 
     def apply_move(self, i: int, beta: int) -> None:
-        alpha = self.labels[i]
+        alpha, q = self.labels[i], self.mass.item(i)
         if beta == self.group_sizes.size:  # a fresh group
-            self.group_sizes = np.append(self.group_sizes, 0)
             self.group_mass.append(0.0)
         elif self.group_sizes.item(beta) == 0:
             del self.empties[bisect_left(self.empties, beta)]
-        q = self.mass.item(i)
-        self.group_sizes[alpha] -= 1
-        self.group_sizes[beta] += 1
         self.group_mass[beta] += q
-        if self.group_sizes.item(alpha) == 0:
+        if self.group_sizes.item(alpha) == 1:  # i leaves alpha empty
             self.group_mass[alpha] = 0.0
             insort(self.empties, alpha)
         else:
             self.group_mass[alpha] -= q
         self.labels[i] = beta
-        self.assignment[i] = beta
+        super().apply_move(i, beta)
 
     def revalidate(self, drift_bound: float) -> None:
         """Recount the group masses from the members and check their drift,

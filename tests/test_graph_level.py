@@ -187,9 +187,9 @@ class TestNoDenseLimit:
         validate_report(json.loads(capsys.readouterr().out))
 
     @pytest.mark.parametrize("mode, t", [("linearised", 1.0), ("modularity", None)])
-    def test_a_dim_sweep_point_at_n_minus_1_runs(self, planted, mode, t):
+    def test_a_scan_point_at_n_minus_1_runs(self, planted, mode, t):
         g, truth, _ = planted
-        (record,) = vp.dim_sweep(g, truth, t, mode, [g.n - 1], restarts=2)
+        (record,) = vp.scan(g, mode, [t], [g.n - 1], truth, restarts=2)
         assert record.dim == g.n - 1 and record.num_communities >= 1
 
     def test_a_full_dimension_exponential_run_is_still_too_large(self, planted, capsys):

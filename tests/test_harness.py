@@ -209,10 +209,17 @@ class TestBestOfRestarts:
         assert best[2].objective_trajectory == expected[2].objective_trajectory
 
 
-class TestDimSweep:
+def same_record(a, b) -> bool:
+    """Whether two records hold the same partition and the same bits in every other field."""
+    return np.array_equal(a.partition.assignment, b.partition.assignment) and (
+        {**vars(a), "partition": None} == {**vars(b), "partition": None}
+    )
+
+
+class TestScanOverDims:
     def test_full_dimension_matches_direct_oracle(self):
         g, truth = vp.planted_partition(2, 4, 0.9, 0.1, seed=1)
-        rows = vp.dim_sweep(g, truth, 1.0, "linearised", [g.n - 1], restarts=5)
+        rows = vp.scan(g, "linearised", [1.0], [g.n - 1], truth, restarts=5)
         # a full-dimension linearised dim optimises the graph's quality matrix;
         # check the reported objective against the direct matrix-form computation
         partition, value, _ = vp.best_of_restarts(vp.QualityMatrix(g, "linearised", 1.0), 5)
@@ -226,22 +233,20 @@ class TestDimSweep:
         # is the heavy-edge bipartition, so dim=1 at t=5 recovers it.
         g = pairgraph4()
         truth = vp.Partition.from_labels([0, 0, 1, 1])
-        rows = vp.dim_sweep(g, truth, 5.0, "exponential", [1], restarts=5)
+        rows = vp.scan(g, "exponential", [5.0], [1], truth, restarts=5)
         assert rows[0].nmi == pytest.approx(1.0, abs=1e-12)
         assert rows[0].num_communities == 2
 
     @pytest.mark.parametrize("mode, t", [("exponential", 2.0), ("linearised", 1.0), ("modularity", None)])
     def test_rows_are_the_records_of_their_embeddings(self, mode, t):
         g, truth = vp.planted_partition(3, 6, 0.9, 0.1, seed=2)
-        rows = vp.dim_sweep(g, truth, t, mode, [3, 1], restarts=2, seed=1)
+        rows = vp.scan(g, mode, [t], [3, 1], truth, seed=1, restarts=2)
         decompose = vp.decompose_modularity_matrix if mode == "modularity" else vp.decompose_transition
         basis = decompose(g)
         for row, dim in zip(rows, [3, 1]):
             emb = vp.build_embedding(basis, mode, t=t, dim=dim)
             partition, objective, _ = vp.best_of_restarts(emb, 2, seed=1)
-            expected = vp.harness.scan_record(emb, partition, objective, truth)
-            assert np.array_equal(row.partition.assignment, expected.partition.assignment)
-            assert {**vars(row), "partition": None} == {**vars(expected), "partition": None}
+            assert same_record(row, vp.harness.scan_record(emb, partition, objective, truth))
             assert (row.time, row.mode, row.dim) == (t, mode, dim)
             assert row.vi_to_previous is None
 
@@ -251,7 +256,7 @@ class TestDimSweep:
         path = tmp_path / "g.txt"
         path.write_text(g.to_edge_list_text())
         assert main(["partition", str(path), "--mode", mode, "--restarts", "3", "--seed", "2"]) == 0
-        (row,) = vp.dim_sweep(g, truth, t, mode, [g.n - 1], seed=2, restarts=3)
+        (row,) = vp.scan(g, mode, [t], [g.n - 1], truth, seed=2, restarts=3)
         record = _record_payload(replace(row, nmi=None, uncertainty=None))
         assert record == json.loads(capsys.readouterr().out)["records"][0]
         if mode == "linearised":
@@ -267,13 +272,40 @@ class TestDimSweep:
             acc = {d: [] for d in dims}
             for seed in range(20):
                 g, truth = vp.planted_partition(4, 8, 0.9, 0.05, seed=seed)
-                for row in vp.dim_sweep(g, truth, t, mode, dims, restarts=5):
+                for row in vp.scan(g, mode, [t], dims, truth, restarts=5):
                     acc[row.dim].append(row.nmi)
             means = [float(np.mean(acc[d])) for d in dims]
             assert means[0] <= means[1] + 1e-12
             assert means[1] <= means[2] + 1e-12
             assert means[2] >= 0.9
             assert all(m - means[2] < 0.05 for m in means[3:])
+
+
+class TestScanGrid:
+    @pytest.mark.parametrize(
+        "mode, times, dims, decomposed",
+        [("exponential", [0.5, 4.0], [3, 1], 3), ("linearised", [0.5, 2.0], [2, "n - 1"], 2)],
+        ids=["exponential", "linearised-full-dim"],
+    )
+    def test_a_grid_is_its_points_times_outer_from_one_decomposition(self, monkeypatch, mode, times, dims, decomposed):
+        calls = []
+        real = vp.harness.decompose_transition
+
+        def counting(g, dim=None):
+            calls.append(dim)
+            return real(g, dim=dim)
+
+        monkeypatch.setattr(vp.harness, "decompose_transition", counting)
+        g, truth = vp.planted_partition(3, 6, 0.9, 0.1, seed=2)
+        dims = [g.n - 1 if dim == "n - 1" else dim for dim in dims]
+        records = vp.scan(g, mode, times, dims, truth, seed=1, restarts=2)
+        assert calls == [decomposed]
+        assert [(r.time, r.dim) for r in records] == [(t, dim) for t in times for dim in dims]
+        # Below the truncated solver's size, each point's own decomposition
+        # holds every pair, so its one-point scan embeds the same bits.
+        for record in records:
+            (point,) = vp.scan(g, mode, [record.time], [record.dim], truth, seed=1, restarts=2)
+            assert same_record(record, point)
 
 
 class TestLargestDimension:
@@ -296,11 +328,12 @@ class TestLargestDimension:
 
             monkeypatch.setattr(vp.harness, name, counting)
         g, truth = vp.planted_partition(6, 50, 0.3, 0.01, seed=0)
-        rows = vp.dim_sweep(g, truth, t, mode, [2, 5, 3], restarts=1)
+        rows = vp.scan(g, mode, [t], [2, 5, 3], truth, restarts=1)
         assert [row.dim for row in rows] == [2, 5, 3]
         assert calls == [5]
         calls.clear()
-        vp.embedding_comparison(g, truth, [4, 2], restarts=1)
+        vp.scan(g, "linearised", [1.0], [4, 2], truth, restarts=1)
+        vp.scan(g, "modularity", [None], [4, 2], truth, restarts=1)
         assert calls == [4, 4]
 
     @pytest.mark.parametrize(
@@ -308,8 +341,8 @@ class TestLargestDimension:
         [
             lambda g, truth: vp.time_scan(g, 1.0, 2.0, 2, dim=g.n),
             lambda g, truth: vp.time_scan(g, 1.0, 2.0, 2, mode="linearised", dim=g.n),
-            lambda g, truth: vp.dim_sweep(g, truth, 1.0, "linearised", [2, g.n], restarts=1),
-            lambda g, truth: vp.embedding_comparison(g, truth, [g.n + 7, 2], restarts=1),
+            lambda g, truth: vp.scan(g, "linearised", [1.0], [2, g.n], truth, restarts=1),
+            lambda g, truth: vp.scan(g, "linearised", [1.0], [g.n + 7, 2], truth, restarts=1),
         ],
         ids=["scan", "linearised-scan", "dim-sweep", "comparison"],
     )
@@ -332,14 +365,14 @@ class TestLargestDimension:
     def test_bad_mode_or_time_fails_before_any_decomposition(self, no_decomposition, mode, t, match):
         g, truth = vp.planted_partition(2, 4, 0.9, 0.1, seed=1)
         with pytest.raises(vp.InvalidParameter, match=re.escape(match)):
-            vp.dim_sweep(g, truth, t, mode, [2], restarts=1)
+            vp.scan(g, mode, [t], [2], truth, restarts=1)
 
     @pytest.mark.parametrize("mode, t", [("linearised", 1.0), ("modularity", None)])
     def test_full_dimension_sweeps_decompose_nothing(self, no_decomposition, mode, t):
         g, truth = vp.planted_partition(2, 4, 0.9, 0.1, seed=1)
-        rows = vp.dim_sweep(g, truth, t, mode, [g.n - 1, None], restarts=2)
-        assert [row.dim for row in rows] == [g.n - 1] * 2
-        assert [row.dim for row in vp.embedding_comparison(g, truth, [None, g.n - 1], restarts=2)] == [g.n - 1] * 2
+        for dims in ([g.n - 1, None], [None, g.n - 1]):
+            rows = vp.scan(g, mode, [t], dims, truth, restarts=2)
+            assert [row.dim for row in rows] == [g.n - 1] * 2
 
     @pytest.mark.parametrize("dims", [[None, 3], [3, None]])
     def test_none_among_dims_is_full_dimension_from_one_decomposition(self, monkeypatch, dims):
@@ -352,7 +385,7 @@ class TestLargestDimension:
 
         monkeypatch.setattr(vp.harness, "decompose_transition", counting)
         g, truth = vp.planted_partition(2, 5, 0.9, 0.1, seed=3)
-        rows = vp.dim_sweep(g, truth, 1.0, "exponential", dims, restarts=2)
+        rows = vp.scan(g, "exponential", [1.0], dims, truth, restarts=2)
         assert calls == [g.n - 1]
         basis = vp.decompose_transition(g)
         for row, dim in zip(rows, dims):
@@ -361,31 +394,44 @@ class TestLargestDimension:
             assert row.dim == emb.dim and row.objective == objective
             assert np.array_equal(row.partition.assignment, partition.assignment)
         calls.clear()
-        comparison = vp.embedding_comparison(g, truth, dims, restarts=2)
-        assert calls == [3]  # the linearised side's full dim optimises the quality matrix
-        assert [row.dim for row in comparison] == [row.dim for row in rows]
+        linearised = vp.scan(g, "linearised", [1.0], dims, truth, restarts=2)
+        modularity = vp.scan(g, "modularity", [None], dims, truth, restarts=2)
+        assert calls == [3]  # the linearised full dim optimises the quality matrix
+        assert [row.dim for row in linearised] == [row.dim for row in modularity] == [row.dim for row in rows]
 
     def test_no_dims_decompose_nothing(self, no_decomposition):
         g, truth = vp.planted_partition(2, 4, 0.9, 0.1, seed=1)
-        assert vp.dim_sweep(g, truth, 1.0, "linearised", [], restarts=1) == []
-        assert vp.dim_sweep(g, truth, None, "modularity", [], restarts=1) == []
-        assert vp.embedding_comparison(g, truth, [], restarts=1) == []
+        assert vp.scan(g, "linearised", [1.0], [], truth, restarts=1) == []
+        assert vp.scan(g, "modularity", [None], [], truth, restarts=1) == []
+        assert vp.scan(g, "exponential", [], [2], truth, restarts=1) == []
+        assert vp.scan(g, "linearised", [], [2, None], truth, restarts=1) == []
+        assert vp.scan(g, "modularity", [], [2], truth, restarts=1) == []
 
 
-class TestEmbeddingComparison:
+def source_comparison(g, truth, dims, restarts):
+    """Per dim, modularity Q and the record of a linearised scan at t = 1
+    (transition eigenvectors) and of a modularity scan (modularity-matrix ones)."""
+    transition = vp.scan(g, "linearised", [1.0], dims, truth, restarts=restarts)
+    modularity = vp.scan(g, "modularity", [None], dims, truth, restarts=restarts)
+    return [
+        ((vp.modularity_score(g, a.partition), a), (vp.modularity_score(g, b.partition), b))
+        for a, b in zip(transition, modularity)
+    ]
+
+
+class TestEmbeddingSources:
     def test_full_dimension_sources_agree(self):
         for seed in (0, 1, 2):
             g, truth = vp.planted_partition(3, 5, 0.9, 0.1, seed=seed)
-            rows = vp.embedding_comparison(g, truth, [g.n - 1], restarts=5)
-            row = rows[0]
-            assert abs(row.transition.modularity - row.modularity_matrix.modularity) <= 1e-6
+            ((q_transition, _), (q_modularity, _)) = source_comparison(g, truth, [g.n - 1], restarts=5)[0]
+            assert abs(q_transition - q_modularity) <= 1e-6
 
     def test_reports_both_sources_per_dim(self):
         g, truth = vp.planted_partition(2, 5, 0.9, 0.1, seed=5)
-        rows = vp.embedding_comparison(g, truth, [1, 2, 3], restarts=3)
-        assert [row.dim for row in rows] == [1, 2, 3]
+        rows = source_comparison(g, truth, [1, 2, 3], restarts=3)
+        assert [a.dim for (_, a), _ in rows] == [b.dim for _, (_, b) in rows] == [1, 2, 3]
         for row in rows:
-            for side in (row.transition, row.modularity_matrix):
-                assert side.num_communities >= 1
-                assert 0.0 <= side.uncertainty <= 1.0
-                assert -1.0 <= side.modularity <= 1.0
+            for q, record in row:
+                assert record.num_communities >= 1
+                assert 0.0 <= record.uncertainty <= 1.0
+                assert -1.0 <= q <= 1.0
